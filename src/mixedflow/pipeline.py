@@ -21,7 +21,7 @@ from .simulate import HierDataset, PriorSpec
 from .standardize import (standardize_data, standardize_prior,
                           standardized_beta_prior)
 
-__all__ = ["infer_one", "intervals_to_data_scale"]
+__all__ = ["infer_one", "refine_draws", "intervals_to_data_scale"]
 
 
 def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
@@ -46,18 +46,8 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
     draws = model.posterior(ds, k, rng, prior=prior_raw)
 
     if refine in ("is", "both"):
-        if model.cfg.standardize:
-            ds_s, rec = standardize_data(ds)
-            prior_std = standardize_prior(prior_raw, rec)
-            beta_mean_cov = standardized_beta_prior(prior_raw, rec)
-        else:
-            ds_s, rec = ds, draws.rec
-            prior_std = prior_raw
-            beta_mean_cov = (prior_raw.nu_beta, np.diag(prior_raw.tau_beta ** 2))
-        known = None if model.cfg.infer_noise else prior_std.tau_eps
-        draws = alternating_refine(ds_s, prior_std, draws, rounds=is_rounds,
-                                   likelihood=likelihood, known_sigma_eps=known,
-                                   beta_mean_cov=beta_mean_cov)
+        draws = refine_draws(model, ds, draws, prior_raw, rounds=is_rounds,
+                             likelihood=likelihood)
 
     use_table = table if refine in ("conformal", "both") else None
     intervals = {}
@@ -70,6 +60,25 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
             **intervals_to_data_scale(draws, std),
         }
     return draws, intervals
+
+
+def refine_draws(model: PosteriorModel, ds: HierDataset, draws: PosteriorDraws,
+                 prior: PriorSpec, rounds: int = 3,
+                 likelihood: str = "conditional") -> PosteriorDraws:
+    """Importance-reweight the model's draws for `ds` under the data-scale
+    `prior`, in the space the draws live in: the refinement set-up shared
+    by inference and calibration. Standardizing models use the exact joint
+    prior of the standardized fixed effects, the others the independent
+    normal one; models with known noise fix it at the prior's noise scale."""
+    ds_s, prior_std, beta_mean_cov = ds, prior, None
+    if model.cfg.standardize:
+        ds_s, rec = standardize_data(ds)
+        prior_std = standardize_prior(prior, rec)
+        beta_mean_cov = standardized_beta_prior(prior, rec)
+    known = None if model.cfg.infer_noise else prior_std.tau_eps
+    return alternating_refine(ds_s, prior_std, draws, rounds=rounds,
+                              likelihood=likelihood, known_sigma_eps=known,
+                              beta_mean_cov=beta_mean_cov)
 
 
 def intervals_to_data_scale(draws: PosteriorDraws, std_intervals: dict) -> dict:

@@ -5,7 +5,11 @@ the (conditional, by default) likelihood times the prior over the flow's
 own density. Because the global posterior conditions on the data only and
 the local posterior conditions on the globals, the two levels are
 reweighted alternately, local first, plugging posterior means of the other
-level into the likelihood; three rounds.
+level into the likelihood; three rounds, any number q of random effects.
+Likelihoods come from per-group sufficient statistics (Gram blocks of
+[X_i, Z_i, y_i], computed once per dataset), so a round costs
+O(k m (d + q)^2) whatever the group sizes; the marginal likelihood solves
+one q x q system per group (Woodbury, matrix determinant lemma).
 
 Conformal calibration: on held-out calibration sets, the signed distance
 from the true parameter to the nearest border of the proposed credible
@@ -24,12 +28,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .draws import PosteriorDraws
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .simulate import GlobalParams, HierDataset, LocalParams, PriorSpec
 
 log = logging.getLogger(__name__)
@@ -60,61 +64,103 @@ def component_roles(d: int, q: int, infer_noise: bool = True) -> list[str]:
 def log_half_normal(x: np.ndarray, tau) -> np.ndarray:
     """Density of |N(0, tau^2)| at x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    out = math.log(2.0) - np.log(tau) - 0.5 * _LOG_2PI - 0.5 * (x / tau) ** 2
-    return np.where(x >= 0, out, -np.inf)
+    return np.where(x >= 0, math.log(2.0) + _normal_logpdf(1, x * x, tau), -np.inf)
+
+
+def _normal_logpdf(n, ssq, sd):
+    """Log density of n iid N(0, sd^2) values with sum of squares ssq; an
+    extreme sd gives an infinite value, never an overflow error."""
+    return -0.5 * (n * _LOG_2PI + ssq / sd / sd) - n * np.log(sd)
+
+
+def _log_prior_random(alpha: np.ndarray, sigma_alpha: np.ndarray) -> np.ndarray:
+    """Log density of random effects alpha (m, q) given std devs
+    sigma_alpha (..., q), summed over groups and components."""
+    return _normal_logpdf(alpha.shape[0], (alpha ** 2).sum(axis=0), sigma_alpha).sum(axis=-1)
+
+
+class _GroupGrams:
+    """Per-group sufficient statistics: with W_i = [X_i, Z_i] (observed
+    rows) and r_i = y_i - X_i beta0 - Z_i alpha0_i at a reference point
+    near the draws (which keeps cancellation small), G_i = W_i'W_i,
+    c_i = W_i'r_i and s_i = r_i'r_i. Any e_i = r_i - W_i delta_i then has
+    W_i'e_i = c_i - G_i delta_i and e_i'e_i = s_i - delta_i'(c_i + W_i'e_i)."""
+
+    def __init__(self, ds: HierDataset, beta0: np.ndarray, alpha0: np.ndarray):
+        Z = ds.Z[:, :, :ds.q]
+        W = np.concatenate([ds.X, Z], axis=2) * ds.mask[:, :, None]
+        r = (ds.y - ds.X @ beta0 - np.einsum("mnq,mq->mn", Z, alpha0)) * ds.mask
+        self.d, self.beta0, self.alpha0 = ds.d, beta0, alpha0
+        self.n = ds.group_sizes.astype(np.float64)
+        self.G = np.einsum("mnp,mnr->mpr", W, W)
+        self.c = np.einsum("mnp,mn->mp", W, r)
+        self.s = np.einsum("mn,mn->m", r, r)
+
+    def residuals(self, beta: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e_i'e_i (k, m) and Z_i'e_i (k, m, q) for e_i = y_i - X_i beta -
+        Z_i alpha_i; beta (k, d) or (d,), alpha (k, m, q) or (m, q)."""
+        db = np.atleast_2d(beta - self.beta0).T                      # (d, k)
+        da = alpha - self.alpha0
+        da = np.moveaxis(da if da.ndim == 3 else da[None], 0, -1)    # (m, q, k)
+        m, q, k = da.shape[0], da.shape[1], max(db.shape[1], da.shape[2])
+        # draws last, so that each group is one small matrix product
+        delta = np.concatenate([np.broadcast_to(db, (m, self.d, k)),
+                                np.broadcast_to(da, (m, q, k))], axis=1)
+        We = self.c[:, :, None] - self.G @ delta
+        ee = self.s[:, None] - (delta * (self.c[:, :, None] + We)).sum(axis=1)
+        return ee.T, np.moveaxis(We[:, self.d:], -1, 0)
+
+    def marginal(self, beta: np.ndarray, sigma_alpha: np.ndarray,
+                 sigma_eps: np.ndarray) -> np.ndarray:
+        """Log-likelihood (k,) of y_i ~ N(X_i beta, sigma_eps^2 I + Z_i S^2 Z_i'),
+        S = diag(sigma_alpha), through M_i = I + S Z_i'Z_i S / sigma_eps^2:
+        positive definite for every draw and exactly I at S = 0."""
+        ee, ze = self.residuals(beta, np.zeros_like(self.alpha0))
+        sd = sigma_eps[:, None]
+        ll = _normal_logpdf(self.n, ee, sd)
+        q = ze.shape[2]
+        s = sigma_alpha / sd                                       # S / sigma_eps
+        M = np.eye(q) + s[:, None, :, None] * self.G[:, self.d:, self.d:] * s[:, None, None, :]
+        ok = np.isfinite(M).all(axis=(2, 3))
+        lam, V = np.linalg.eigh(np.where(ok[..., None, None], M, np.eye(q)))
+        lam = np.maximum(lam, 1.0)  # I + PSD: eigenvalues below 1 are rounding
+        b = (V.swapaxes(2, 3) @ (s[:, None, :] * ze / sd[:, :, None])[..., None])[..., 0]
+        ll = ll + 0.5 * (b ** 2 / lam).sum(axis=2) - 0.5 * np.log(lam).sum(axis=2)
+        return np.where(ok, ll, -np.inf).sum(axis=1)
 
 
 def _gaussian_loglik(ds: HierDataset, beta: np.ndarray, alpha: np.ndarray,
                      sigma_eps: np.ndarray) -> np.ndarray:
-    """Vectorized conditional data log-likelihood.
-
-    beta (k, d); alpha (k, m, q) or (m, q) shared across draws;
-    sigma_eps (k,). Returns (k,).
-    """
-    mask = ds.mask
-    mean = np.einsum("mnd,kd->kmn", ds.X, beta)
-    if ds.q:
-        a = alpha if alpha.ndim == 3 else np.broadcast_to(alpha, (beta.shape[0],) + alpha.shape)
-        mean = mean + np.einsum("mnq,kmq->kmn", ds.Z[:, :, :ds.q], a)
-    resid = (ds.y[None] - mean) * mask[None]
-    ssq = (resid ** 2).sum(axis=(1, 2))
-    n = float(mask.sum())
-    s2 = sigma_eps ** 2
-    return -0.5 * (n * _LOG_2PI + n * np.log(s2) + ssq / s2)
+    """Conditional data log-likelihood (k,) for beta (k, d), alpha (k, m, q)
+    or (m, q) shared across draws, and sigma_eps (k,)."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    grams = _GroupGrams(ds, beta.mean(axis=0), alpha.mean(axis=0) if alpha.ndim == 3 else alpha)
+    ee, _ = grams.residuals(beta, alpha)
+    return _normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
 
 
 def _split_global(draws: np.ndarray, d: int, q: int, infer_noise: bool,
                   known_sigma_eps: float | None = None):
-    beta = draws[:, :d]
-    sigma_alpha = draws[:, d:d + q]
-    if infer_noise:
-        sigma_eps = draws[:, d + q]
-    else:
-        if known_sigma_eps is None:
-            raise ConfigError("draws carry no noise component and none was supplied")
-        sigma_eps = np.full(draws.shape[0], float(known_sigma_eps))
-    return beta, sigma_alpha, sigma_eps
+    if not infer_noise and known_sigma_eps is None:
+        raise ConfigError("draws carry no noise component and none was supplied")
+    sigma_eps = draws[:, d + q] if infer_noise else np.full(draws.shape[0], float(known_sigma_eps))
+    return draws[:, :d], draws[:, d:d + q], sigma_eps
 
 
 def _log_prior_global(beta, sigma_alpha, sigma_eps, prior: PriorSpec,
                       beta_mean_cov=None, include_noise=True) -> np.ndarray:
-    if beta_mean_cov is not None:
-        mean, cov = beta_mean_cov
-        diff = beta - mean
-        chol = np.linalg.cholesky(cov)
-        white = np.linalg.solve(chol, diff.T).T
-        quad = (white ** 2).sum(axis=1)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        lp = -0.5 * (beta.shape[1] * _LOG_2PI + logdet + quad)
-    else:
-        lp = (-0.5 * _LOG_2PI - np.log(prior.tau_beta)
-              - 0.5 * ((beta - prior.nu_beta) / prior.tau_beta) ** 2).sum(axis=1)
-    if sigma_alpha.shape[1]:
-        lp = lp + log_half_normal(sigma_alpha, prior.tau_sigma).sum(axis=1)
+    mean, cov = beta_mean_cov or (prior.nu_beta, np.diag(prior.tau_beta ** 2))
+    chol = np.linalg.cholesky(cov)
+    white = np.linalg.solve(chol, (beta - mean).T)
+    lp = _normal_logpdf(beta.shape[1], (white ** 2).sum(axis=0), 1.0) - np.log(np.diag(chol)).sum()
+    lp = lp + log_half_normal(sigma_alpha, prior.tau_sigma).sum(axis=1)
     if include_noise:
         lp = lp + log_half_normal(sigma_eps, prior.tau_eps)
     return lp
+
+
+def _one_draw(gp: GlobalParams):
+    return gp.beta[None], gp.sigma_alpha[None], np.array([gp.sigma_eps])
 
 
 def conditional_log_likelihood(ds: HierDataset, gp: GlobalParams, lp: LocalParams,
@@ -128,17 +174,13 @@ def conditional_log_likelihood(ds: HierDataset, gp: GlobalParams, lp: LocalParam
         raise ConfigError("noise std dev draw must be positive")
     if ds.q and np.any(gp.sigma_alpha <= 0) and prior is not None:
         raise ConfigError("random-effect std dev draws must be positive")
-    ll = float(_gaussian_loglik(ds, gp.beta[None], lp.alpha[None] if ds.q else np.zeros((1, ds.m, 0)),
-                                np.array([gp.sigma_eps]))[0])
+    beta, sigma_alpha, sigma_eps = _one_draw(gp)
+    alpha = lp.alpha[None] if ds.q else np.zeros((1, ds.m, 0))
+    ll = float(_gaussian_loglik(ds, beta, alpha, sigma_eps)[0])
     if prior is None:
         return ll
-    if ds.q:
-        lpa = (-0.5 * _LOG_2PI - np.log(gp.sigma_alpha)
-               - 0.5 * (lp.alpha / gp.sigma_alpha) ** 2).sum()
-        ll += float(lpa)
-    ll += float(_log_prior_global(gp.beta[None], gp.sigma_alpha[None],
-                                  np.array([gp.sigma_eps]), prior, beta_mean_cov)[0])
-    return ll
+    return (ll + float(_log_prior_random(alpha[0], sigma_alpha)[0])
+            + float(_log_prior_global(beta, sigma_alpha, sigma_eps, prior, beta_mean_cov)[0]))
 
 
 def marginal_log_likelihood(ds: HierDataset, gp: GlobalParams,
@@ -146,31 +188,13 @@ def marginal_log_likelihood(ds: HierDataset, gp: GlobalParams,
                             beta_mean_cov=None, jitter: float = 1e-8) -> float:
     """Log-likelihood with the random effects integrated out: per group,
     y_i ~ N(X_i beta, Z_i diag(sigma_alpha^2) Z_i' + sigma_eps^2 I). Adds
-    the global log-priors when a prior is supplied."""
-    total = 0.0
-    for i in range(ds.m):
-        rows = ds.mask[i]
-        X_i = ds.X[i][rows]
-        y_i = ds.y[i][rows]
-        n_i = X_i.shape[0]
-        cov = gp.sigma_eps ** 2 * np.eye(n_i)
-        if ds.q:
-            Zq = ds.Z[i][rows][:, :ds.q]
-            cov = cov + (Zq * gp.sigma_alpha ** 2) @ Zq.T
-        resid = y_i - X_i @ gp.beta
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(n_i))
-            except np.linalg.LinAlgError:
-                raise NumericError(f"group {i}: marginal covariance not positive definite")
-        white = np.linalg.solve(chol, resid)
-        total += -0.5 * (n_i * _LOG_2PI + (white ** 2).sum()) - np.log(np.diag(chol)).sum()
+    the global log-priors when a prior is supplied. `jitter` is unused (the
+    q x q group systems are always positive definite)."""
+    draw = _one_draw(gp)
+    total = float(_GroupGrams(ds, gp.beta, np.zeros((ds.m, ds.q))).marginal(*draw)[0])
     if prior is not None:
-        total += float(_log_prior_global(gp.beta[None], gp.sigma_alpha[None],
-                                         np.array([gp.sigma_eps]), prior, beta_mean_cov)[0])
-    return float(total)
+        total += float(_log_prior_global(*draw, prior, beta_mean_cov)[0])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +204,20 @@ def marginal_log_likelihood(ds: HierDataset, gp: GlobalParams,
 def importance_weights(log_p: np.ndarray, log_q: np.ndarray,
                        clip_percentile: float = 98.0) -> np.ndarray:
     """Self-normalized weights: log ratio, percentile clip, exponentiate
-    after max subtraction, normalize to mean one."""
-    log_p = np.asarray(log_p, dtype=np.float64)
-    log_q = np.asarray(log_q, dtype=np.float64)
-    log_w = log_p - log_q
-    good = np.isfinite(log_w)
-    if not good.any():
+    after max subtraction, normalize to mean one. A (k, m) input is weighted
+    column by column; a column with no finite ratio gets uniform weights."""
+    log_w = np.asarray(log_p, dtype=np.float64) - np.asarray(log_q, dtype=np.float64)
+    cols = log_w.reshape(log_w.shape[0], -1)
+    good = np.isfinite(cols)
+    dead = ~good.any(axis=0)
+    for _ in range(int(dead.sum())):
         log.warning("all importance weights degenerate, falling back to uniform")
-        return np.ones(log_w.shape[0])
-    if not good.all():
-        log_w = np.where(good, log_w, -np.inf)
-    cap = np.percentile(log_w[good], clip_percentile)
-    log_w = np.minimum(log_w, cap)
-    w = np.exp(log_w - log_w.max())
-    mean = w.mean()
-    if mean <= 0 or not np.isfinite(mean):
-        log.warning("importance weights collapsed to zero, falling back to uniform")
-        return np.ones(log_w.shape[0])
-    return w / mean
+    cols = np.where(good, cols, np.nan)
+    cols[:, dead] = 0.0
+    cap = (np.percentile if good.all() else np.nanpercentile)(cols, clip_percentile, axis=0)
+    # the clipped maximum is the cap itself; non-finite ratios get weight 0
+    w = np.nan_to_num(np.exp(np.minimum(cols, cap) - cap))
+    return (w / w.mean(axis=0)).reshape(log_w.shape)
 
 
 def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
@@ -216,57 +236,37 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
     """
     if likelihood not in ("conditional", "marginal"):
         raise ConfigError(f"unknown likelihood kind {likelihood!r}")
-    k = draws.k
-    d, q = draws.d, draws.q
+    k, d, q, m = draws.k, draws.d, draws.q, ds.m
     beta, sigma_alpha, sigma_eps = _split_global(
         draws.global_std, d, q, draws.infer_noise, known_sigma_eps)
+    alpha = draws.local_std.astype(np.float64) if q else np.zeros((k, m, 0))
+    grams = _GroupGrams(ds, beta.mean(axis=0), alpha.mean(axis=0))
+    log_prior = _log_prior_global(beta, sigma_alpha, sigma_eps, prior,
+                                  beta_mean_cov, include_noise=draws.infer_noise)
 
     w_global = np.ones(k)
-    w_local = np.ones((k, draws.m)) if q else None
-
+    w_local = np.ones((k, m)) if q else None
+    alpha_bar = np.zeros((m, q))
     for _ in range(max(rounds, 0)):
         if q:
-            # local step: plug in current global posterior means
-            gp_bar_beta = (beta * w_global[:, None]).sum(axis=0) / w_global.sum()
-            gp_bar_sig = (sigma_alpha * w_global[:, None]).sum(axis=0) / w_global.sum()
-            gp_bar_eps = float((sigma_eps * w_global).sum() / w_global.sum())
-            mean_fixed = np.einsum("mnd,d->mn", ds.X, gp_bar_beta)
-            for i in range(draws.m):
-                rows = ds.mask[i]
-                Zq = ds.Z[i][rows][:, :q]
-                resid0 = ds.y[i][rows] - mean_fixed[i][rows]
-                a_i = draws.local_std[:, i, :]                    # (k, q)
-                resid = resid0[None] - a_i @ Zq.T                  # (k, n_i)
-                n_i = float(rows.sum())
-                ll = -0.5 * (n_i * _LOG_2PI + n_i * np.log(gp_bar_eps ** 2)
-                             + (resid ** 2).sum(axis=1) / gp_bar_eps ** 2)
-                lp_a = (-0.5 * _LOG_2PI - np.log(gp_bar_sig)
-                        - 0.5 * (a_i / gp_bar_sig) ** 2).sum(axis=1)
-                w_local[:, i] = importance_weights(ll + lp_a, draws.log_q_local[:, i])
-            alpha_bar = np.einsum("kmq,km->mq", draws.local_std, w_local) / w_local.sum(axis=0)[:, None]
-        else:
-            alpha_bar = np.zeros((ds.m, 0))
+            # local step: plug in the current global posterior means
+            p = w_global / w_global.sum()
+            ee, _ = grams.residuals(p @ beta, alpha)
+            log_p = (_normal_logpdf(grams.n, ee, p @ sigma_eps)
+                     + _normal_logpdf(1, alpha ** 2, p @ sigma_alpha).sum(axis=2))
+            w_local = importance_weights(log_p, draws.log_q_local)
+            alpha_bar = np.einsum("kmq,km->mq", alpha, w_local) / w_local.sum(axis=0)[:, None]
 
         # global step: plug in the local posterior means
         if likelihood == "conditional":
-            ll = _gaussian_loglik(ds, beta, alpha_bar, sigma_eps)
-            if q:
-                ll = ll + (-0.5 * _LOG_2PI - np.log(sigma_alpha)
-                           - 0.5 * (alpha_bar.T[None] / sigma_alpha[:, :, None]) ** 2
-                           ).sum(axis=(1, 2))
+            ee, _ = grams.residuals(beta, alpha_bar)
+            ll = (_normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
+                  + _log_prior_random(alpha_bar, sigma_alpha))
         else:
-            ll = np.array([
-                marginal_log_likelihood(ds, GlobalParams(beta[j], sigma_alpha[j], sigma_eps[j]))
-                for j in range(k)])
-        log_num = ll + _log_prior_global(beta, sigma_alpha, sigma_eps, prior,
-                                         beta_mean_cov, include_noise=draws.infer_noise)
-        w_global = importance_weights(log_num, draws.log_q_global)
+            ll = grams.marginal(beta, sigma_alpha, sigma_eps)
+        w_global = importance_weights(ll + log_prior, draws.log_q_global)
 
-    return PosteriorDraws(
-        global_std=draws.global_std, log_q_global=draws.log_q_global,
-        d=d, q=q, infer_noise=draws.infer_noise, rec=draws.rec,
-        local_std=draws.local_std, log_q_local=draws.log_q_local,
-        weights=w_global, local_weights=w_local, dataset_id=draws.dataset_id)
+    return replace(draws, weights=w_global, local_weights=w_local)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,7 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
     """Run inference on every calibration dataset and build the adjustment
     table. Datasets must carry their generating truth and be disjoint from
     training data."""
+    from .pipeline import refine_draws
     from .seeding import substream
     from .standardize import standardize_params
 
@@ -374,9 +375,7 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
             raise ConfigError("calibration datasets need recorded truth")
         draws = model.posterior(ds, k, substream(seed, "calibrate", idx))
         if refine == "is":
-            from .standardize import standardize_data, standardize_prior
-            ds_s, rec = standardize_data(ds)
-            draws = alternating_refine(ds_s, standardize_prior(ds.truth.prior, rec), draws)
+            draws = refine_draws(model, ds, draws, ds.truth.prior)
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params,
                                         draws.rec)
         for a_idx, alpha in enumerate(alphas):

@@ -4,12 +4,15 @@ the data scale, draw positivity, and the training divergence guard."""
 import numpy as np
 import pytest
 
-from mixedflow import simulate as sim
+import refine_oracle as oracle
+from mixedflow import refine, simulate as sim
 from mixedflow.errors import ConfigError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel
 from mixedflow.pipeline import infer_one
 from mixedflow.refine import build_conformal_table
 from mixedflow.seeding import substream
+from mixedflow.standardize import (standardize_data, standardize_prior,
+                                   standardized_beta_prior)
 from mixedflow.train import TrainConfig, train
 
 SMALL = dict(width=16, summary_blocks=1, heads=2, flow_blocks=2, flow_hidden=16)
@@ -80,6 +83,47 @@ class TestInferOne:
         prior = sim.PriorSpec(np.zeros(2), np.ones(2), np.array([0.5]), 0.5)
         draws, _ = infer_one(model, dataset, k=16, rng=substream(8, "g"), prior=prior)
         assert draws.k == 16
+
+
+class TestRefinement:
+    def test_two_random_effects(self):
+        model = PosteriorModel(ModelConfig(d=3, q=2, **SMALL), np.random.default_rng(20))
+        ds = sim.simulate_dataset(3, 2, np.random.default_rng(21), sim.SimConfig(toy=True))
+        k = 128
+        draws, _ = infer_one(model, ds, k=k, rng=substream(22, "q2"), refine="is")
+        assert np.all(np.isfinite(draws.global_std)) and np.all(np.isfinite(draws.local_std))
+        assert abs(draws.weights.mean() - 1.0) < 1e-10
+        assert np.abs(draws.local_weights.mean(axis=0) - 1.0).max() < 1e-10
+        # the same draws through the dense reference implementation
+        raw = model.posterior(ds, k, substream(22, "q2"))
+        ds_s, rec = standardize_data(ds)
+        prior = standardize_prior(ds.truth.prior, rec)
+        w_global, w_local = oracle.alternating_refine(
+            ds_s, prior, raw, beta_mean_cov=standardized_beta_prior(ds.truth.prior, rec))
+        assert np.abs(draws.weights - w_global).max() < 1e-8
+        assert np.abs(draws.local_weights - w_local).max() < 1e-8
+        beta, eps = raw.global_std[:, :3], raw.global_std[:, -1]
+        ll = refine._gaussian_loglik(ds_s, beta, raw.local_std, eps)
+        ref = oracle.gaussian_loglik(ds_s, beta, raw.local_std, eps)
+        assert np.abs(ll - ref).max() < 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cfg", [{}, {"infer_noise": False}, {"standardize": False}],
+                             ids=["default", "known-noise", "unstandardized"])
+    def test_calibration_and_inference_share_weights(self, cfg, monkeypatch):
+        model = PosteriorModel(ModelConfig(d=2, q=1, **cfg, **SMALL), np.random.default_rng(23))
+        ds = sim.simulate_dataset(2, 1, np.random.default_rng(24), sim.SimConfig(toy=True))
+        seen = []
+        scores = refine.conformal_scores
+
+        def record(draws, *args):
+            seen.append(draws)
+            return scores(draws, *args)
+
+        monkeypatch.setattr(refine, "conformal_scores", record)
+        refine.calibrate(model, [ds], k=64, seed=25, refine="is")
+        draws, _ = infer_one(model, ds, k=64, rng=substream(25, "calibrate", 0), refine="is")
+        np.testing.assert_array_equal(seen[0].weights, draws.weights)
+        np.testing.assert_array_equal(seen[0].local_weights, draws.local_weights)
 
 
 class TestDivergenceGuard:

@@ -1,7 +1,7 @@
 """Importance-sampling and conformal contracts: the weight recipe, the
 likelihood oracles (naive loop, hand-expanded 2x2 Gaussian, Monte Carlo
-marginalization), the alternating fixed point, and conformal score/table
-semantics."""
+marginalization, the dense reference implementation), the alternating
+fixed point, and conformal score/table semantics."""
 
 import math
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import refine_oracle as oracle
 from mixedflow import refine, simulate as sim
 from mixedflow.draws import PosteriorDraws
 from mixedflow.errors import ConfigError
@@ -25,6 +26,27 @@ def _toy_dataset(seed=0, d=2, q=1, m=3, n=4):
     sizes = np.full(m, n)
     X = sim.sample_predictors(m, sizes, d, rng, sim.SimConfig(toy=True))
     return sim.assemble_dataset(prior, gp, lp, X, sizes, rng), prior
+
+
+def _ragged_dataset(seed, d, q, m=6, sigma_eps=None, sigma_alpha=None):
+    """Group sizes 1..12; optional fixed noise and random-effect scales."""
+    rng = np.random.default_rng(seed)
+    prior = sim.PriorSpec(rng.normal(size=d), np.full(d, 1.5), np.full(q, 0.8), 0.7)
+    gp, lp = sim.sample_parameters(prior, m, rng)
+    sig = np.maximum(gp.sigma_alpha, 0.2) if sigma_alpha is None else np.full(q, sigma_alpha)
+    gp = sim.GlobalParams(gp.beta, sig, max(gp.sigma_eps, 0.2) if sigma_eps is None else sigma_eps)
+    lp = sim.LocalParams(rng.normal(size=(m, q)) * sig)
+    sizes = rng.integers(1, 13, size=m)
+    X = sim.sample_predictors(m, sizes, d, rng, sim.SimConfig(toy=True))
+    return sim.assemble_dataset(prior, gp, lp, X, sizes, rng), prior
+
+
+# d in 1..5, q in 0..2 (q <= d), plus a high-R^2 set and a vanishing
+# random-effect scale
+ORACLE_CASES = (
+    [dict(seed=20 + 3 * d + q, d=d, q=q) for d in range(1, 6) for q in range(min(d, 2) + 1)]
+    + [dict(seed=40, d=3, q=1, sigma_eps=1e-3), dict(seed=41, d=4, q=2, sigma_eps=2e-3),
+       dict(seed=42, d=2, q=1, sigma_alpha=1e-13), dict(seed=43, d=3, q=2, sigma_alpha=1e-13)])
 
 
 class TestImportanceWeights:
@@ -177,6 +199,52 @@ class TestMarginalLikelihood:
         assert abs(est - marg) < 3 * se
 
 
+def _rel(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max()
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES,
+                         ids=lambda c: "-".join(f"{k}{v}" for k, v in c.items()))
+class TestDenseOracle:
+    """The sufficient-statistics likelihoods against the dense reference."""
+
+    def test_conditional_loglik(self, case):
+        ds, prior = _ragged_dataset(**case)
+        draws = oracle.random_draws(ds, 50, np.random.default_rng(case["seed"]))
+        beta, sig, eps = refine._split_global(draws.global_std, ds.d, ds.q, True)
+        alpha = draws.local_std if ds.q else np.zeros((50, ds.m, 0))
+        for a in (alpha, alpha[0]):
+            assert _rel(refine._gaussian_loglik(ds, beta, a, eps),
+                        oracle.gaussian_loglik(ds, beta, a, eps)) < 1e-8
+        gp, lp = ds.truth.global_params, ds.truth.local_params
+        ref = (oracle.gaussian_loglik(ds, gp.beta[None], lp.alpha, np.array([gp.sigma_eps]))[0]
+               + (oracle.log_prior_random(lp.alpha, gp.sigma_alpha[None])[0] if ds.q else 0.0)
+               + refine._log_prior_global(gp.beta[None], gp.sigma_alpha[None],
+                                          np.array([gp.sigma_eps]), prior)[0])
+        got = refine.conditional_log_likelihood(ds, gp, lp, prior)
+        assert abs(got - ref) < 1e-8 * abs(ref)
+
+    def test_marginal_loglik(self, case):
+        ds, _ = _ragged_dataset(**case)
+        draws = oracle.random_draws(ds, 20, np.random.default_rng(case["seed"]))
+        beta, sig, eps = refine._split_global(draws.global_std, ds.d, ds.q, True)
+        for j in range(20):
+            gp = sim.GlobalParams(beta[j], sig[j], eps[j])
+            ref = oracle.marginal_loglik(ds, beta[j], sig[j], eps[j])
+            assert abs(refine.marginal_log_likelihood(ds, gp) - ref) < 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("likelihood", ["conditional", "marginal"])
+    def test_refined_weights(self, case, likelihood):
+        ds, prior = _ragged_dataset(**case)
+        k = 60 if likelihood == "marginal" else 300
+        draws = oracle.random_draws(ds, k, np.random.default_rng(case["seed"] + 1))
+        out = refine.alternating_refine(ds, prior, draws, likelihood=likelihood)
+        w_global, w_local = oracle.alternating_refine(ds, prior, draws, likelihood=likelihood)
+        assert np.abs(out.weights - w_global).max() < 1e-8
+        if ds.q:
+            assert np.abs(out.local_weights - w_local).max() < 1e-8
+
+
 class TestAlternatingRefine:
     def _draws_from_flow_truth(self, ds, prior, k=400, seed=10):
         """Build synthetic draw sets whose proposal density is exactly the
@@ -222,7 +290,7 @@ class TestAlternatingRefine:
         alpha_bar = local.mean(axis=0)
         from mixedflow.refine import _gaussian_loglik, _log_prior_global
         ll_g = _gaussian_loglik(ds, beta, alpha_bar, eps)
-        ll_g = ll_g + (-0.5 * LOG_2PI - np.log(sig)
+        ll_g = ll_g + (-0.5 * LOG_2PI - np.log(sig)[:, :, None]
                        - 0.5 * (alpha_bar.T[None] / sig[:, :, None]) ** 2).sum(axis=(1, 2))
         log_q_global = ll_g + _log_prior_global(beta, sig, eps, prior, None)
 
@@ -267,6 +335,81 @@ class TestAlternatingRefine:
         out2 = refine.alternating_refine(ds, prior, draws)
         np.testing.assert_array_equal(out1.weights, out2.weights)
         np.testing.assert_array_equal(out1.local_weights, out2.local_weights)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_global_numerator_matches_per_draw_loop(self, q):
+        # every draw shares the true random effects, so the local step
+        # leaves alpha_bar at them and the global numerator is explicit
+        ds, prior = _toy_dataset(16, d=3, q=q, m=4, n=5)
+        gp, lp = ds.truth.global_params, ds.truth.local_params
+        rng = np.random.default_rng(17)
+        k = 40
+        beta = gp.beta + 0.2 * rng.normal(size=(k, ds.d))
+        sig = gp.sigma_alpha * np.exp(0.3 * rng.normal(size=(k, q)))
+        eps = gp.sigma_eps * np.exp(0.3 * rng.normal(size=k))
+        numerator = np.empty(k)
+        for j in range(k):
+            total = 0.0
+            for i in range(ds.m):
+                rows = ds.mask[i]
+                mean = ds.X[i][rows] @ beta[j] + ds.Z[i][rows][:, :q] @ lp.alpha[i]
+                total += stats.norm.logpdf(ds.y[i][rows], mean, eps[j]).sum()
+                total += stats.norm.logpdf(lp.alpha[i], 0.0, sig[j]).sum()
+            total += stats.norm.logpdf(beta[j], prior.nu_beta, prior.tau_beta).sum()
+            total += stats.halfnorm.logpdf(sig[j], scale=prior.tau_sigma).sum()
+            total += stats.halfnorm.logpdf(eps[j], scale=prior.tau_eps)
+            numerator[j] = total
+            one = refine.conditional_log_likelihood(ds, sim.GlobalParams(beta[j], sig[j], eps[j]),
+                                                    lp, prior)
+            assert one == pytest.approx(total, rel=1e-10)
+        draws = PosteriorDraws(global_std=np.column_stack([beta, sig, eps]),
+                               log_q_global=numerator, d=ds.d, q=q, infer_noise=True,
+                               rec=StandardizationRecord.identity(ds.d),
+                               local_std=np.tile(lp.alpha, (k, 1, 1)),
+                               log_q_local=np.zeros((k, ds.m)))
+        out = refine.alternating_refine(ds, prior, draws, rounds=1)
+        np.testing.assert_allclose(out.weights, 1.0, atol=1e-10)
+
+    def test_huge_noise_draws_do_not_raise(self, caplog):
+        ds, prior = _toy_dataset(18)
+        rng = np.random.default_rng(19)
+        k = 50
+        local = rng.normal(size=(k, ds.m, ds.q)) * 0.3
+
+        def refine_with_noise(eps):
+            global_std = np.column_stack([rng.normal(size=(k, ds.d)),
+                                          np.full((k, ds.q), 0.5), eps])
+            draws = PosteriorDraws(global_std=global_std, log_q_global=np.zeros(k),
+                                   d=ds.d, q=ds.q, infer_noise=True,
+                                   rec=StandardizationRecord.identity(ds.d),
+                                   local_std=local, log_q_local=np.zeros((k, ds.m)))
+            out = refine.alternating_refine(ds, prior, draws)
+            assert np.all(np.isfinite(out.weights)) and np.all(np.isfinite(out.local_weights))
+            assert out.weights.mean() == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(out.local_weights.mean(axis=0), 1.0, atol=1e-10)
+            return out
+
+        # squaring the plug-in would overflow; in log space it is finite
+        refine_with_noise(np.full(k, 1e200))
+        # an infinite draw makes the plug-in infinite: logged uniform fallback
+        caplog.clear()
+        eps = np.full(k, 0.5)
+        eps[3] = np.inf
+        out = refine_with_noise(eps)
+        assert "falling back to uniform" in caplog.text
+        np.testing.assert_array_equal(out.local_weights, 1.0)
+        assert out.weights[3] == 0.0
+
+    def test_column_weights_match_one_column_at_a_time(self):
+        rng = np.random.default_rng(21)
+        log_p, log_q = rng.normal(size=(300, 7)) * 3, rng.normal(size=(300, 7))
+        log_p[:5, 2] = -np.inf
+        log_p[:, 4] = np.nan
+        w = refine.importance_weights(log_p, log_q)
+        for i in range(7):
+            np.testing.assert_allclose(w[:, i], refine.importance_weights(log_p[:, i], log_q[:, i]),
+                                       rtol=1e-14)
+        np.testing.assert_array_equal(w[:, 4], 1.0)
 
 
 class TestConformal:
