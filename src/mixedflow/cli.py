@@ -41,16 +41,6 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return tuple(float(a) for a in text.split(","))
 
 
-def _set_deterministic(flag: bool):
-    if not flag:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass  # streams are already seed-keyed; this only pins BLAS threads
-
-
 def _load_prior(path) -> PriorSpec:
     with open(path) as fh:
         obj = json.load(fh)
@@ -106,7 +96,6 @@ def cmd_train(args) -> int:
                   seed=args.seed, toy=args.toy)
     fields.update({k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()})
     cfg = TrainConfig(**fields)
-    _set_deterministic(args.deterministic)
     result = train(cfg, args.out, resume=args.resume, progress=True)
     mfio.write_manifest(Path(args.out) / "manifest.json", "train", asdict(cfg), cfg.seed,
                         outputs=[result.best_path, result.last_path, result.curve_path])
@@ -116,7 +105,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _set_deterministic(args.deterministic)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = _read_input_datasets(args)
     prior = _load_prior(args.prior) if args.prior else None
@@ -147,7 +135,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _set_deterministic(args.deterministic)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = mfio.load_datasets(args.sets)
     table = calibrate(model, datasets, k=args.k, seed=args.seed, alphas=args.alphas,
@@ -165,7 +152,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _set_deterministic(args.deterministic)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = mfio.load_datasets(args.data)
     table = _load_table(args.conformal_table) if args.conformal_table else None
@@ -275,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k", type=int, default=k_default, help="posterior draws per dataset")
         p.add_argument("--alphas", type=_alpha_list, default=ALPHA_GRID)
-        p.add_argument("--deterministic", action="store_true",
-                       help="pin linear-algebra threads for bit-stable output")
 
     p = sub.add_parser("simulate", help="generate hierarchical regression datasets")
     p.add_argument("--d", type=int, required=True)
@@ -299,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toy", action="store_true")
     p.add_argument("--config", help="JSON file with TrainConfig overrides")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

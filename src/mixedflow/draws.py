@@ -116,15 +116,25 @@ class PosteriorDraws:
         draws = self.local_data() if data_scale else self.local_std
         return np.einsum("kmq,km->mq", draws, w) / w.sum(axis=0)[:, None]
 
-    def global_interval_std(self, j: int, alpha: float,
-                            adjust: float = 0.0) -> tuple[float, float]:
-        """Equal-tailed (1 - alpha) interval of global component j in
-        standardized space, borders pushed outward by `adjust`."""
-        lo, hi = weighted_quantile(self.global_std[:, j], [alpha / 2, 1 - alpha / 2], self.weights)
-        return float(lo - adjust), float(hi + adjust)
+    def interval_borders(self, alphas) -> tuple[np.ndarray, np.ndarray | None]:
+        """Equal-tailed (1 - alpha) interval borders in standardized space
+        for every alpha at once: global (A, p_global, 2) and local
+        (A, m, q, 2), or None without local draws. Each component is
+        sorted once and all its borders come from one interpolation, with
+        the same numbers as a weighted_quantile call per alpha."""
+        alphas = np.asarray(alphas, dtype=np.float64)
+        probs = np.concatenate([alphas / 2, 1 - alphas / 2])
+        n_a = alphas.size
 
-    def local_interval_std(self, i: int, j: int, alpha: float,
-                           adjust: float = 0.0) -> tuple[float, float]:
-        w = None if self.local_weights is None else self.local_weights[:, i]
-        lo, hi = weighted_quantile(self.local_std[:, i, j], [alpha / 2, 1 - alpha / 2], w)
-        return float(lo - adjust), float(hi + adjust)
+        def borders(values, weights):
+            qs = weighted_quantile(values, probs, weights)
+            return np.stack([qs[:n_a], qs[n_a:]], axis=-1)        # (A, 2)
+
+        out_global = np.stack([borders(self.global_std[:, j], self.weights)
+                               for j in range(self.global_std.shape[1])], axis=1)
+        if self.local_std is None:
+            return out_global, None
+        lw = self.local_weights
+        out_local = np.array([[borders(self.local_std[:, i, j], None if lw is None else lw[:, i])
+                               for j in range(self.q)] for i in range(self.m)])
+        return out_global, out_local.reshape(self.m, self.q, n_a, 2).transpose(2, 0, 1, 3)

@@ -153,8 +153,7 @@ def evaluate_dataset(ds: HierDataset, draws: PosteriorDraws,
                                 [gp_s.sigma_eps] if draws.infer_noise else []])
     roles = component_roles(ds.d, ds.q, draws.infer_noise)
     hits: dict[tuple[str, float], list[bool]] = {}
-    for alpha in alphas:
-        intervals = apply_calibration(draws, table, alpha)
+    for alpha, intervals in apply_calibration(draws, table, alphas).items():
         for j, role in enumerate(roles):
             lo, hi = intervals["global"][j]
             hits.setdefault((role, alpha), []).append(bool(lo <= truth_std[j] <= hi))
@@ -185,13 +184,6 @@ class MetricReport:
             for alpha, ce in stats["ce"].items():
                 row[f"ce_{alpha}"] = ce
             yield row
-
-    def write_csv(self, path):
-        rows = list(self.row_iter())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
 
 
 def aggregate(evals: list[DatasetEval], alphas: tuple[float, ...] = ALPHA_GRID,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .draws import PosteriorDraws
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .flow import CouplingFlow
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .nn.layers import Module
@@ -134,16 +134,6 @@ class PosteriorModel(Module):
         """log density correction: constrained density = unconstrained
         density minus the sum of the log-sigma coordinates."""
         return -np.sum(np.asarray(u)[..., self.cfg.d:], axis=-1)
-
-    def prior_features(self, prior: PriorSpec, rec: StandardizationRecord) -> np.ndarray:
-        """Condition-vector block for the prior: hyperparameters rescaled
-        into standardized space. With known noise (infer_noise False) the
-        last slot carries the standardized noise std dev itself."""
-        if prior.d != self.cfg.d or prior.q != self.cfg.q:
-            raise DimensionError(
-                f"prior is ({prior.d},{prior.q}), model needs ({self.cfg.d},{self.cfg.q})")
-        p = standardize_prior(prior, rec) if self.cfg.standardize else prior
-        return np.concatenate([p.nu_beta, p.tau_beta, p.tau_sigma, [p.tau_eps]])
 
     # -- losses ---------------------------------------------------------------
 
@@ -339,25 +329,29 @@ def save_model(path, model: PosteriorModel, extra_manifest: dict | None = None,
 
 
 def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
-    """Returns (model, manifest, optimizer arrays if present)."""
+    """Returns (model, manifest, optimizer arrays if present). The
+    checkpoint's model.* arrays must be exactly the model's parameters,
+    with their shapes; anything else is a DataFormatError."""
     manifest, arrays, digest = load_checkpoint(path)
     if manifest.get("kind") != "posterior-model":
         raise ConfigError(f"{path} is not a posterior-model checkpoint")
-    cfg_fields = {k: manifest[k] for k in (
-        "d", "q", "width", "summary_blocks", "heads", "flow_blocks",
-        "flow_hidden", "dropout", "infer_noise", "standardize", "dtype")}
-    cfg = ModelConfig(**cfg_fields)
-    model = PosteriorModel(cfg, np.random.default_rng(0))
+    try:
+        cfg = ModelConfig(**{k: manifest[k] for k in (
+            "d", "q", "width", "summary_blocks", "heads", "flow_blocks",
+            "flow_hidden", "dropout", "infer_noise", "standardize", "dtype")})
+        model = PosteriorModel(cfg, np.random.default_rng(0))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataFormatError(f"{path}: manifest does not describe a model ({exc!r})") from None
     named = dict(model.named_parameters())
-    for key, value in arrays.items():
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in named:
-                raise ConfigError(f"checkpoint parameter {name} has no slot in the model")
-            if named[name].data.shape != value.shape:
-                raise DimensionError(f"checkpoint parameter {name}: shape {value.shape} "
-                                     f"vs model {named[name].data.shape}")
-            named[name].data = value.astype(named[name].data.dtype)
+    stored = {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")}
+    if stored.keys() != named.keys():
+        missing, extra = sorted(named.keys() - stored.keys()), sorted(stored.keys() - named.keys())
+        raise DataFormatError(f"{path}: parameters missing {missing[:5]}, unexpected {extra[:5]}")
+    for name, value in stored.items():
+        if named[name].data.shape != value.shape:
+            raise DataFormatError(f"{path}: parameter {name} has shape {value.shape}, "
+                                  f"the model needs {named[name].data.shape}")
+        named[name].data = value.astype(named[name].data.dtype)
     opt_arrays = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
     manifest["checkpoint_id"] = digest
     return model, manifest, opt_arrays

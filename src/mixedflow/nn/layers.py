@@ -3,7 +3,24 @@ attention and transformer encoder blocks.
 
 All blocks run on the tape in tensor.py. Masks are plain numpy bool arrays;
 masked rows are excluded from attention and zeroed at block boundaries so
-padding can never leak into a summary statistic.
+padding can never leak into a summary statistic (with no masked row, the
+mask multiplies and the attention mask add are skipped).
+
+Three ops are fused into single tape nodes with hand-written backward
+passes, so an encoder block is a short chain of nodes instead of dozens of
+small elementwise ones. Each saves for its backward only what is listed:
+
+- `linear`: x @ W + b as one flat gemm plus the bias; the backward
+  reuses the inputs it was given (g @ W', x' @ g, g summed).
+- `layer_norm`: normalization over the last axis; saves the normalized
+  input x_hat and 1/sigma per row.
+- `masked_attention`: per head, scaled scores, the key mask, a softmax done
+  in place on the node's own score buffer and the weighted sum of values;
+  saves the probabilities (its output and the q, k, v inputs are held
+  anyway).
+
+Training and inference run the same nodes; under `no_grad` the backward
+closures, and with them the saved arrays, are dropped at once.
 """
 
 from __future__ import annotations
@@ -25,6 +42,9 @@ __all__ = [
     "EncoderStack",
     "dropout",
     "masked_mean",
+    "linear",
+    "layer_norm",
+    "masked_attention",
 ]
 
 
@@ -73,6 +93,118 @@ def _param(rng: np.random.Generator, shape, scale: float, dtype) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, as one node: a single flat gemm
+    for any number of leading axes, plus the bias."""
+    n_in, n_out = w.data.shape
+    lead = x.data.shape[:-1]
+    x2, wd = x.data.reshape(-1, n_in), w.data
+    out = x2 @ wd + b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n_out)
+        if x.requires_grad:
+            x._accumulate((g2 @ wd.T).reshape(lead + (n_in,)), owned=True)
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2, owned=True)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0), owned=True)
+
+    return Tensor._make(out.reshape(lead + (n_out,)), (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """gamma * (x - mean) / sqrt(var + eps) + beta over the last axis, as
+    one node that saves x_hat and 1/sigma."""
+    width = x.data.shape[-1]
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    rstd *= 1.0 / width
+    rstd += eps
+    np.sqrt(rstd, out=rstd)
+    np.reciprocal(rstd, out=rstd)
+    xhat *= rstd
+    gd = gamma.data
+    out = xhat * gd
+    out += beta.data
+
+    def backward(g):
+        if x.requires_grad:
+            # dx = (gx - mean(gx) - x_hat * mean(gx * x_hat)) / sigma, gx = g * gamma
+            gx = g * gd
+            c = np.einsum("...i,...i->...", gx, xhat)[..., None]
+            c *= 1.0 / width
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= xhat * c
+            gx *= rstd
+            x._accumulate(gx, owned=True)
+        g2 = g.reshape(-1, width)
+        if gamma.requires_grad:
+            gamma._accumulate(np.einsum("ni,ni->i", g2, xhat.reshape(-1, width)), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g2.sum(axis=0), owned=True)
+
+    return Tensor._make(out, (x, gamma, beta), backward)
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
+    """softmax(q k' / sqrt(head_dim) + key mask) v for each head, as one
+    node over (b, n, width) inputs; the output is in the same layout.
+
+    Keys where mask (b, n) is false get a -1e30 score (the add is skipped
+    when every key is valid), so a row with no valid key softmaxes to
+    uniform. The softmax runs in place on the node's own score buffer,
+    whose probabilities are all that backward keeps.
+    """
+    b, n, width = q.data.shape
+    dh = width // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a: np.ndarray) -> np.ndarray:
+        # (b, n, width) -> (b, heads, n, head_dim) view
+        return a.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if not mask.all():
+        p += np.where(mask, 0.0, -1e30).astype(p.dtype)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def merged(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # a @ c per head, written straight into a fresh (b, n, width) array
+        out = np.empty((b, n, width), dtype=p.dtype)
+        np.matmul(a, c, out=split(out))
+        return out
+
+    out = merged(p, vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merged(p.swapaxes(-1, -2), gh), owned=True)
+        if q.requires_grad or k.requires_grad:
+            # score adjoint p * (dp - rowsum(p * dp)) with dp = g v'; the
+            # row sum equals g . out row by row
+            ds = gh @ vh.swapaxes(-1, -2)
+            ds -= np.einsum("bhnd,bhnd->bhn", gh, split(out))[..., None]
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(merged(ds, kh), owned=True)
+            if k.requires_grad:
+                k._accumulate(merged(ds.swapaxes(-1, -2), qh), owned=True)
+
+    return Tensor._make(out, (q, k, v), backward)
+
+
+def _zero_rows(x: Tensor, mask: np.ndarray) -> Tensor:
+    """x with the rows where mask is false zeroed; x itself when none is."""
+    return x if mask.all() else x * Tensor(mask[..., None].astype(x.dtype))
+
+
 class Linear(Module):
     """y = x @ W + b with exact reverse-mode gradients."""
 
@@ -87,12 +219,7 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.n_in:
             raise DimensionError(f"linear expects last dim {self.n_in}, got {x.shape}")
-        if x.ndim <= 2:
-            return x @ self.w + self.b
-        # one flat gemm instead of a stack of small ones
-        lead = x.shape[:-1]
-        out = x.reshape(-1, self.n_in) @ self.w + self.b
-        return out.reshape(*lead, self.n_out)
+        return linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -103,17 +230,14 @@ class LayerNorm(Module):
         self.beta = self.register("beta", Tensor(np.zeros(width, dtype=dtype), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return self.gamma * (centered / (var + self.eps).sqrt()) + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rng is None (evaluation mode)."""
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    keep = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * Tensor(keep)
 
 
@@ -156,21 +280,9 @@ class MultiheadAttention(Module):
         if squeeze:
             x = x.reshape((1,) + x.shape)
             mask = np.asarray(mask)[None, :]
-        b, n, _ = x.shape
         mask = np.asarray(mask, dtype=bool)
-
-        def split(t: Tensor) -> Tensor:
-            # (b, n, width) -> (b, heads, n, head_dim)
-            return t.reshape(b, n, self.heads, self.head_dim).transpose((0, 2, 1, 3))
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        # invalid keys get a large negative score; an all-invalid row then
-        # softmaxes to uniform and is zeroed below
-        bias = np.where(mask[:, None, None, :], 0.0, -1e30).astype(x.dtype)
-        weights = (scores + Tensor(bias)).softmax(axis=-1)
-        out = (weights @ v).transpose((0, 2, 1, 3)).reshape(b, n, self.width)
-        out = self.wo(out) * Tensor(mask[:, :, None].astype(x.dtype))
+        out = self.wo(masked_attention(self.wq(x), self.wk(x), self.wv(x), mask, self.heads))
+        out = _zero_rows(out, mask)
         return out.reshape(out.shape[1:]) if squeeze else out
 
 
@@ -202,9 +314,8 @@ class EncoderBlock(Module):
         if not self.training:
             rng = None
         mask = np.asarray(mask, dtype=bool)
-        keep = Tensor(np.expand_dims(mask, -1).astype(x.dtype))
-        h = self.norm1(x + dropout(self.attn(x, mask), self.dropout_rate, rng)) * keep
-        h = self.norm2(h + dropout(self.ff(h), self.dropout_rate, rng)) * keep
+        h = _zero_rows(self.norm1(x + dropout(self.attn(x, mask), self.dropout_rate, rng)), mask)
+        h = _zero_rows(self.norm2(h + dropout(self.ff(h), self.dropout_rate, rng)), mask)
         assert_finite(h, f"{self.name} output")
         return h
 

@@ -3,7 +3,15 @@
 A small tape: every differentiable op builds a result Tensor holding a
 closure that scatters the incoming adjoint back to its parents. The op set
 is fixed to what the layers in this package need; there is no graph
-compiler and no in-place mutation of tracked values.
+compiler and no in-place mutation of tracked values. Under `no_grad`,
+`Tensor._make` keeps no closure, so nothing is saved for a backward pass.
+
+The ops here are the generic ones. The hot layer ops (linear maps, layer
+norm and masked attention) are fused single nodes in layers.py, each with a
+hand-written backward that saves no more than the forward already holds
+(the inputs, plus x_hat and 1/sigma for layer norm and the attention
+probabilities for attention). `softmax` stays as the generic fused
+primitive.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from scipy import special as _sp
 
 from ..errors import DimensionError, NumericError
 
-__all__ = ["Tensor", "as_tensor", "cat", "no_grad", "grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "cat", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -31,10 +39,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
@@ -86,9 +90,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def numpy(self) -> np.ndarray:
         return self.data

@@ -51,8 +51,7 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
 
     use_table = table if refine in ("conformal", "both") else None
     intervals = {}
-    for alpha in alphas:
-        std = apply_calibration(draws, use_table, alpha)
+    for alpha, std in apply_calibration(draws, use_table, alphas).items():
         intervals[alpha] = {
             "alpha": alpha,
             "global_std": std["global"],

@@ -249,11 +249,14 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
     alpha_bar = np.zeros((m, q))
     for _ in range(max(rounds, 0)):
         if q:
-            # local step: plug in the current global posterior means
-            p = w_global / w_global.sum()
-            ee, _ = grams.residuals(p @ beta, alpha)
-            log_p = (_normal_logpdf(grams.n, ee, p @ sigma_eps)
-                     + _normal_logpdf(1, alpha ** 2, p @ sigma_alpha).sum(axis=2))
+            # local step: plug in the current global posterior means, over
+            # the draws with weight only (a zero-weight infinite draw would
+            # otherwise make a 0 * inf NaN plug-in)
+            live = w_global > 0
+            p = w_global[live] / w_global[live].sum()
+            ee, _ = grams.residuals(p @ beta[live], alpha)
+            log_p = (_normal_logpdf(grams.n, ee, p @ sigma_eps[live])
+                     + _normal_logpdf(1, alpha ** 2, p @ sigma_alpha[live]).sum(axis=2))
             w_local = importance_weights(log_p, draws.log_q_local)
             alpha_bar = np.einsum("kmq,km->mq", alpha, w_local) / w_local.sum(axis=0)[:, None]
 
@@ -311,27 +314,25 @@ class ConformalTable:
 
 
 def conformal_scores(draws: PosteriorDraws, gp_true_std: GlobalParams,
-                     lp_true_std: LocalParams, alpha: float) -> dict[str, np.ndarray]:
+                     lp_true_std: LocalParams, alphas) -> dict[str, np.ndarray]:
     """Signed distance from each true standardized parameter to the nearest
-    border of its proposed (1 - alpha) interval: positive outside (needs
-    widening), negative inside."""
-    roles = component_roles(draws.d, draws.q, draws.infer_noise)
+    border of its proposed (1 - alpha) interval, (len(alphas), count) per
+    role: positive outside (needs widening), negative inside."""
+    roles = np.array(component_roles(draws.d, draws.q, draws.infer_noise))
     truth = np.concatenate([
         gp_true_std.beta,
         gp_true_std.sigma_alpha,
         [gp_true_std.sigma_eps] if draws.infer_noise else [],
     ])
-    out: dict[str, list[float]] = {r: [] for r in ROLES}
-    for j, role in enumerate(roles):
-        lo, hi = draws.global_interval_std(j, alpha)
-        out[role].append(max(lo - truth[j], truth[j] - hi))
-    if draws.q and draws.local_std is not None:
-        for i in range(min(draws.m, lp_true_std.alpha.shape[0])):
-            for j in range(draws.q):
-                lo, hi = draws.local_interval_std(i, j, alpha)
-                t = lp_true_std.alpha[i, j]
-                out["random"].append(max(lo - t, t - hi))
-    return {r: np.asarray(v) for r, v in out.items() if v}
+    b_global, b_local = draws.interval_borders(alphas)
+    signed = np.maximum(b_global[..., 0] - truth, truth - b_global[..., 1])
+    out = {r: signed[:, roles == r] for r in ROLES if np.any(roles == r)}
+    if draws.q and b_local is not None:
+        m = min(draws.m, lp_true_std.alpha.shape[0])
+        t = lp_true_std.alpha[:m]
+        out["random"] = np.maximum(b_local[:, :m, :, 0] - t,
+                                   t - b_local[:, :m, :, 1]).reshape(len(signed), -1)
+    return out
 
 
 def build_conformal_table(score_lists: dict[str, list[list[float]]],
@@ -378,27 +379,34 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
             draws = refine_draws(model, ds, draws, ds.truth.prior)
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params,
                                         draws.rec)
-        for a_idx, alpha in enumerate(alphas):
-            scores = conformal_scores(draws, gp_s, lp_s, alpha)
-            for role, vals in scores.items():
-                score_lists[role][a_idx].extend(vals.tolist())
+        for role, vals in conformal_scores(draws, gp_s, lp_s, alphas).items():
+            for a_idx, row in enumerate(vals):
+                score_lists[role][a_idx].extend(row.tolist())
     score_lists = {r: v for r, v in score_lists.items() if any(len(x) for x in v)}
     return build_conformal_table(score_lists, alphas, len(datasets), checkpoint_id)
 
 
 def apply_calibration(draws: PosteriorDraws, table: ConformalTable | None,
-                      alpha: float) -> dict:
-    """Interval borders per parameter, in standardized units, widened or
-    narrowed by the table entry (zero table means the raw weighted
-    empirical quantile interval)."""
+                      alphas) -> dict[float, dict]:
+    """Interval borders per parameter for each alpha, in standardized
+    units, widened or narrowed by the table entry (no table means the raw
+    weighted empirical quantile interval)."""
     roles = component_roles(draws.d, draws.q, draws.infer_noise)
-    out_global = []
-    for j, role in enumerate(roles):
-        adj = table.adjustment(role, alpha) if table is not None else 0.0
-        out_global.append(draws.global_interval_std(j, alpha, adjust=adj))
-    out_local = None
-    if draws.q and draws.local_std is not None:
-        adj = table.adjustment("random", alpha) if table is not None else 0.0
-        out_local = [[draws.local_interval_std(i, j, alpha, adjust=adj)
-                      for j in range(draws.q)] for i in range(draws.m)]
-    return {"alpha": alpha, "global": out_global, "local": out_local}
+    b_global, b_local = draws.interval_borders(alphas)
+
+    def adj(role, alpha):
+        return table.adjustment(role, alpha) if table is not None else 0.0
+
+    out = {}
+    for a_idx, alpha in enumerate(alphas):
+        out_global = []
+        for role, (lo, hi) in zip(roles, b_global[a_idx]):
+            a = adj(role, alpha)
+            out_global.append((float(lo - a), float(hi + a)))
+        out_local = None
+        if draws.q and b_local is not None:
+            a = adj("random", alpha)
+            out_local = [[(float(lo - a), float(hi + a)) for lo, hi in row]
+                         for row in b_local[a_idx]]
+        out[alpha] = {"alpha": alpha, "global": out_global, "local": out_local}
+    return out

@@ -78,9 +78,6 @@ class PriorSpec:
     def q(self) -> int:
         return self.tau_sigma.shape[0]
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.nu_beta, self.tau_beta, self.tau_sigma, [self.tau_eps]])
-
 
 @dataclass
 class GlobalParams:

@@ -29,7 +29,7 @@ class SummaryConfig:
     dropout: float = 0.01
 
     def __post_init__(self):
-        if self.width % self.heads != 0:
+        if self.heads < 1 or self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
 
 

@@ -4,6 +4,7 @@ marginalization, the dense reference implementation), the alternating
 fixed point, and conformal score/table semantics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import stats
 
 import refine_oracle as oracle
 from mixedflow import refine, simulate as sim
-from mixedflow.draws import PosteriorDraws
+from mixedflow.draws import PosteriorDraws, weighted_quantile
 from mixedflow.errors import ConfigError
 from mixedflow.standardize import StandardizationRecord
 
@@ -391,13 +392,19 @@ class TestAlternatingRefine:
 
         # squaring the plug-in would overflow; in log space it is finite
         refine_with_noise(np.full(k, 1e200))
-        # an infinite draw makes the plug-in infinite: logged uniform fallback
+        # an infinite draw makes the first plug-in infinite: logged uniform
+        # fallback; once that draw has global weight 0 the later rounds
+        # plug in the weighted draws only and reweight for real
         caplog.clear()
         eps = np.full(k, 0.5)
         eps[3] = np.inf
-        out = refine_with_noise(eps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = refine_with_noise(eps)
         assert "falling back to uniform" in caplog.text
-        np.testing.assert_array_equal(out.local_weights, 1.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                    and "invalid value" in str(w.message)]
+        assert np.ptp(out.local_weights) > 0
         assert out.weights[3] == 0.0
 
     def test_column_weights_match_one_column_at_a_time(self):
@@ -425,14 +432,14 @@ class TestConformal:
 
     def test_scores_negative_inside_zero_on_border(self):
         draws = self._draws()
-        lo, hi = draws.global_interval_std(0, 0.2)
+        lo, hi = draws.interval_borders((0.2,))[0][0, 0]
         inside = sim.GlobalParams(np.array([(lo + hi) / 2, 0.0]), np.array([1.0]), 1.0)
         border = sim.GlobalParams(np.array([hi, 0.0]), np.array([1.0]), 1.0)
         lp = sim.LocalParams(np.zeros((3, 1)))
-        s_inside = refine.conformal_scores(draws, inside, lp, 0.2)
-        s_border = refine.conformal_scores(draws, border, lp, 0.2)
-        assert s_inside["fixed"][0] < 0
-        assert s_border["fixed"][0] == pytest.approx(0.0, abs=1e-12)
+        s_inside = refine.conformal_scores(draws, inside, lp, (0.2,))
+        s_border = refine.conformal_scores(draws, border, lp, (0.2,))
+        assert s_inside["fixed"][0, 0] < 0
+        assert s_border["fixed"][0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_table_adjustments_and_application(self):
         draws = self._draws()
@@ -445,8 +452,8 @@ class TestConformal:
             alphas, n_calibration=150)
         assert table.adjustment("fixed", 0.1) == pytest.approx(-0.5)
         assert not table.low_confidence
-        raw = refine.apply_calibration(draws, None, 0.1)
-        adj = refine.apply_calibration(draws, table, 0.1)
+        raw = refine.apply_calibration(draws, None, (0.1,))[0.1]
+        adj = refine.apply_calibration(draws, table, (0.1,))[0.1]
         lo_r, hi_r = raw["global"][0]
         lo_a, hi_a = adj["global"][0]
         assert lo_a == pytest.approx(lo_r + 0.5) and hi_a == pytest.approx(hi_r - 0.5)
@@ -468,9 +475,36 @@ class TestConformal:
         draws = self._draws()
         draws.weights = np.zeros(draws.k)
         draws.weights[7] = draws.k  # all mass on one draw, mean still 1
-        lo, hi = draws.global_interval_std(0, 0.2)
+        lo, hi = draws.interval_borders((0.2,))[0][0, 0]
         assert lo == pytest.approx(draws.global_std[7, 0])
         assert hi == pytest.approx(draws.global_std[7, 0])
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_interval_borders_match_per_alpha_quantiles(self, weighted):
+        rng = np.random.default_rng(31)
+        draws = self._draws(q=2)
+        if weighted:
+            w = rng.exponential(size=draws.k)
+            w[::7] = 0.0
+            draws.weights = w / w.mean()
+            lw = rng.exponential(size=(draws.k, draws.m))
+            lw[::5, 1] = 0.0
+            draws.local_weights = lw / lw.mean(axis=0)
+        b_global, b_local = draws.interval_borders(refine.ALPHA_GRID)
+        assert b_global.shape == (len(refine.ALPHA_GRID), draws.p_global, 2)
+        assert b_local.shape == (len(refine.ALPHA_GRID), draws.m, draws.q, 2)
+        for a_idx, alpha in enumerate(refine.ALPHA_GRID):
+            probs = [alpha / 2, 1 - alpha / 2]
+            for j in range(draws.p_global):
+                np.testing.assert_array_equal(
+                    b_global[a_idx, j],
+                    weighted_quantile(draws.global_std[:, j], probs, draws.weights))
+            for i in range(draws.m):
+                w = None if draws.local_weights is None else draws.local_weights[:, i]
+                for j in range(draws.q):
+                    np.testing.assert_array_equal(
+                        b_local[a_idx, i, j],
+                        weighted_quantile(draws.local_std[:, i, j], probs, w))
 
     def test_json_round_trip(self):
         table = refine.build_conformal_table(
