@@ -111,19 +111,10 @@ def cmd_infer(args) -> int:
     table = _load_table(args.conformal_table) if args.conformal_table else None
     records = []
     for i, ds in enumerate(datasets):
-        if ds.d != model.cfg.d or ds.q != model.cfg.q:
-            raise ConfigError(f"checkpoint is (d={model.cfg.d}, q={model.cfg.q}) but "
-                              f"dataset {ds.dataset_id or i} is (d={ds.d}, q={ds.q})")
         draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "infer", i),
                                      refine=args.refine, table=table, prior=prior,
                                      alphas=args.alphas)
-        serializable = {str(a): {
-            "global_std": [list(b) for b in iv["global_std"]],
-            "global": [list(b) for b in iv["global"]],
-            "local_std": iv["local_std"] and [[list(b) for b in row] for row in iv["local_std"]],
-            "local": iv["local"] and [[list(b) for b in row] for row in iv["local"]],
-        } for a, iv in intervals.items()}
-        records.append(mfio.draws_to_record(draws, intervals=serializable))
+        records.append(mfio.draws_to_record(draws, intervals=intervals))
     mfio.save_draws(args.out, records)
     mfio.write_manifest(str(args.out) + ".manifest.json", "infer",
                         vars_for_manifest(args), args.seed,

@@ -4,8 +4,10 @@ Recovery (Pearson r, RMSE, bias) compares data-scale posterior means with
 data-scale truths. Coverage error CE(alpha) is the empirical hit rate of
 the (1 - alpha) credible interval minus its nominal mass; hits are scored
 on standardized components, where the interval construction (and any
-conformal adjustment) lives. Reports aggregate per parameter role: fixed
-effects, variance parameters, random effects.
+conformal adjustment) lives, by the border distance that conformal
+calibration scores (a hit is a distance of at most zero). Reports
+aggregate per parameter role: fixed effects, variance parameters, random
+effects.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError, DimensionError
-from .refine import ALPHA_GRID, ConformalTable, apply_calibration, component_roles
+from .refine import ALPHA_GRID, ConformalTable, _border_scores, apply_calibration
 from .simulate import HierDataset, regenerate_outcomes, snr
 from .standardize import StandardizationRecord, standardize_params
 
@@ -148,26 +150,14 @@ def evaluate_dataset(ds: HierDataset, draws: PosteriorDraws,
         truths["random"] = lp.alpha.reshape(-1)
         means["random"] = draws.local_mean(data_scale=True)[:ds.m].reshape(-1)
 
-    gp_s, lp_s = standardize_params(gp, lp, draws.rec)
-    truth_std = np.concatenate([gp_s.beta, gp_s.sigma_alpha,
-                                [gp_s.sigma_eps] if draws.infer_noise else []])
-    roles = component_roles(ds.d, ds.q, draws.infer_noise)
-    hits: dict[tuple[str, float], list[bool]] = {}
-    for alpha, intervals in apply_calibration(draws, table, alphas).items():
-        for j, role in enumerate(roles):
-            lo, hi = intervals["global"][j]
-            hits.setdefault((role, alpha), []).append(bool(lo <= truth_std[j] <= hi))
-        if intervals["local"] is not None:
-            for i in range(ds.m):
-                for j in range(ds.q):
-                    lo, hi = intervals["local"][i][j]
-                    t = lp_s.alpha[i, j]
-                    hits.setdefault(("random", alpha), []).append(bool(lo <= t <= hi))
+    scores = _border_scores(draws, apply_calibration(draws, table, alphas),
+                            *standardize_params(gp, lp, draws.rec))
+    hits = {(role, alpha): s[a] <= 0 for role, s in scores.items()
+            for a, alpha in enumerate(alphas)}
     return DatasetEval(
         dataset_id=ds.dataset_id, n_total=ds.n_total,
         snr=snr(ds) if ds.truth is not None else float("nan"),
-        truths=truths, means=means,
-        hits={k: np.asarray(v, dtype=bool) for k, v in hits.items()})
+        truths=truths, means=means, hits=hits)
 
 
 @dataclass

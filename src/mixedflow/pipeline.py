@@ -2,6 +2,13 @@
 reweight by importance sampling, attach (optionally conformal-adjusted)
 credible intervals, and map everything back to the data scale.
 
+Interval borders stay (alpha, component, 2) arrays until `infer_one`
+returns them as a dict per alpha with the keys "global_std", "global",
+"local_std" and "local": one [lo, hi] pair per global component, and per
+group and random effect for the local ones (None without random effects),
+in standardized and in data-scale units. The draw record
+(`io.draws_to_record`) stores that dict as it is.
+
 Interval borders move to the data scale through each component's monotone
 unstandardization map; the components whose inverse mixes in other
 parameters (intercepts, and the random-intercept std dev when random
@@ -32,33 +39,28 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
               is_rounds: int = 3, likelihood: str = "conditional"
               ) -> tuple[PosteriorDraws, dict]:
     """Returns (draws, intervals) where intervals maps each alpha to the
-    border table in standardized and data-scale units."""
+    border table in standardized and data-scale units (format in the
+    module docstring)."""
     if refine not in ("none", "is", "conformal", "both"):
         raise ConfigError(f"unknown refinement mode {refine!r}")
     if refine in ("conformal", "both") and table is None:
         raise ConfigError("conformal refinement needs a calibration table")
-    prior_raw = prior
-    if prior_raw is None:
-        if ds.truth is None:
-            raise ConfigError("no prior given and the dataset has no recorded one")
-        prior_raw = ds.truth.prior
 
-    draws = model.posterior(ds, k, rng, prior=prior_raw)
+    draws = model.posterior(ds, k, rng, prior=prior)
 
     if refine in ("is", "both"):
-        draws = refine_draws(model, ds, draws, prior_raw, rounds=is_rounds,
-                             likelihood=likelihood)
+        draws = refine_draws(model, ds, draws, prior if prior is not None else ds.truth.prior,
+                             rounds=is_rounds, likelihood=likelihood)
 
-    use_table = table if refine in ("conformal", "both") else None
-    intervals = {}
-    for alpha, std in apply_calibration(draws, use_table, alphas).items():
-        intervals[alpha] = {
-            "alpha": alpha,
-            "global_std": std["global"],
-            "local_std": std["local"],
-            **intervals_to_data_scale(draws, std),
-        }
-    return draws, intervals
+    std = apply_calibration(draws, table if refine in ("conformal", "both") else None, alphas)
+    data = intervals_to_data_scale(draws, std)
+
+    def rows(borders, a):
+        return None if borders is None else borders[a].tolist()
+
+    return draws, {alpha: {"global_std": rows(std[0], a), "global": rows(data[0], a),
+                           "local_std": rows(std[1], a), "local": rows(data[1], a)}
+                   for a, alpha in enumerate(alphas)}
 
 
 def refine_draws(model: PosteriorModel, ds: HierDataset, draws: PosteriorDraws,
@@ -80,46 +82,34 @@ def refine_draws(model: PosteriorModel, ds: HierDataset, draws: PosteriorDraws,
                               beta_mean_cov=beta_mean_cov)
 
 
-def intervals_to_data_scale(draws: PosteriorDraws, std_intervals: dict) -> dict:
-    """Map standardized interval borders to the data scale component by
-    component (plug-in posterior means where the inverse mixes
-    components)."""
-    rec = draws.rec
-    d, q = draws.d, draws.q
+def intervals_to_data_scale(draws: PosteriorDraws, borders
+                            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Map the standardized borders of `apply_calibration`, global
+    (A, p_global, 2) and local (A, m, q, 2) or None, to the data scale
+    for every alpha at once (plug-in posterior means where the inverse
+    mixes components)."""
+    b_global, b_local = borders
+    rec, d, q = draws.rec, draws.d, draws.q
     g_mean = draws.global_mean(data_scale=True)
-    beta_hat = g_mean[:d]
-    sigma_hat = g_mean[d:d + q]
+    slope = (rec.sigma_y / rec.sigma_x[1:])[:, None]
 
-    def map_global(j, lo, hi):
-        if j == 0:
-            shift = rec.mu_y - (beta_hat[1:] @ rec.mu_x[1:] if d > 1 else 0.0)
-            return lo * rec.sigma_y + shift, hi * rec.sigma_y + shift
-        if j < d:
-            s = rec.sigma_y / rec.sigma_x[j]
-            return lo * s, hi * s
-        if j == d and q >= 1:
-            rest = float(np.sum(rec.mu_x[1:q] ** 2 * sigma_hat[1:] ** 2)) if q > 1 else 0.0
-            f = lambda b: float(np.sqrt(max((max(b, 0.0) * rec.sigma_y) ** 2 - rest, 0.0)))
-            return f(lo), f(hi)
-        if j < d + q:
-            s = rec.sigma_y / rec.sigma_x[j - d]
-            return lo * s, hi * s
-        return lo * rec.sigma_y, hi * rec.sigma_y  # noise std dev
+    out = np.empty_like(b_global)
+    out[:, 0] = b_global[:, 0] * rec.sigma_y + (rec.mu_y - g_mean[1:d] @ rec.mu_x[1:])
+    out[:, 1:d] = b_global[:, 1:d] * slope
+    if q:
+        rest = np.sum(rec.mu_x[1:q] ** 2 * g_mean[d + 1:d + q] ** 2)
+        # float_power squares through pow() like Python's ** on one float;
+        # x * x can differ from it in the last bit
+        scaled = np.float_power(np.maximum(b_global[:, d], 0.0) * rec.sigma_y, 2)
+        out[:, d] = np.sqrt(np.maximum(scaled - rest, 0.0))
+        out[:, d + 1:d + q] = b_global[:, d + 1:d + q] * slope[:q - 1]
+    out[:, d + q:] = b_global[:, d + q:] * rec.sigma_y  # noise std dev
+    if b_local is None:
+        return out, None
 
-    out_global = [tuple(map_global(j, lo, hi))
-                  for j, (lo, hi) in enumerate(std_intervals["global"])]
-    out_local = None
-    if std_intervals["local"] is not None:
-        a_mean = draws.local_mean(data_scale=True)
-        out_local = []
-        for i, per_group in enumerate(std_intervals["local"]):
-            row = []
-            for j, (lo, hi) in enumerate(per_group):
-                if j == 0:
-                    shift = -(a_mean[i, 1:] @ rec.mu_x[1:q] if q > 1 else 0.0)
-                    row.append((lo * rec.sigma_y + shift, hi * rec.sigma_y + shift))
-                else:
-                    s = rec.sigma_y / rec.sigma_x[j]
-                    row.append((lo * s, hi * s))
-            out_local.append(row)
-    return {"global": out_global, "local": out_local}
+    a_mean = draws.local_mean(data_scale=True)
+    out_local = b_local * np.concatenate([[rec.sigma_y], slope[:q - 1, 0]])[:, None]
+    # one dot product per group: a matrix-vector product sums in another
+    # order and moves the intercepts in the last bits for q >= 3
+    out_local[..., 0, :] -= np.array([row @ rec.mu_x[1:q] for row in a_mean[:, 1:]])[:, None]
+    return out, out_local

@@ -64,7 +64,9 @@ def component_roles(d: int, q: int, infer_noise: bool = True) -> list[str]:
 def log_half_normal(x: np.ndarray, tau) -> np.ndarray:
     """Density of |N(0, tau^2)| at x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, math.log(2.0) + _normal_logpdf(1, x * x, tau), -np.inf)
+    # a huge draw squares to inf, which gives the exact -inf density
+    with np.errstate(over="ignore"):
+        return np.where(x >= 0, math.log(2.0) + _normal_logpdf(1, x * x, tau), -np.inf)
 
 
 def _normal_logpdf(n, ssq, sd):
@@ -185,11 +187,10 @@ def conditional_log_likelihood(ds: HierDataset, gp: GlobalParams, lp: LocalParam
 
 def marginal_log_likelihood(ds: HierDataset, gp: GlobalParams,
                             prior: PriorSpec | None = None,
-                            beta_mean_cov=None, jitter: float = 1e-8) -> float:
+                            beta_mean_cov=None) -> float:
     """Log-likelihood with the random effects integrated out: per group,
     y_i ~ N(X_i beta, Z_i diag(sigma_alpha^2) Z_i' + sigma_eps^2 I). Adds
-    the global log-priors when a prior is supplied. `jitter` is unused (the
-    q x q group systems are always positive definite)."""
+    the global log-priors when a prior is supplied."""
     draw = _one_draw(gp)
     total = float(_GroupGrams(ds, gp.beta, np.zeros((ds.m, ds.q))).marginal(*draw)[0])
     if prior is not None:
@@ -318,20 +319,30 @@ def conformal_scores(draws: PosteriorDraws, gp_true_std: GlobalParams,
     """Signed distance from each true standardized parameter to the nearest
     border of its proposed (1 - alpha) interval, (len(alphas), count) per
     role: positive outside (needs widening), negative inside."""
+    return _border_scores(draws, draws.interval_borders(alphas), gp_true_std, lp_true_std)
+
+
+def _border_scores(draws: PosteriorDraws, borders, gp_true_std: GlobalParams,
+                   lp_true_std: LocalParams) -> dict[str, np.ndarray]:
+    """max(lo - t, t - hi) per role for the border arrays (global, local)
+    of `interval_borders` or `apply_calibration`; at most 0 exactly when
+    lo <= t <= hi (IEEE subtraction has the sign of the exact difference)."""
     roles = np.array(component_roles(draws.d, draws.q, draws.infer_noise))
     truth = np.concatenate([
         gp_true_std.beta,
         gp_true_std.sigma_alpha,
         [gp_true_std.sigma_eps] if draws.infer_noise else [],
     ])
-    b_global, b_local = draws.interval_borders(alphas)
-    signed = np.maximum(b_global[..., 0] - truth, truth - b_global[..., 1])
+    b_global, b_local = borders
+
+    def outside(b, t):
+        return np.maximum(b[..., 0] - t, t - b[..., 1])
+
+    signed = outside(b_global, truth)
     out = {r: signed[:, roles == r] for r in ROLES if np.any(roles == r)}
     if draws.q and b_local is not None:
         m = min(draws.m, lp_true_std.alpha.shape[0])
-        t = lp_true_std.alpha[:m]
-        out["random"] = np.maximum(b_local[:, :m, :, 0] - t,
-                                   t - b_local[:, :m, :, 1]).reshape(len(signed), -1)
+        out["random"] = outside(b_local[:, :m], lp_true_std.alpha[:m]).reshape(len(signed), -1)
     return out
 
 
@@ -387,26 +398,20 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
 
 
 def apply_calibration(draws: PosteriorDraws, table: ConformalTable | None,
-                      alphas) -> dict[float, dict]:
-    """Interval borders per parameter for each alpha, in standardized
-    units, widened or narrowed by the table entry (no table means the raw
-    weighted empirical quantile interval)."""
+                      alphas) -> tuple[np.ndarray, np.ndarray | None]:
+    """Interval borders in standardized units for every alpha, global
+    (A, p_global, 2) and local (A, m, q, 2) or None without local draws,
+    each widened or narrowed by the table entry of its role (no table
+    means the raw weighted empirical quantile interval)."""
     roles = component_roles(draws.d, draws.q, draws.infer_noise)
     b_global, b_local = draws.interval_borders(alphas)
 
-    def adj(role, alpha):
-        return table.adjustment(role, alpha) if table is not None else 0.0
+    def widen(role):  # (A, 2): the entry comes off the lower border, onto the upper
+        adj = [table.adjustment(role, a) if table is not None else 0.0 for a in alphas]
+        return np.multiply.outer(adj, [-1.0, 1.0])
 
-    out = {}
-    for a_idx, alpha in enumerate(alphas):
-        out_global = []
-        for role, (lo, hi) in zip(roles, b_global[a_idx]):
-            a = adj(role, alpha)
-            out_global.append((float(lo - a), float(hi + a)))
-        out_local = None
-        if draws.q and b_local is not None:
-            a = adj("random", alpha)
-            out_local = [[(float(lo - a), float(hi + a)) for lo, hi in row]
-                         for row in b_local[a_idx]]
-        out[alpha] = {"alpha": alpha, "global": out_global, "local": out_local}
-    return out
+    per_role = {r: widen(r) for r in dict.fromkeys(roles)}
+    b_global = b_global + np.stack([per_role[r] for r in roles], axis=1)
+    if not draws.q or b_local is None:
+        return b_global, None
+    return b_global, b_local + widen("random")[:, None, None]
