@@ -20,7 +20,7 @@ from .errors import ConfigError, DataFormatError, MixedFlowError, NumericError
 from . import io as mfio
 from .metrics import aggregate, evaluate_dataset, ingest_external_samples, split_report
 from .model import load_model
-from .pipeline import infer_one
+from .pipeline import REFINE_MODES, infer_one, posterior_draws
 from .refine import ALPHA_GRID, ConformalTable, calibrate
 from .report import render_table, svg_coverage_curve, svg_scatter, write_report_csv
 from .seeding import substream
@@ -41,21 +41,25 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return tuple(float(a) for a in text.split(","))
 
 
-def _load_prior(path) -> PriorSpec:
-    with open(path) as fh:
-        obj = json.load(fh)
+def _load_json(path, build, what: str):
+    """build(obj) for the JSON in `path`; bad JSON or content is a DataFormatError."""
     try:
-        return PriorSpec(np.asarray(obj["nu_beta"], dtype=np.float64),
-                         np.asarray(obj["tau_beta"], dtype=np.float64),
-                         np.asarray(obj.get("tau_sigma", []), dtype=np.float64),
-                         float(obj["tau_eps"]))
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: prior file is missing {exc}")
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"{path}: bad {what} file ({type(exc).__name__}: {exc})") from None
+
+
+def _load_prior(path) -> PriorSpec:
+    return _load_json(path, lambda obj: PriorSpec(
+        np.asarray(obj["nu_beta"], dtype=np.float64),
+        np.asarray(obj["tau_beta"], dtype=np.float64),
+        np.asarray(obj.get("tau_sigma", []), dtype=np.float64),
+        float(obj["tau_eps"])), "prior")
 
 
 def _load_table(path) -> ConformalTable:
-    with open(path) as fh:
-        return ConformalTable.from_json(json.load(fh))
+    return _load_json(path, ConformalTable.from_json, "conformal table")
 
 
 def _read_input_datasets(args):
@@ -88,14 +92,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
     fields = dict(d=args.d, q=args.q, budget=args.budget, batch_size=args.batch,
                   seed=args.seed, toy=args.toy)
-    fields.update({k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()})
-    cfg = TrainConfig(**fields)
+    if args.config:
+        fields.update(_load_json(args.config, lambda obj: {
+            k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}, "config"))
+    try:
+        cfg = TrainConfig(**fields)
+    except TypeError as exc:  # an unknown or ill-typed field
+        raise ConfigError(f"bad training configuration ({exc})") from None
     result = train(cfg, args.out, resume=args.resume, progress=True)
     mfio.write_manifest(Path(args.out) / "manifest.json", "train", asdict(cfg), cfg.seed,
                         outputs=[result.best_path, result.last_path, result.curve_path])
@@ -143,18 +148,19 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    conformal = args.refine in ("conformal", "both")
+    if conformal and not args.conformal_table:
+        raise ConfigError("conformal refinement needs a calibration table")
     model, manifest, _ = load_model(args.checkpoint)
     datasets = mfio.load_datasets(args.data)
-    table = _load_table(args.conformal_table) if args.conformal_table else None
+    table = _load_table(args.conformal_table) if conformal else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, evals = [], []
     for i, ds in enumerate(datasets):
-        draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "eval", i),
-                                     refine=args.refine, table=table, alphas=args.alphas)
+        draws = posterior_draws(model, ds, args.k, substream(args.seed, "eval", i), args.refine)
         records.append(mfio.draws_to_record(draws))
-        evals.append(evaluate_dataset(ds, draws, table if args.refine in ("conformal", "both")
-                                      else None, args.alphas))
+        evals.append(evaluate_dataset(ds, draws, table, args.alphas))
     mfio.save_draws(out_dir / "draws.jsonl", records)
     name = args.name or "model"
     reports = {name: aggregate(evals, args.alphas,
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset file (.jsonl[.gz]) or observations .csv")
     p.add_argument("--q", type=int, default=1, help="random-effect count for CSV input")
     p.add_argument("--prior", help="JSON prior file (required when data has no recorded prior)")
-    p.add_argument("--refine", choices=("none", "is", "conformal", "both"), default="none")
+    p.add_argument("--refine", choices=REFINE_MODES, default="none")
     p.add_argument("--conformal-table", help="JSON table from the calibrate command")
     p.add_argument("--out", required=True)
     common(p)
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="infer over simulated data and score against truth")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--refine", choices=("none", "is", "conformal", "both"), default="none")
+    p.add_argument("--refine", choices=REFINE_MODES, default="none")
     p.add_argument("--conformal-table")
     p.add_argument("--name", help="model label in reports")
     p.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ from .errors import ConfigError, DimensionError
 from .standardize import (StandardizationRecord, unstandardize_global_draws,
                           unstandardize_local_draws)
 
-__all__ = ["PosteriorDraws", "weighted_quantile", "global_param_names", "local_param_names"]
+__all__ = ["PosteriorDraws", "weighted_quantile", "global_param_names"]
 
 
 def global_param_names(d: int, q: int, infer_noise: bool = True) -> list[str]:
@@ -24,10 +24,6 @@ def global_param_names(d: int, q: int, infer_noise: bool = True) -> list[str]:
     if infer_noise:
         names.append("sigma_eps")
     return names
-
-
-def local_param_names(m: int, q: int) -> list[str]:
-    return [f"alpha[{i},{j}]" for i in range(m) for j in range(q)]
 
 
 def weighted_quantile(values: np.ndarray, probs, weights: np.ndarray | None = None) -> np.ndarray:

@@ -25,6 +25,7 @@ import gzip
 import hashlib
 import json
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,9 @@ DRAWS_SCHEMA = "posterior-draws/1"
 
 
 def _open(path, mode: str):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    """UTF-8 text ("wt") or bytes ("rb"); a .gz path is a gzip stream."""
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    return opener(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +117,31 @@ def dataset_from_record(rec: dict) -> HierDataset:
 
 
 def save_datasets(path, datasets: list[HierDataset]):
-    with _open(path, "w") as fh:
+    with _open(path, "wt") as fh:
         for ds in datasets:
             fh.write(json.dumps(dataset_to_record(ds)) + "\n")
 
 
-def load_datasets(path) -> list[HierDataset]:
-    out = []
-    with _open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(dataset_from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad dataset record ({exc})")
+def _load_records(path, parse, kind: str) -> list:
+    """parse(record) for every non-blank line of a record file. A record
+    that does not parse or decode (bad UTF-8, a cut or corrupt gzip
+    stream) is a DataFormatError naming its line."""
+    out, lineno = [], 0
+    try:
+        with _open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    out.append(parse(json.loads(line.decode("utf-8"))))
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zlib.error) as exc:
+        raise DataFormatError(f"{path}:{lineno}: bad {kind} record "
+                              f"({type(exc).__name__}: {exc})") from None
     if not out:
-        raise DataFormatError(f"{path}: no dataset records")
+        raise DataFormatError(f"{path}: no {kind} records")
     return out
+
+
+def load_datasets(path) -> list[HierDataset]:
+    return _load_records(path, dataset_from_record, "dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +200,14 @@ def draws_from_record(rec: dict) -> PosteriorDraws:
 
 
 def save_draws(path, records: list[dict]):
-    with _open(path, "w") as fh:
+    with _open(path, "wt") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 
 
 def load_draws(path) -> list[tuple[PosteriorDraws, dict]]:
     """Returns (draws, full record) pairs so interval tables stay available."""
-    out = []
-    with _open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append((draws_from_record(rec), rec))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad draw record ({exc})")
-    if not out:
-        raise DataFormatError(f"{path}: no draw records")
-    return out
+    return _load_records(path, lambda rec: (draws_from_record(rec), rec), "draw")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ condition vector so their scale matches the data the network sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class Batch:
     prior_feats: np.ndarray  # (B, prior_dim)
     theta_u: np.ndarray | None       # (B, p_global) unconstrained truth
     alpha_std: np.ndarray | None     # (B, m, q) standardized truth
-    recs: list[StandardizationRecord] = field(default_factory=list)
-    datasets: list[HierDataset] = field(default_factory=list)
+    recs: list[StandardizationRecord]  # data scale -> batch scale, per dataset
 
     @property
     def size(self) -> int:
@@ -193,27 +192,15 @@ class PosteriorModel(Module):
 
     def posterior(self, ds: HierDataset, k: int, rng: np.random.Generator,
                   prior: PriorSpec | None = None) -> PosteriorDraws:
-        """Amortized posterior: standardize, summarize, draw k global
-        samples, then k local samples per group conditioned on the global
-        posterior mean."""
-        if ds.d != self.cfg.d or ds.q != self.cfg.q:
-            raise DimensionError(
-                f"checkpoint is for (d={self.cfg.d}, q={self.cfg.q}), "
-                f"dataset has (d={ds.d}, q={ds.q})")
-        if prior is None:
-            if ds.truth is None:
-                raise ConfigError("no prior given and the dataset has no recorded one")
-            prior = ds.truth.prior
+        """Amortized posterior: check and standardize `ds` (`make_batch`),
+        summarize, draw k global samples, then k local samples per group
+        conditioned on the global posterior mean. `prior` is data-scale;
+        without it the dataset's recorded prior is used."""
         was_training = self.training
         self.set_training(False)
         try:
             with no_grad():
-                if self.cfg.standardize:
-                    ds_s, rec = standardize_data(ds)
-                else:
-                    ds_s, rec = ds, StandardizationRecord.identity(ds.d)
-                batch = make_batch([ds_s], self.cfg, already_standardized=True,
-                                   recs=[rec], priors=[prior])
+                batch = make_batch([ds], self.cfg, None if prior is None else [prior])
                 s_local, s_global = self.encode(batch)
                 cond_g = np.concatenate([s_global.data[0], batch.prior_feats[0]])
                 u, log_q_u = self.global_flow.sample(cond_g, k, rng)
@@ -224,7 +211,7 @@ class PosteriorModel(Module):
                 if self.local_flow is not None:
                     self.last_local_conditioning = "inferred"
                     u_mean = u.mean(axis=0)
-                    m = ds_s.m
+                    m = ds.m
                     cond_l = np.concatenate([
                         s_local.data[0],                                      # (m, w)
                         np.tile(u_mean, (m, 1)).astype(s_local.data.dtype),
@@ -234,7 +221,7 @@ class PosteriorModel(Module):
                     log_q_local = lq.T
                 return PosteriorDraws(
                     global_std=global_std, log_q_global=log_q, d=self.cfg.d,
-                    q=self.cfg.q, infer_noise=self.cfg.infer_noise, rec=rec,
+                    q=self.cfg.q, infer_noise=self.cfg.infer_noise, rec=batch.recs[0],
                     local_std=local_std, log_q_local=log_q_local,
                     dataset_id=ds.dataset_id)
         finally:
@@ -246,12 +233,11 @@ class PosteriorModel(Module):
 
 
 def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
-               already_standardized: bool = False,
-               recs: list[StandardizationRecord] | None = None,
                priors: list[PriorSpec] | None = None) -> Batch:
-    """Standardize (unless told not to) and pad a list of datasets to a
-    common (m, n) grid. Truth targets are included when every dataset
-    carries them."""
+    """Check data-scale datasets against the model's (d, q), standardize
+    them when the model does and pad them to a common (m, n) grid; `priors`
+    (data-scale) default to the recorded ones. Truth targets are included
+    when every dataset carries them."""
     if not datasets:
         raise ConfigError("empty batch")
     std_list: list[HierDataset] = []
@@ -260,13 +246,12 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
         if ds.d != cfg.d or ds.q != cfg.q:
             raise DimensionError(f"dataset {i} is (d={ds.d}, q={ds.q}), "
                                  f"model expects (d={cfg.d}, q={cfg.q})")
-        if already_standardized or not cfg.standardize:
-            std_list.append(ds)
-            rec_list.append(recs[i] if recs is not None else StandardizationRecord.identity(ds.d))
+        if cfg.standardize:
+            ds, rec = standardize_data(ds)
         else:
-            ds_s, rec = standardize_data(ds)
-            std_list.append(ds_s)
-            rec_list.append(rec)
+            rec = StandardizationRecord.identity(ds.d)
+        std_list.append(ds)
+        rec_list.append(rec)
 
     b = len(std_list)
     m_max = max(ds.m for ds in std_list)
@@ -296,8 +281,8 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
                 alpha_std[i, :ds.m] = ds.truth.local_params.alpha
 
     # priors recorded on the (possibly standardized) datasets are already
-    # in the right space; explicitly passed priors are data-scale and get
-    # rescaled against each record
+    # in the right space (standardize_data records standardize_prior of the
+    # data-scale one); passed priors get rescaled against each record
     prior_feats = np.zeros((b, cfg.prior_dim))
     for i, (ds, rec) in enumerate(zip(std_list, rec_list)):
         if priors is not None:
@@ -305,12 +290,12 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
         elif ds.truth is not None:
             p = ds.truth.prior
         else:
-            raise ConfigError("batch needs priors: none given and no recorded truth")
+            raise ConfigError(f"no prior given and dataset {i} has no recorded one")
         prior_feats[i] = np.concatenate([p.nu_beta, p.tau_beta, p.tau_sigma, [p.tau_eps]])
 
     return Batch(X=X, Z=Z, y=y, mask=mask, group_mask=group_mask,
                  prior_feats=prior_feats, theta_u=theta_u, alpha_std=alpha_std,
-                 recs=rec_list, datasets=std_list)
+                 recs=rec_list)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 reweight by importance sampling, attach (optionally conformal-adjusted)
 credible intervals, and map everything back to the data scale.
 
+There is one inference path: `infer_one`, `mixedflow evaluate` and
+`refine.calibrate` all draw through `posterior_draws`, the only code that
+runs the posterior and importance sampling (IS) and checks the refinement
+mode, so a conformal table is fit on the draws it is applied to.
+
 Interval borders stay (alpha, component, 2) arrays until `infer_one`
 returns them as a dict per alpha with the keys "global_std", "global",
 "local_std" and "local": one [lo, hi] pair per global component, and per
@@ -28,7 +33,9 @@ from .simulate import HierDataset, PriorSpec
 from .standardize import (standardize_data, standardize_prior,
                           standardized_beta_prior)
 
-__all__ = ["infer_one", "refine_draws", "intervals_to_data_scale"]
+__all__ = ["REFINE_MODES", "infer_one", "posterior_draws", "intervals_to_data_scale"]
+
+REFINE_MODES = ("none", "is", "conformal", "both")
 
 
 def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
@@ -41,18 +48,11 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
     """Returns (draws, intervals) where intervals maps each alpha to the
     border table in standardized and data-scale units (format in the
     module docstring)."""
-    if refine not in ("none", "is", "conformal", "both"):
-        raise ConfigError(f"unknown refinement mode {refine!r}")
-    if refine in ("conformal", "both") and table is None:
+    conformal = refine in ("conformal", "both")
+    if conformal and table is None:
         raise ConfigError("conformal refinement needs a calibration table")
-
-    draws = model.posterior(ds, k, rng, prior=prior)
-
-    if refine in ("is", "both"):
-        draws = refine_draws(model, ds, draws, prior if prior is not None else ds.truth.prior,
-                             rounds=is_rounds, likelihood=likelihood)
-
-    std = apply_calibration(draws, table if refine in ("conformal", "both") else None, alphas)
+    draws = posterior_draws(model, ds, k, rng, refine, prior, is_rounds, likelihood)
+    std = apply_calibration(draws, table if conformal else None, alphas)
     data = intervals_to_data_scale(draws, std)
 
     def rows(borders, a):
@@ -63,21 +63,29 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
                    for a, alpha in enumerate(alphas)}
 
 
-def refine_draws(model: PosteriorModel, ds: HierDataset, draws: PosteriorDraws,
-                 prior: PriorSpec, rounds: int = 3,
-                 likelihood: str = "conditional") -> PosteriorDraws:
-    """Importance-reweight the model's draws for `ds` under the data-scale
-    `prior`, in the space the draws live in: the refinement set-up shared
-    by inference and calibration. Standardizing models use the exact joint
-    prior of the standardized fixed effects, the others the independent
-    normal one; models with known noise fix it at the prior's noise scale."""
+def posterior_draws(model: PosteriorModel, ds: HierDataset, k: int,
+                    rng: np.random.Generator, refine: str = "none",
+                    prior: PriorSpec | None = None, is_rounds: int = 3,
+                    likelihood: str = "conditional") -> PosteriorDraws:
+    """The model's k draws for `ds`, importance-reweighted for the "is" and
+    "both" modes under the data-scale `prior` (the dataset's recorded one
+    when None). IS works in the space the draws live in: standardizing
+    models use the exact joint prior of the standardized fixed effects,
+    the others the independent normal one; models with known noise fix it
+    at the prior's noise scale."""
+    if refine not in REFINE_MODES:
+        raise ConfigError(f"unknown refinement mode {refine!r}")
+    draws = model.posterior(ds, k, rng, prior=prior)
+    if refine not in ("is", "both"):
+        return draws
+    prior = prior if prior is not None else ds.truth.prior
     ds_s, prior_std, beta_mean_cov = ds, prior, None
     if model.cfg.standardize:
         ds_s, rec = standardize_data(ds)
         prior_std = standardize_prior(prior, rec)
         beta_mean_cov = standardized_beta_prior(prior, rec)
     known = None if model.cfg.infer_noise else prior_std.tau_eps
-    return alternating_refine(ds_s, prior_std, draws, rounds=rounds,
+    return alternating_refine(ds_s, prior_std, draws, rounds=is_rounds,
                               likelihood=likelihood, known_sigma_eps=known,
                               beta_mean_cov=beta_mean_cov)
 

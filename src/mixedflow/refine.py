@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .draws import PosteriorDraws
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .simulate import GlobalParams, HierDataset, LocalParams, PriorSpec
 
 log = logging.getLogger(__name__)
@@ -287,6 +287,8 @@ class ConformalTable:
     checkpoint_id: str = ""
     n_calibration: int = 0
     low_confidence: bool = False
+    # alphas already reported as taken from their nearest calibrated one
+    _warned: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def adjustment(self, role: str, alpha: float) -> float:
         if role not in self.adjustments:
@@ -297,7 +299,10 @@ class ConformalTable:
             idx = int(np.argmax(exact))
         else:
             idx = int(np.argmin(np.abs(alphas - alpha)))
-            log.warning("alpha %.3g not calibrated, using nearest %.3g", alpha, self.alphas[idx])
+            if alpha not in self._warned:
+                self._warned.add(alpha)
+                log.warning("alpha %.3g not calibrated, using nearest %.3g",
+                            alpha, self.alphas[idx])
         return self.adjustments[role][idx]
 
     def to_json(self) -> dict:
@@ -309,9 +314,12 @@ class ConformalTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConformalTable":
-        return cls(tuple(obj["alphas"]), {k: list(v) for k, v in obj["adjustments"].items()},
-                   obj.get("checkpoint_id", ""), int(obj.get("n_calibration", 0)),
-                   bool(obj.get("low_confidence", False)))
+        table = cls(tuple(obj["alphas"]), {k: list(v) for k, v in obj["adjustments"].items()},
+                    obj.get("checkpoint_id", ""), int(obj.get("n_calibration", 0)),
+                    bool(obj.get("low_confidence", False)))
+        if any(len(adj) != len(table.alphas) for adj in table.adjustments.values()):
+            raise DataFormatError("conformal table needs one adjustment per alpha and role")
+        return table
 
 
 def conformal_scores(draws: PosteriorDraws, gp_true_std: GlobalParams,
@@ -374,20 +382,20 @@ def build_conformal_table(score_lists: dict[str, list[list[float]]],
 def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
               alphas: tuple[float, ...] = ALPHA_GRID, refine: str = "none",
               checkpoint_id: str = "") -> ConformalTable:
-    """Run inference on every calibration dataset and build the adjustment
-    table. Datasets must carry their generating truth and be disjoint from
-    training data."""
-    from .pipeline import refine_draws
+    """Run inference (`pipeline.posterior_draws`, refine "none" or "is")
+    on every calibration dataset and build the adjustment table. Datasets
+    must carry their generating truth and be disjoint from training data."""
+    from .pipeline import posterior_draws
     from .seeding import substream
     from .standardize import standardize_params
 
+    if refine not in ("none", "is"):
+        raise ConfigError(f"calibration refines with 'none' or 'is', not {refine!r}")
     score_lists: dict[str, list[list[float]]] = {r: [[] for _ in alphas] for r in ROLES}
     for idx, ds in enumerate(datasets):
         if ds.truth is None:
             raise ConfigError("calibration datasets need recorded truth")
-        draws = model.posterior(ds, k, substream(seed, "calibrate", idx))
-        if refine == "is":
-            draws = refine_draws(model, ds, draws, ds.truth.prior)
+        draws = posterior_draws(model, ds, k, substream(seed, "calibrate", idx), refine)
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params,
                                         draws.rec)
         for role, vals in conformal_scores(draws, gp_s, lp_s, alphas).items():

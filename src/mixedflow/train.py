@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataFormatError, NumericError
 from .model import Batch, ModelConfig, PosteriorModel, load_model, make_batch, save_model
 from .nn.optim import make_optimizer
 from .nn.tensor import no_grad
@@ -193,10 +193,14 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
         start_step = int(manifest["step"])
         best_val = float(manifest.get("best_val", float("inf")))
         if curve_path.exists():
-            with open(curve_path) as fh:
-                for row in csv.DictReader(fh):
-                    curve.append((int(row["step"]), float(row["global_loss"]),
-                                  float(row["local_loss"]), float(row["val_loss"])))
+            try:
+                with open(curve_path, encoding="utf-8") as fh:
+                    for row in csv.DictReader(fh):
+                        curve.append((int(row["step"]), float(row["global_loss"]),
+                                      float(row["local_loss"]), float(row["val_loss"])))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataFormatError(f"{curve_path}: bad training curve "
+                                      f"({type(exc).__name__}: {exc})") from None
 
     log.info("building %d validation datasets", cfg.val_sets)
     val_sets = [make_training_dataset(cfg, i, "val") for i in range(cfg.val_sets)]

@@ -1,13 +1,17 @@
 """CLI surface: the full command pipeline on a miniature problem, the
 documented exit codes, and reproducibility of draw files."""
 
+import gzip
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from mixedflow.cli import main
 from mixedflow import io as mfio
+from mixedflow.draws import PosteriorDraws
+from mixedflow.standardize import StandardizationRecord
 
 TINY_TRAIN = {"width": 16, "summary_blocks": 1, "heads": 2, "flow_blocks": 2,
               "flow_hidden": 16, "eval_every": 10, "val_sets": 8, "warmup_steps": 5}
@@ -108,8 +112,102 @@ class TestPipeline:
         (draws, _), = mfio.load_draws(out)
         assert draws.global_std.shape == (30, 4)
 
+    def test_evaluate_builds_intervals_once_per_dataset(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        borders = PosteriorDraws.interval_borders
+
+        def count(draws, alphas):
+            calls.append(draws.dataset_id)
+            return borders(draws, alphas)
+
+        monkeypatch.setattr(PosteriorDraws, "interval_borders", count)
+        assert main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "sets.jsonl"), "--k", "40", "--seed", "13",
+                     "--out", str(tmp_path / "eval")]) == 0
+        ids = [ds.dataset_id for ds in mfio.load_datasets(workdir / "sets.jsonl")]
+        assert calls == ids
+
+
+def _first_record(workdir) -> dict:
+    return json.loads((workdir / "sets.jsonl").read_text().splitlines()[0])
+
+
+def _write(path, content) -> str:
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    return str(path)
+
+
+def _infer(workdir, tmp_path, data=None, *extra):
+    return ["infer", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+            "--data", data or str(workdir / "sets.jsonl"), "--k", "8",
+            "--out", str(tmp_path / "x.jsonl"), *extra]
+
+
+def _train(tmp_path, config, *extra):
+    return ["train", "--d", "2", "--q", "1", "--budget", "160", "--batch", "8",
+            "--seed", "5", "--toy", "--config", config, "--out", str(tmp_path / "run"), *extra]
+
+
+def _report(workdir, tmp_path, draws: str):
+    return ["report", "--draws", draws, "--data", str(workdir / "sets.jsonl"),
+            "--out", str(tmp_path / "rep")]
+
+
+def _draw_record(**changes) -> str:
+    draws = PosteriorDraws(global_std=np.ones((3, 4)), log_q_global=np.zeros(3), d=2, q=1,
+                           infer_noise=True, rec=StandardizationRecord.identity(2))
+    return json.dumps({**mfio.draws_to_record(draws), **changes}) + "\n"
+
+
+def _resume_with_curve(workdir, tmp_path):
+    shutil.copytree(workdir / "run", tmp_path / "run")
+    _write(tmp_path / "run" / "curve.csv", "step,global_loss,local_loss,val_loss\n10,x,1,1\n")
+    return _train(tmp_path, _write(tmp_path / "c.json", json.dumps(TINY_TRAIN)), "--resume")
+
+
+# malformed inputs, one per reader: (id, argv from (workdir, tmp_path), exit code)
+MALFORMED = [
+    ("table-not-json", lambda w, t: _infer(w, t, None, "--refine", "conformal",
+                                           "--conformal-table", _write(t / "t.json", "{")), 4),
+    ("table-no-adjustments", lambda w, t: _infer(
+        w, t, None, "--refine", "conformal", "--conformal-table",
+        _write(t / "t.json", json.dumps({"alphas": [0.1]}))), 4),
+    ("table-short-adjustments", lambda w, t: _infer(
+        w, t, None, "--refine", "conformal", "--conformal-table", _write(t / "t.json", json.dumps(
+            {"alphas": [0.1, 0.5], "adjustments": {"fixed": [0.1], "variance": [0.1, 0.1],
+                                                   "random": [0.1, 0.1]}}))), 4),
+    ("prior-not-json", lambda w, t: _infer(w, t, None, "--prior", _write(t / "p.json", "nu")), 4),
+    ("prior-bad-number", lambda w, t: _infer(w, t, None, "--prior", _write(t / "p.json", json.dumps(
+        {"nu_beta": [0, 0], "tau_beta": [1, 1], "tau_sigma": [1], "tau_eps": "x"}))), 4),
+    ("train-config-not-json", lambda w, t: _train(t, _write(t / "c.json", "{width")), 4),
+    ("train-config-unknown-field", lambda w, t: _train(
+        t, _write(t / "c.json", json.dumps({"widht": 16}))), 2),
+    ("dataset-bad-dim", lambda w, t: _infer(w, t, _write(t / "d.jsonl", json.dumps(
+        {**_first_record(w), "d": "two"}) + "\n")), 4),
+    ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),
+    ("calibrate-dataset-not-utf8", lambda w, t: [
+        "calibrate", "--checkpoint", str(w / "run" / "best.ckpt"),
+        "--sets", _write(t / "d.jsonl", b"\xfe\xff\n"), "--out", str(t / "t.json")], 4),
+    ("dataset-gzip-cut", lambda w, t: _infer(w, t, _write(t / "d.jsonl.gz", gzip.compress(
+        (w / "sets.jsonl").read_bytes())[:2000])), 4),
+    ("draws-null-k", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(k=None))), 4),
+    ("draws-not-utf8", lambda w, t: _report(w, t, _write(t / "x.jsonl", b"\xff\n")), 4),
+    ("resume-bad-curve", _resume_with_curve, 4),
+]
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("make_argv, code", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_input(self, workdir, tmp_path, make_argv, code):
+        assert main(make_argv(workdir, tmp_path)) == code
+
+    def test_evaluate_conformal_without_table_is_2(self, workdir, tmp_path):
+        code = main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "sets.jsonl"), "--refine", "conformal",
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+
     def test_config_error_is_2(self, workdir, tmp_path):
         # dimension mismatch: checkpoint (d=2) vs d=3 CSV data
         obs = tmp_path / "obs3.csv"

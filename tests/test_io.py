@@ -47,6 +47,17 @@ class TestDatasetFiles:
         with pytest.raises(DataFormatError, match="bad.jsonl:1"):
             mfio.load_datasets(path)
 
+    @pytest.mark.parametrize("name", ["sets.jsonl", "sets.jsonl.gz"])
+    def test_undecodable_line_reported(self, tmp_path, name):
+        plain = tmp_path / "plain.jsonl"
+        mfio.save_datasets(plain, _datasets())
+        lines = plain.read_bytes().splitlines(keepends=True)
+        path = tmp_path / name
+        with mfio._open(path, "wb") as fh:
+            fh.write(b"".join(lines[:2]) + b'{"id": "\xff"}\n' + lines[2])
+        with pytest.raises(DataFormatError, match=f"{name}:3: .*UnicodeDecodeError"):
+            mfio.load_datasets(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

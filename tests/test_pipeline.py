@@ -8,7 +8,7 @@ import refine_oracle as oracle
 from mixedflow import refine, simulate as sim
 from mixedflow.errors import ConfigError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel
-from mixedflow.pipeline import infer_one
+from mixedflow.pipeline import infer_one, posterior_draws
 from mixedflow.refine import build_conformal_table
 from mixedflow.seeding import substream
 from mixedflow.standardize import (standardize_data, standardize_prior,
@@ -79,6 +79,12 @@ class TestInferOne:
         with pytest.raises(ConfigError):
             infer_one(model, bare, k=8, rng=substream(7, "f"))
 
+    def test_recorded_prior_equals_passed_prior(self, model, dataset):
+        recorded = model.posterior(dataset, 32, substream(9, "h"))
+        passed = model.posterior(dataset, 32, substream(9, "h"), prior=dataset.truth.prior)
+        np.testing.assert_array_equal(recorded.global_std, passed.global_std)
+        np.testing.assert_array_equal(recorded.local_std, passed.local_std)
+
     def test_explicit_prior_accepted(self, model, dataset):
         prior = sim.PriorSpec(np.zeros(2), np.ones(2), np.array([0.5]), 0.5)
         draws, _ = infer_one(model, dataset, k=16, rng=substream(8, "g"), prior=prior)
@@ -124,6 +130,16 @@ class TestRefinement:
         draws, _ = infer_one(model, ds, k=64, rng=substream(25, "calibrate", 0), refine="is")
         np.testing.assert_array_equal(seen[0].weights, draws.weights)
         np.testing.assert_array_equal(seen[0].local_weights, draws.local_weights)
+
+
+    @pytest.mark.parametrize("mode", ["both", "conformal", "IS"])
+    def test_calibrate_rejects_other_modes(self, model, dataset, mode):
+        with pytest.raises(ConfigError):
+            refine.calibrate(model, [dataset], k=16, seed=0, refine=mode)
+
+    def test_unknown_mode_rejected(self, model, dataset):
+        with pytest.raises(ConfigError):
+            posterior_draws(model, dataset, 16, substream(26, "x"), refine="IS")
 
 
 class TestDivergenceGuard:

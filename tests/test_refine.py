@@ -3,6 +3,7 @@ likelihood oracles (naive loop, hand-expanded 2x2 Gaussian, Monte Carlo
 marginalization, the dense reference implementation), the alternating
 fixed point, and conformal score/table semantics."""
 
+import logging
 import math
 import warnings
 
@@ -469,6 +470,18 @@ class TestConformal:
         table = refine.build_conformal_table({"fixed": [[0.0] * 200, [0.5] * 200]},
                                              (0.1, 0.5), n_calibration=200)
         assert table.adjustment("fixed", 0.45) == pytest.approx(0.5)
+
+    def test_nearest_alpha_logged_once_per_table(self, caplog):
+        scores = {r: [[0.0] * 200, [0.5] * 200] for r in ("fixed", "variance", "random")}
+        tables = [refine.build_conformal_table(scores, (0.1, 0.5), n_calibration=200)
+                  for _ in range(2)]
+        with caplog.at_level(logging.WARNING, logger="mixedflow.refine"):
+            for table in tables:
+                for seed in range(4):  # one apply per dataset
+                    refine.apply_calibration(self._draws(seed=seed), table, (0.1, 0.25, 0.45))
+        lines = [r.getMessage() for r in caplog.records if "not calibrated" in r.getMessage()]
+        assert lines == 2 * ["alpha 0.25 not calibrated, using nearest 0.1",
+                             "alpha 0.45 not calibrated, using nearest 0.5"]
 
     def test_degenerate_weights_collapse_interval(self):
         draws = self._draws()
