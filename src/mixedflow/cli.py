@@ -58,8 +58,14 @@ def _load_prior(path) -> PriorSpec:
         float(obj["tau_eps"])), "prior")
 
 
-def _load_table(path) -> ConformalTable:
-    return _load_json(path, ConformalTable.from_json, "conformal table")
+def _conformal_table(args) -> ConformalTable | None:
+    """The --conformal-table, read only when --refine uses it; checked
+    before any model is loaded."""
+    if args.refine not in ("conformal", "both"):
+        return None
+    if not args.conformal_table:
+        raise ConfigError("conformal refinement needs a calibration table")
+    return _load_json(args.conformal_table, ConformalTable.from_json, "conformal table")
 
 
 def _read_input_datasets(args):
@@ -110,10 +116,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    table = _conformal_table(args)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = _read_input_datasets(args)
     prior = _load_prior(args.prior) if args.prior else None
-    table = _load_table(args.conformal_table) if args.conformal_table else None
     records = []
     for i, ds in enumerate(datasets):
         draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "infer", i),
@@ -148,12 +154,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    conformal = args.refine in ("conformal", "both")
-    if conformal and not args.conformal_table:
-        raise ConfigError("conformal refinement needs a calibration table")
+    table = _conformal_table(args)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = mfio.load_datasets(args.data)
-    table = _load_table(args.conformal_table) if conformal else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, evals = [], []

@@ -385,22 +385,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def take_rows(self, idx: np.ndarray):
-        """Gather rows along axis 0 by unique integer indices (the
-        uniqueness makes the scatter in backward a plain assignment)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        out_data = self.data[idx]
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            full[idx] = g
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def scatter_rows(self, idx: np.ndarray, total: int):
-        """Inverse of take_rows: place these rows at unique indices inside
-        `total` zero rows."""
+        """Place these rows at unique indices inside `total` zero rows."""
         idx = np.asarray(idx, dtype=np.intp)
         out_data = np.zeros((total,) + self.data.shape[1:], dtype=self.data.dtype)
         out_data[idx] = self.data

@@ -61,3 +61,16 @@ def check_param_grads(loss_fn, params: list[tuple[str, Tensor]], tol: float = 1e
         if err > tol:
             failures.append((name, err))
     assert not failures, f"gradient mismatches: {failures}"
+
+
+class RowCounter:
+    """Stands in for the first block of an encoder stack and counts the
+    rows that enter the stack: all of them, and the unmasked ones."""
+
+    def __init__(self, block):
+        self.block, self.real, self.total = block, 0, 0
+
+    def __call__(self, x, mask, rng=None):
+        self.real += int(mask.sum())
+        self.total += mask.size
+        return self.block(x, mask, rng)

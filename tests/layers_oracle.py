@@ -1,4 +1,5 @@
-"""Composed reference implementation of the fused layer nodes.
+"""Composed reference implementation of the fused layer nodes, and an
+unpadded per-group reference for the local summaries.
 
 Linear, LayerNorm, multi-head attention and the encoder block as they were
 built from generic tape ops (matmul, bias add, mean, sqrt, softmax, mask
@@ -7,6 +8,10 @@ kept only as the oracle the fused code must reproduce: `composed_layers()`
 swaps these bodies in for the fused ones, so any module built on the
 layers (encoder stacks, the summary network) runs both ways with the same
 parameters.
+
+`per_group_local` encodes each real group of a batch on its own, from its
+real rows only: no padding, no size buckets, no gathering. It is what
+`SummaryNetwork.summarize_local` must compute.
 """
 
 import contextlib
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 from mixedflow.nn import layers
-from mixedflow.nn.tensor import Tensor, assert_finite
+from mixedflow.nn.tensor import Tensor, assert_finite, cat
 
 
 def linear(self, x):
@@ -78,3 +83,17 @@ def composed_layers():
     finally:
         for cls, body in saved.items():
             cls.__call__ = body
+
+
+def per_group_local(net, X, Z, y, mask, group_mask, rng=None):
+    """Local summaries (B, m, width) of `net`, one real group at a time;
+    phantom groups give zero rows."""
+    b, m, _ = mask.shape
+    parts, where = [], []
+    for i, j in zip(*np.nonzero(group_mask)):
+        keep = np.asarray(mask[i, j], dtype=bool)
+        full = np.ones((1, int(keep.sum())), dtype=bool)
+        emb = net.embed_rows(X[i, j][keep][None], Z[i, j][keep][None], y[i, j][keep][None], full)
+        parts.append(net.local_encoder(emb, full, rng).mean(axis=1))
+        where.append(i * m + j)
+    return cat(parts, axis=0).scatter_rows(np.array(where), b * m).reshape(b, m, -1)

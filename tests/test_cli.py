@@ -208,6 +208,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "eval")])
         assert code == 2
 
+    @pytest.mark.parametrize("refine", ["none", "is"])
+    def test_infer_ignores_unused_table(self, workdir, tmp_path, refine):
+        table = _write(tmp_path / "t.json", "{")
+        assert main(_infer(workdir, tmp_path, None, "--refine", refine,
+                           "--conformal-table", table)) == 0
+
+    @pytest.mark.parametrize("refine", ["conformal", "both"])
+    def test_infer_conformal_without_table_is_2_before_loading(self, tmp_path, refine):
+        # the checkpoint does not exist: loading it first would exit 4
+        code = main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--data", str(tmp_path / "missing.jsonl"), "--refine", refine,
+                     "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+
     def test_config_error_is_2(self, workdir, tmp_path):
         # dimension mismatch: checkpoint (d=2) vs d=3 CSV data
         obs = tmp_path / "obs3.csv"

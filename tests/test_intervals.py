@@ -1,16 +1,19 @@
 """Credible intervals as border arrays: the conformal adjustment, the map to
 the data scale, `infer_one`'s interval tables and the coverage hits of
-`evaluate_dataset` reproduce the per-component oracle bit for bit."""
+`evaluate_dataset` reproduce the per-component oracle bit for bit; the
+weighted quantiles under them are monotone, bounded and blind to
+zero-weight draws."""
 
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intervals_oracle as oracle
 from mixedflow import simulate as sim
-from mixedflow.draws import PosteriorDraws
+from mixedflow.draws import PosteriorDraws, weighted_quantile
 from mixedflow.metrics import evaluate_dataset
 from mixedflow.model import ModelConfig, PosteriorModel
 from mixedflow.pipeline import infer_one, intervals_to_data_scale
@@ -130,3 +133,39 @@ def test_dense_alpha_grid_matches_oracle():
     old = oracle.apply_calibration(draws, None, alphas)
     for a, alpha in enumerate(alphas):
         _same(data[0][a], oracle.intervals_to_data_scale(draws, old[alpha])["global"])
+
+
+# weighted_quantile properties ------------------------------------------------
+
+_VALUES = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30)
+
+
+@st.composite
+def _weighted_values(draw):
+    """Values with nonnegative weights, at least one of them positive."""
+    values = np.array(draw(_VALUES))
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                                     min_size=len(values), max_size=len(values))))
+    weights[draw(st.integers(0, len(values) - 1))] = draw(st.floats(1e-3, 1e3))
+    return values, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vw=_weighted_values(), probs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10))
+def test_weighted_quantile_monotone_and_within_positive_weight_range(vw, probs):
+    values, weights = vw
+    probs = np.sort(probs)
+    q = weighted_quantile(values, probs, weights)
+    assert np.all(np.diff(q) >= 0)
+    kept = values[weights > 0]
+    assert np.all((q >= kept.min()) & (q <= kept.max()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vw=_weighted_values(), extra=_VALUES, probs=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                            max_size=10))
+def test_weighted_quantile_ignores_zero_weight_values(vw, extra, probs):
+    values, weights = vw
+    padded = np.concatenate([values, extra])
+    padded_w = np.concatenate([weights, np.zeros(len(extra))])
+    _same(weighted_quantile(padded, probs, padded_w), weighted_quantile(values, probs, weights))

@@ -3,9 +3,12 @@ gzip containers), observation CSVs build valid datasets, and manifests
 carry the reproducibility fields."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixedflow import io as mfio
 from mixedflow import simulate as sim
@@ -147,3 +150,94 @@ class TestManifest:
         assert "mixedflow" in obj["versions"] and "numpy" in obj["versions"]
         m2 = mfio.write_manifest(tmp_path / "again.json", "simulate", {"q": 1, "d": 2}, seed=7)
         assert m1["config_hash"] == m2["config_hash"]  # key order irrelevant
+
+
+# exact round trips of arbitrary records --------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _floats(draw, shape):
+    return draw(hnp.arrays(np.float64, shape, elements=FINITE))
+
+
+def _same_bytes(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+@st.composite
+def _any_dataset(draw):
+    """A simulated layout and truth with arbitrary finite observations."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(1, min(d, 2)))
+    ds = sim.simulate_dataset(d, q, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                              sim.SimConfig(m_range=(1, 5), n_range=(1, 8),
+                                            toy=draw(st.booleans())),
+                              dataset_id=draw(st.text(max_size=12)))
+    X, y = np.zeros_like(ds.X), np.zeros_like(ds.y)
+    X[ds.mask] = _floats(draw, (int(ds.mask.sum()), d))
+    y[ds.mask] = _floats(draw, int(ds.mask.sum()))
+    Z = np.zeros_like(X)
+    Z[..., :q] = X[..., :q]
+    return replace(ds, X=X, Z=Z, y=y, truth=ds.truth if draw(st.booleans()) else None)
+
+
+@st.composite
+def _any_draws(draw):
+    k, d, q, m = (draw(st.integers(1, n)) for n in (6, 3, 2, 4))
+    q = draw(st.integers(0, q))
+    infer_noise, local, weighted = (draw(st.booleans()) for _ in range(3))
+    local = local and q > 0
+    rec = StandardizationRecord(_floats(draw, d), _floats(draw, d), draw(FINITE), draw(FINITE),
+                                draw(hnp.arrays(bool, d)), draw(st.booleans()))
+    return PosteriorDraws(
+        global_std=_floats(draw, (k, d + q + infer_noise)), log_q_global=_floats(draw, k),
+        d=d, q=q, infer_noise=infer_noise, rec=rec,
+        local_std=_floats(draw, (k, m, q)) if local else None,
+        log_q_local=_floats(draw, (k, m)) if local else None,
+        weights=_floats(draw, k) if weighted else None,
+        local_weights=_floats(draw, (k, m)) if local and weighted else None,
+        dataset_id=draw(st.text(max_size=12)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(datasets=st.lists(_any_dataset(), min_size=1, max_size=3), gz=st.booleans())
+def test_dataset_records_round_trip_exactly(tmp_path_factory, datasets, gz):
+    path = tmp_path_factory.mktemp("sets") / ("sets.jsonl.gz" if gz else "sets.jsonl")
+    mfio.save_datasets(path, datasets)
+    back = mfio.load_datasets(path)
+    assert len(back) == len(datasets)
+    for a, b in zip(datasets, back):
+        assert (a.d, a.q, a.m, a.dataset_id) == (b.d, b.q, b.m, b.dataset_id)
+        for name in ("X", "Z", "y", "mask", "group_sizes"):
+            _same_bytes(getattr(a, name), getattr(b, name))
+        assert (a.truth is None) == (b.truth is None)
+        if a.truth is not None:
+            for x, y in [(a.truth.prior, b.truth.prior), (a.truth.global_params,
+                                                          b.truth.global_params)]:
+                for name in vars(x):
+                    _same_bytes(getattr(x, name), getattr(y, name))
+            _same_bytes(a.truth.local_params.alpha, b.truth.local_params.alpha)
+            # the record holds the real cells; simulated padding may be -0.0
+            _same_bytes(a.truth.noise[a.mask], b.truth.noise[b.mask])
+            assert np.all(b.truth.noise[~b.mask] == 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(draws=st.lists(_any_draws(), min_size=1, max_size=3))
+def test_draw_records_round_trip_exactly(tmp_path_factory, draws):
+    path = tmp_path_factory.mktemp("draws") / "draws.jsonl"
+    mfio.save_draws(path, [mfio.draws_to_record(dr) for dr in draws])
+    back = mfio.load_draws(path)
+    assert len(back) == len(draws)
+    for a, (b, _) in zip(draws, back):
+        assert (a.d, a.q, a.infer_noise, a.dataset_id) == (b.d, b.q, b.infer_noise, b.dataset_id)
+        for name in ("global_std", "log_q_global", "local_std", "log_q_local", "weights",
+                     "local_weights"):
+            _same_bytes(getattr(a, name), getattr(b, name))
+        for name in vars(a.rec):
+            _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
