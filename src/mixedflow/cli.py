@@ -141,9 +141,7 @@ def cmd_calibrate(args) -> int:
     datasets = mfio.load_datasets(args.sets)
     table = calibrate(model, datasets, k=args.k, seed=args.seed, alphas=args.alphas,
                       refine=args.refine, checkpoint_id=manifest.get("checkpoint_id", ""))
-    with open(args.out, "w") as fh:
-        json.dump(table.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    mfio.write_json(args.out, table.to_json())
     mfio.write_manifest(str(args.out) + ".manifest.json", "calibrate",
                         vars_for_manifest(args), args.seed,
                         inputs={"checkpoint": manifest.get("checkpoint_id", "")},
@@ -213,7 +211,7 @@ def cmd_report(args) -> int:
                 write_report_csv(out_dir / f"split_{key}_{name}.csv",
                                  {f"{name}-{key}-top": top, f"{name}-{key}-bottom": bottom})
     table_text = render_table(reports)
-    (out_dir / "report.txt").write_text(table_text + "\n")
+    mfio.write_file(out_dir / "report.txt", table_text + "\n")
     mfio.write_manifest(out_dir / "manifest.json", "report", vars_for_manifest(args),
                         None, outputs=[str(out_dir / "report.csv")])
     print(table_text)
@@ -238,7 +236,8 @@ def _emit_reports(out_dir: Path, reports, evals, alphas):
         for role, stats in rep.per_role.items():
             for a in alphas:
                 rows.append(f"{name},{role},{a},{stats['ce'][a] + (1 - a):.4f}")
-    (out_dir / "coverage.csv").write_text("model,role,alpha,coverage\n" + "\n".join(rows) + "\n")
+    mfio.write_file(out_dir / "coverage.csv",
+                    "model,role,alpha,coverage\n" + "\n".join(rows) + "\n")
 
 
 def vars_for_manifest(args) -> dict:

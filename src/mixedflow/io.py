@@ -16,6 +16,13 @@ dimension is d = p + 1. Categorical predictors must arrive pre-encoded.
 
 Run manifests: a JSON sidecar recording command, configuration hash, seed
 and library versions, so artifacts can be regenerated byte-for-byte.
+
+Writing: every file the package produces goes through write_file, which
+takes the finished content, writes it to a temporary file beside the
+target, fsyncs it and renames it over the target. A reader therefore sees
+the old file or the new one, never a cut one, and a write that fails
+leaves no temporary file behind. A .gz target is gzip-compressed with a
+zero timestamp and no embedded name, so equal content gives equal bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import csv
 import gzip
 import hashlib
 import json
+import os
 import sys
 import zlib
 from pathlib import Path
@@ -38,17 +46,50 @@ from .standardize import StandardizationRecord
 __all__ = [
     "save_datasets", "load_datasets", "dataset_to_record", "dataset_from_record",
     "save_draws", "load_draws", "draws_to_record", "draws_from_record",
-    "read_observations_csv", "write_manifest", "config_hash",
+    "read_observations_csv", "write_manifest", "write_json", "write_file", "config_hash",
 ]
 
 DATASET_SCHEMA = "hier-dataset/1"
 DRAWS_SCHEMA = "posterior-draws/1"
 
 
-def _open(path, mode: str):
-    """UTF-8 text ("wt") or bytes ("rb"); a .gz path is a gzip stream."""
-    opener = gzip.open if Path(path).suffix == ".gz" else open
-    return opener(path, mode, encoding=None if "b" in mode else "utf-8")
+def _open(path):
+    """Read handle for bytes; a .gz path is a gzip stream."""
+    return (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb")
+
+
+def write_file(path, data: str | bytes):
+    """Replace `path` atomically with `data` (a str is written as UTF-8).
+
+    The bytes go to a temporary file in the same directory, which is
+    flushed, fsynced and renamed over `path`; if any step raises, the
+    temporary file is removed and `path` is left as it was. A .gz path
+    gets a gzip member with mtime 0, so its bytes depend on `data` alone.
+    """
+    path = Path(path)
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    if path.suffix == ".gz":
+        raw = gzip.compress(raw, mtime=0)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _save_records(path, records):
+    """One JSON record per line; the mirror of _load_records."""
+    write_file(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +158,7 @@ def dataset_from_record(rec: dict) -> HierDataset:
 
 
 def save_datasets(path, datasets: list[HierDataset]):
-    with _open(path, "wt") as fh:
-        for ds in datasets:
-            fh.write(json.dumps(dataset_to_record(ds)) + "\n")
+    _save_records(path, (dataset_to_record(ds) for ds in datasets))
 
 
 def _load_records(path, parse, kind: str) -> list:
@@ -128,7 +167,7 @@ def _load_records(path, parse, kind: str) -> list:
     stream) is a DataFormatError naming its line."""
     out, lineno = [], 0
     try:
-        with _open(path, "rb") as fh:
+        with _open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     out.append(parse(json.loads(line.decode("utf-8"))))
@@ -200,9 +239,7 @@ def draws_from_record(rec: dict) -> PosteriorDraws:
 
 
 def save_draws(path, records: list[dict]):
-    with _open(path, "wt") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    _save_records(path, records)
 
 
 def load_draws(path) -> list[tuple[PosteriorDraws, dict]]:
@@ -282,9 +319,7 @@ def write_manifest(path, command: str, config: dict, seed: int | None,
         "inputs": inputs or {},
         "outputs": outputs or [],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return manifest
 
 

@@ -34,6 +34,7 @@ import struct
 import numpy as np
 
 from ..errors import DataFormatError
+from ..io import write_file
 
 MAGIC = b"MXFL"
 FORMAT_VERSION = 2
@@ -64,14 +65,12 @@ def _encode(manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> str:
-    """Write the container; returns its sha256 hex digest."""
+    """Write the container atomically; returns its sha256 hex digest."""
     body = _encode(manifest, arrays)
     running = hashlib.sha256(body)
     check = running.digest()
     running.update(check)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(check)
+    write_file(path, body + check)
     return running.hexdigest()
 
 

@@ -1,10 +1,9 @@
-"""Optimizers.
+"""Optimizer.
 
 ScheduleFreeAdamW keeps two iterates per parameter (a fast iterate z and a
 running average x) and evaluates gradients at an interpolation y between
-them, which removes the need for a learning-rate schedule. AdamW with a
-constant learning rate is available behind the same interface as a
-fallback. Weight decay is decoupled from the gradient moments in both.
+them, which removes the need for a learning-rate schedule. Weight decay is
+decoupled from the gradient moments.
 
 Steps with non-finite gradients are rejected (counted, parameters left
 untouched) rather than poisoning the weights.
@@ -17,13 +16,18 @@ import numpy as np
 from ..errors import ConfigError, NumericError
 from .tensor import Tensor
 
-__all__ = ["ScheduleFreeAdamW", "AdamW", "make_optimizer"]
+__all__ = ["ScheduleFreeAdamW"]
 
 
-class _OptimizerBase:
+class ScheduleFreeAdamW:
+    """Schedule-free variant: gradient at y = beta1*x + (1-beta1)*z,
+    fast iterate z gets the Adam-style step, x is the weighted average of
+    the z trajectory and is what evaluation should use."""
+
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-2, clip_norm: float | None = 10.0):
+                 weight_decay: float = 1e-2, warmup_steps: int = 0,
+                 clip_norm: float | None = 10.0):
         if not named_params:
             raise ConfigError("optimizer needs at least one parameter")
         self.named_params = list(named_params)
@@ -37,6 +41,12 @@ class _OptimizerBase:
         # decay only matrix-shaped weights; biases, norm scales and
         # distribution parameters stay unregularized
         self.decay_mask = {name: p.data.ndim >= 2 for name, p in self.named_params}
+        self.warmup_steps = int(warmup_steps)
+        self.z = [p.data.copy() for _, p in self.named_params]
+        self.x = [p.data.copy() for _, p in self.named_params]
+        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
+        self.weight_sum = 0.0
+        self._in_train_mode = True  # params start at y == x == z
 
     def _gather_grads(self):
         grads = []
@@ -52,43 +62,6 @@ class _OptimizerBase:
                 scale = self.clip_norm / total
                 grads = [g * scale for g in grads]
         return grads
-
-    def _check_finite(self):
-        for name, p in self.named_params:
-            if not np.all(np.isfinite(p.data)):
-                raise NumericError(f"parameter {name} became non-finite after optimizer step")
-
-    # interface points, overridden below
-    def step(self) -> bool:
-        raise NotImplementedError
-
-    def train_mode(self):
-        pass
-
-    def eval_mode(self):
-        pass
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        raise NotImplementedError
-
-
-class ScheduleFreeAdamW(_OptimizerBase):
-    """Schedule-free variant: gradient at y = beta1*x + (1-beta1)*z,
-    fast iterate z gets the Adam-style step, x is the weighted average of
-    the z trajectory and is what evaluation should use."""
-
-    def __init__(self, named_params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-2, warmup_steps: int = 0, clip_norm: float | None = 10.0):
-        super().__init__(named_params, lr, betas, eps, weight_decay, clip_norm)
-        self.warmup_steps = int(warmup_steps)
-        self.z = [p.data.copy() for _, p in self.named_params]
-        self.x = [p.data.copy() for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.weight_sum = 0.0
-        self._in_train_mode = True  # params start at y == x == z
 
     def train_mode(self):
         """Write the gradient-evaluation point y into the parameters."""
@@ -125,7 +98,9 @@ class ScheduleFreeAdamW(_OptimizerBase):
         for i, (name, p) in enumerate(self.named_params):
             self.x[i] = (1.0 - c) * self.x[i] + c * self.z[i]
             p.data = self.beta1 * self.x[i] + (1.0 - self.beta1) * self.z[i]
-        self._check_finite()
+        for name, p in self.named_params:
+            if not np.all(np.isfinite(p.data)):
+                raise NumericError(f"parameter {name} became non-finite after optimizer step")
         return True
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -145,52 +120,3 @@ class ScheduleFreeAdamW(_OptimizerBase):
             self.x[i] = arrays[f"x.{name}"].copy()
             self.v[i] = arrays[f"v.{name}"].copy()
         self.train_mode()
-
-
-class AdamW(_OptimizerBase):
-    """Standard AdamW with constant learning rate and decoupled decay."""
-
-    def __init__(self, named_params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-2, clip_norm: float | None = 10.0, **_ignored):
-        super().__init__(named_params, lr, betas, eps, weight_decay, clip_norm)
-        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
-
-    def step(self) -> bool:
-        grads = self._gather_grads()
-        if grads is None:
-            return False
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, ((name, p), g) in enumerate(zip(self.named_params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
-            if self.weight_decay > 0.0 and self.decay_mask[name]:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
-        self._check_finite()
-        return True
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"t": np.array([self.t], dtype=np.int64)}
-        for i, (name, _) in enumerate(self.named_params):
-            out[f"m.{name}"] = self.m[i]
-            out[f"v.{name}"] = self.v[i]
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        self.t = int(arrays["t"][0])
-        for i, (name, _) in enumerate(self.named_params):
-            self.m[i] = arrays[f"m.{name}"].copy()
-            self.v[i] = arrays[f"v.{name}"].copy()
-
-
-def make_optimizer(kind: str, named_params, **kwargs):
-    if kind == "schedule_free":
-        return ScheduleFreeAdamW(named_params, **kwargs)
-    if kind == "adamw":
-        kwargs.pop("warmup_steps", None)
-        return AdamW(named_params, **kwargs)
-    raise ConfigError(f"unknown optimizer kind {kind!r}")

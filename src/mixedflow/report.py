@@ -4,10 +4,11 @@ layout, CSV emission, and dependency-free SVG scatter / line plots."""
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+from io import StringIO
 
 import numpy as np
 
+from .io import write_file
 from .metrics import MetricReport
 
 __all__ = ["render_table", "write_report_csv", "svg_scatter", "svg_coverage_curve"]
@@ -52,10 +53,11 @@ def write_report_csv(path, reports: dict[str, MetricReport]):
         for key in row:
             if key not in keys:
                 keys.append(key)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = StringIO()
+    writer = csv.DictWriter(buf, fieldnames=keys)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_file(path, buf.getvalue())
 
 
 def _svg_head(width, height, title):
@@ -102,7 +104,7 @@ def svg_scatter(path, truths, means, title="recovery", size=420):
     parts.append(f'<text x="{size / 2:.0f}" y="18" text-anchor="middle" '
                  f'font-size="13">{title}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    write_file(path, "\n".join(parts))
 
 
 def svg_coverage_curve(path, alphas, coverages_by_name: dict[str, list[float]],
@@ -131,4 +133,4 @@ def svg_coverage_curve(path, alphas, coverages_by_name: dict[str, list[float]],
     parts.append(f'<text x="{size / 2:.0f}" y="18" text-anchor="middle" '
                  f'font-size="13">{title}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    write_file(path, "\n".join(parts))

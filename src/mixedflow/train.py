@@ -17,13 +17,15 @@ import csv
 import logging
 import time
 from dataclasses import dataclass, asdict
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError
+from .io import write_file
 from .model import Batch, ModelConfig, PosteriorModel, load_model, make_batch, save_model
-from .nn.optim import make_optimizer
+from .nn.optim import ScheduleFreeAdamW
 from .nn.tensor import no_grad
 from .seeding import substream
 from .simulate import (HierDataset, SimConfig, permute_columns, simulate_conjugate_dataset,
@@ -57,7 +59,8 @@ class TrainConfig:
     n_range: tuple[int, int] = (5, 70)
     permute_slopes: bool = True
     standardize: bool = True
-    # optimization (defaults are conventional choices, nothing prescribes them)
+    # optimization (defaults are conventional choices, nothing prescribes them);
+    # "schedule_free" is the only optimizer
     optimizer: str = "schedule_free"
     lr: float = 1e-3
     weight_decay: float = 1e-2
@@ -78,6 +81,8 @@ class TrainConfig:
             raise ConfigError("dataset budget is smaller than one batch")
         if self.family not in ("full", "conjugate"):
             raise ConfigError(f"unknown training family {self.family!r}")
+        if self.optimizer != "schedule_free":
+            raise ConfigError(f"unknown optimizer kind {self.optimizer!r}")
         if self.family == "conjugate":
             # single group, no random effects, known noise, raw scale
             self.q = 0
@@ -149,14 +154,22 @@ def total_loss(model: PosteriorModel, batch: Batch,
     return float(model.loss(batch, rng).item())
 
 
-def _validation_loss(model: PosteriorModel, val_batches: list[Batch]) -> float:
+def _validation_loss(model: PosteriorModel, opt: ScheduleFreeAdamW,
+                     val_batches: list[Batch]) -> float:
+    """Mean per-dataset loss at the optimizer's averaged iterate; leaves the
+    model and optimizer in training mode."""
+    opt.eval_mode()
     model.set_training(False)
     total, count = 0.0, 0
-    with no_grad():
-        for batch in val_batches:
-            g, l = model.loss_components(batch)
-            total += float((g + l).sum().item())
-            count += batch.size
+    try:
+        with no_grad():
+            for batch in val_batches:
+                g, l = model.loss_components(batch)
+                total += float((g + l).sum().item())
+                count += batch.size
+    finally:
+        opt.train_mode()
+        model.set_training(True)
     return total / count
 
 
@@ -170,12 +183,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
     curve_path = out / "curve.csv"
 
     mcfg = cfg.model_config()
-    model = PosteriorModel(mcfg, substream(cfg.seed, "init"))
-    opt = make_optimizer(
-        cfg.optimizer, list(model.named_parameters()), lr=cfg.lr,
-        betas=(cfg.beta1, cfg.beta2), eps=cfg.eps, weight_decay=cfg.weight_decay,
-        warmup_steps=cfg.warmup_steps, clip_norm=cfg.clip_norm)
-
     start_step = 0
     best_val = float("inf")
     curve: list[tuple[int, float, float, float]] = []
@@ -185,11 +192,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
         model, manifest, opt_arrays = load_model(last_path)
         if not opt_arrays:
             raise ConfigError("resume checkpoint carries no optimizer state")
-        opt = make_optimizer(
-            cfg.optimizer, list(model.named_parameters()), lr=cfg.lr,
-            betas=(cfg.beta1, cfg.beta2), eps=cfg.eps, weight_decay=cfg.weight_decay,
-            warmup_steps=cfg.warmup_steps, clip_norm=cfg.clip_norm)
-        opt.load_state(opt_arrays)
         start_step = int(manifest["step"])
         best_val = float(manifest.get("best_val", float("inf")))
         if curve_path.exists():
@@ -201,6 +203,14 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{curve_path}: bad training curve "
                                       f"({type(exc).__name__}: {exc})") from None
+    else:
+        model, opt_arrays = PosteriorModel(mcfg, substream(cfg.seed, "init")), None
+    opt = ScheduleFreeAdamW(
+        list(model.named_parameters()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
+        eps=cfg.eps, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
+        clip_norm=cfg.clip_norm)
+    if opt_arrays:
+        opt.load_state(opt_arrays)
 
     log.info("building %d validation datasets", cfg.val_sets)
     val_sets = [make_training_dataset(cfg, i, "val") for i in range(cfg.val_sets)]
@@ -246,24 +256,21 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
             divergent_streak = 0
 
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
-            val = _validation_loss_with_opt(model, opt, val_batches)
+            val = _validation_loss(model, opt, val_batches)
             curve.append((step + 1, float(g.mean().item()), float(l.mean().item()), val))
             _write_curve(curve_path, curve)
-            if val < best_val:
+            improved = val < best_val
+            if improved:
                 best_val = val
                 stale_evals = 0
-                opt.eval_mode()
-                save_model(best_path, model, {"step": step + 1, "seed": cfg.seed,
-                                              "best_val": best_val,
-                                              "train_config": asdict(cfg)})
-                opt.train_mode()
             else:
                 stale_evals += 1
+            meta = {"step": step + 1, "seed": cfg.seed, "best_val": best_val,
+                    "train_config": asdict(cfg)}
             opt.eval_mode()
-            save_model(last_path, model, {"step": step + 1, "seed": cfg.seed,
-                                          "best_val": best_val,
-                                          "train_config": asdict(cfg)},
-                       opt_arrays=opt.state_arrays())
+            if improved:
+                save_model(best_path, model, meta)
+            save_model(last_path, model, meta, opt_arrays=opt.state_arrays())
             opt.train_mode()
             if progress:
                 rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
@@ -286,17 +293,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
         checkpoint_id=checkpoint_id(best_path), stopped_early=stopped_early)
 
 
-def _validation_loss_with_opt(model: PosteriorModel, opt, val_batches: list[Batch]) -> float:
-    opt.eval_mode()
-    try:
-        return _validation_loss(model, val_batches)
-    finally:
-        opt.train_mode()
-        model.set_training(True)
-
-
 def _write_curve(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "global_loss", "local_loss", "val_loss"])
-        writer.writerows(rows)
+    buf = StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "global_loss", "local_loss", "val_loss"])
+    writer.writerows(rows)
+    write_file(path, buf.getvalue())

@@ -1,8 +1,10 @@
 """Checkpoint container: bit-exact round trips, format validation, typed
-errors for every truncation and corrupted byte, and an exact parameter
-match on load."""
+errors for every truncation and corrupted byte, an exact parameter match
+on load, and a failed save that leaves the previous checkpoint intact."""
 
+import errno
 import functools
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -154,3 +156,21 @@ def test_parameter_set_must_match_the_model(tmp_path, change):
     save_checkpoint(path, manifest, arrays)
     with pytest.raises(DataFormatError, match="norm"):
         load_model(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "last.ckpt"
+    save_model(path, PosteriorModel(TINY, np.random.default_rng(0)), {"step": 1})
+    before = _load(path.read_bytes())
+
+    def disk_full(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError) as info:
+        save_model(path, PosteriorModel(TINY, np.random.default_rng(1)), {"step": 2})
+    assert info.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    assert load_model(path)[1]["step"] == 1
+    assert _same_load(_load(path.read_bytes()), before)
+    assert os.listdir(tmp_path) == ["last.ckpt"]

@@ -182,6 +182,8 @@ MALFORMED = [
     ("train-config-not-json", lambda w, t: _train(t, _write(t / "c.json", "{width")), 4),
     ("train-config-unknown-field", lambda w, t: _train(
         t, _write(t / "c.json", json.dumps({"widht": 16}))), 2),
+    ("train-config-unknown-optimizer", lambda w, t: _train(
+        t, _write(t / "c.json", json.dumps({"optimizer": "adamw"}))), 2),
     ("dataset-bad-dim", lambda w, t: _infer(w, t, _write(t / "d.jsonl", json.dumps(
         {**_first_record(w), "d": "two"}) + "\n")), 4),
     ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),

@@ -1,9 +1,15 @@
 """Record formats: dataset and draw files round-trip losslessly (including
 gzip containers), observation CSVs build valid datasets, and manifests
-carry the reproducibility fields."""
+carry the reproducibility fields. Writes are atomic and reproducible, and
+io.write_file is the only code in the package that writes a file."""
 
+import ast
+import gzip
 import json
+import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,10 +62,37 @@ class TestDatasetFiles:
         mfio.save_datasets(plain, _datasets())
         lines = plain.read_bytes().splitlines(keepends=True)
         path = tmp_path / name
-        with mfio._open(path, "wb") as fh:
-            fh.write(b"".join(lines[:2]) + b'{"id": "\xff"}\n' + lines[2])
+        mfio.write_file(path, b"".join(lines[:2]) + b'{"id": "\xff"}\n' + lines[2])
         with pytest.raises(DataFormatError, match=f"{name}:3: .*UnicodeDecodeError"):
             mfio.load_datasets(path)
+
+    def test_gzip_bytes_reproducible(self, tmp_path, monkeypatch):
+        datasets = _datasets()
+        for name, now in [("a.jsonl.gz", 1.0e9), ("b.jsonl.gz", 2.0e9)]:
+            monkeypatch.setattr(time, "time", lambda: now)
+            mfio.save_datasets(tmp_path / name, datasets)
+        mfio.save_datasets(tmp_path / "plain.jsonl", datasets)
+        packed = (tmp_path / "a.jsonl.gz").read_bytes()
+        assert packed == (tmp_path / "b.jsonl.gz").read_bytes()
+        assert gzip.decompress(packed) == (tmp_path / "plain.jsonl").read_bytes()
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "sets.jsonl"
+        mfio.save_datasets(path, _datasets())
+        before = path.read_bytes()
+        to_record, calls = mfio.dataset_to_record, []
+
+        def fail_second(ds):
+            calls.append(ds)
+            if len(calls) == 2:
+                raise RuntimeError("serialization failed")
+            return to_record(ds)
+
+        monkeypatch.setattr(mfio, "dataset_to_record", fail_second)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            mfio.save_datasets(path, _datasets())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["sets.jsonl"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -241,3 +274,50 @@ def test_draw_records_round_trip_exactly(tmp_path_factory, draws):
             _same_bytes(getattr(a, name), getattr(b, name))
         for name in vars(a.rec):
             _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
+
+
+# one way to write a file ------------------------------------------------------
+
+PACKAGE = Path(mfio.__file__).parent
+
+
+def _writes(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, call) for each call in `tree` that writes a file: open or
+    gzip.open with a mode that is not a read-only literal, .write_text,
+    .write_bytes and json.dump (or any other dump to a handle)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name == "open":
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append((node.lineno, ast.unparse(node)))
+        elif name in ("write_text", "write_bytes", "dump"):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_write_guard_finds_each_write_form():
+    src = ('open(p, "w"); open(p, mode="ab"); gzip.open(p, "wt"); open(p, m)\n'
+           'p.write_text(s); p.write_bytes(b); json.dump(o, fh); dump(o, fh)\n'
+           'open(p); open(p, "rb"); gzip.open(p, "rt"); json.dumps(o)\n')
+    assert len(_writes(ast.parse(src))) == 8
+
+
+def test_write_file_is_the_only_writer():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sanctioned = range(0)  # the open(tmp, "wb") inside io.write_file
+        if path == PACKAGE / "io.py":
+            fn = next(n for n in tree.body
+                      if isinstance(n, ast.FunctionDef) and n.name == "write_file")
+            sanctioned = range(fn.lineno, fn.end_lineno + 1)
+        offenders += [f"{path.relative_to(PACKAGE)}:{line}: {call}"
+                      for line, call in _writes(tree) if line not in sanctioned]
+    assert not offenders, "write through io.write_file instead:\n" + "\n".join(offenders)

@@ -1,9 +1,13 @@
 """Standardization: moment contracts on the data side, the analytic
 parameter transforms and their exact inverses, and the consistency
-identity between standardized outcomes and z-scored outcomes."""
+identity between standardized outcomes and z-scored outcomes, with
+property tests of the round trips and prior pushforward over arbitrary
+records."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixedflow import simulate as sim
 from mixedflow import standardize as stz
@@ -167,3 +171,113 @@ class TestPriorPushforward:
         _, rec = stz.standardize_data(ds)
         p = stz.standardize_prior(ds.truth.prior, rec)
         assert np.all(p.tau_beta > 0) and np.all(p.tau_sigma > 0) and p.tau_eps > 0
+
+
+# properties over arbitrary records ------------------------------------------
+#
+# Tolerance, fixed before the first run: every checked entry may differ by
+# RTOL times the magnitude of the transform that produced it, the sum of the
+# absolute values of the terms it combines. Entries that only scale have
+# their own size as magnitude; the intercept, the random intercept and its
+# std dev subtract, so a result near zero is judged against the size of the
+# terms that cancelled. The random-intercept std dev is compared squared,
+# where its inverse subtracts: |s0_back^2 - s0^2| <= RTOL * sum(mu_z^2 s^2).
+# A few float64 roundings per term stay far below it.
+
+RTOL = 1e-12
+MEAN = st.floats(-1e3, 1e3)
+SCALE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _record(draw, d):
+    """A record that keeps the intercept entry at mu=1, sigma=1."""
+    mu_x = np.concatenate([[1.0], draw(hnp.arrays(np.float64, d - 1, elements=MEAN))])
+    sigma_x = np.concatenate([[1.0], draw(hnp.arrays(np.float64, d - 1, elements=SCALE))])
+    return stz.StandardizationRecord(mu_x, sigma_x, draw(MEAN), draw(SCALE),
+                                     np.zeros(d, dtype=bool))
+
+
+@st.composite
+def _case(draw):
+    d = draw(st.integers(1, 5))
+    q = draw(st.integers(0, d))
+    m = draw(st.integers(1, 4))
+    gp = sim.GlobalParams(draw(hnp.arrays(np.float64, d, elements=MEAN)),
+                          draw(hnp.arrays(np.float64, q, elements=SCALE)), draw(SCALE))
+    lp = sim.LocalParams(draw(hnp.arrays(np.float64, (m, q), elements=MEAN)))
+    return draw(_record(d)), gp, lp
+
+
+def _magnitudes(gp, lp, rec):
+    """Per-entry transform magnitude of (beta, sigma_alpha^2, alpha) on the
+    data scale, from the absolute values of the terms each one combines."""
+    d, q = rec.d, gp.sigma_alpha.shape[0]
+    mu_z = np.abs(rec.mu_x[:q])
+    beta = np.abs(gp.beta)
+    beta[0] += np.abs(gp.beta[1:]) @ np.abs(rec.mu_x[1:]) + abs(rec.mu_y)
+    var = gp.sigma_alpha ** 2
+    alpha = np.abs(lp.alpha)
+    if q >= 1:
+        var[0] = np.sum(mu_z ** 2 * gp.sigma_alpha ** 2)
+        alpha[:, 0] = np.abs(lp.alpha) @ mu_z
+    return beta, var, alpha
+
+
+def _close(got, want, magnitude):
+    assert np.all(np.abs(np.asarray(got) - want) <= RTOL * magnitude), (got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_case())
+def test_params_round_trip(case):
+    rec, gp, lp = case
+    back_g, back_l = stz.unstandardize_params(*stz.standardize_params(gp, lp, rec), rec)
+    beta_mag, var_mag, alpha_mag = _magnitudes(gp, lp, rec)
+    _close(back_g.beta, gp.beta, beta_mag)
+    _close(back_g.sigma_alpha ** 2, gp.sigma_alpha ** 2, var_mag)
+    _close(back_g.sigma_eps, gp.sigma_eps, gp.sigma_eps)
+    _close(back_l.alpha, lp.alpha, alpha_mag)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_case(), k=st.integers(1, 4), has_noise=st.booleans(), data=st.data())
+def test_draw_transforms_match_params_row_by_row(case, k, has_noise, data):
+    rec, gp, lp = case
+    d, q, m = rec.d, gp.sigma_alpha.shape[0], lp.alpha.shape[0]
+    beta = data.draw(hnp.arrays(np.float64, (k, d), elements=MEAN))
+    sigma = data.draw(hnp.arrays(np.float64, (k, q + 1), elements=SCALE))
+    alpha = data.draw(hnp.arrays(np.float64, (k, m, q), elements=MEAN))
+    width = d + q + has_noise
+    glob = stz.unstandardize_global_draws(np.column_stack([beta, sigma])[:, :width],
+                                          d, q, rec, has_noise=has_noise)
+    local = stz.unstandardize_local_draws(alpha, q, rec)
+    for j in range(k):
+        gp_s = sim.GlobalParams(beta[j], sigma[j, :q], sigma[j, q])
+        lp_s = sim.LocalParams(alpha[j])
+        gp_b, lp_b = stz.unstandardize_params(gp_s, lp_s, rec)
+        beta_mag, var_mag, alpha_mag = _magnitudes(gp_b, lp_b, rec)
+        _close(glob[j, :d], gp_b.beta, beta_mag)
+        _close(glob[j, d:d + q] ** 2, gp_b.sigma_alpha ** 2, var_mag)
+        if has_noise:
+            _close(glob[j, d + q], gp_b.sigma_eps, gp_b.sigma_eps)
+        _close(local[j], lp_b.alpha, alpha_mag)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_case(), data=st.data())
+def test_prior_pushforward_matches_exact_beta_prior(case, data):
+    rec, gp, _ = case
+    d, q = rec.d, gp.sigma_alpha.shape[0]
+    prior = sim.PriorSpec(data.draw(hnp.arrays(np.float64, d, elements=MEAN)),
+                          data.draw(hnp.arrays(np.float64, d, elements=SCALE)),
+                          data.draw(hnp.arrays(np.float64, q, elements=SCALE)),
+                          data.draw(SCALE))
+    pushed = stz.standardize_prior(prior, rec)
+    mean, cov = stz.standardized_beta_prior(prior, rec)
+    mean_mag = np.abs(prior.nu_beta) * rec.sigma_x / rec.sigma_y
+    mean_mag[0] = (abs(prior.nu_beta[0]) + np.abs(prior.nu_beta[1:]) @ np.abs(rec.mu_x[1:])
+                   + abs(rec.mu_y)) / rec.sigma_y
+    _close(pushed.nu_beta, mean, mean_mag)
+    # every term of the scale is non-negative, so its own size is the magnitude
+    _close(pushed.tau_beta, np.sqrt(np.diag(cov)), pushed.tau_beta)

@@ -107,10 +107,10 @@ class TestGradientReach:
         # at exact initialization the zero-initialized flow heads block the
         # upstream path (identity-at-init is a hard contract), so take two
         # optimizer steps first, then demand gradient reach everywhere
-        from mixedflow.nn.optim import AdamW
+        from mixedflow.nn.optim import ScheduleFreeAdamW
         model, cfg = small_model(seed=7)
         model.set_training(True)
-        opt = AdamW(list(model.named_parameters()), lr=1e-3)
+        opt = ScheduleFreeAdamW(list(model.named_parameters()), lr=1e-3)
         batch, _ = toy_batch(cfg, count=8, seed=8)
         for step in range(2):
             model.zero_grad()
