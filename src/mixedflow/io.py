@@ -6,9 +6,13 @@ group_sizes, x (row-major over unmasked observations), y, prior, truth.
 The random-effect design is not stored: it mirrors the first q columns of
 x by construction.
 
-Posterior draw files: same container style, one record per dataset with
-the k-by-parameter draw blocks, flow log densities, the standardization
-record, optional importance weights and optional interval tables.
+Posterior draw files (posterior-draws/2): same container style, one record
+per dataset with the k-by-parameter draw blocks, flow log densities, the
+standardization record, optional importance weights and optional interval
+tables. Each numeric block is one ASCII string, the base64 of the array's
+little-endian float64 bytes in C order (null when absent): exact for every
+value, strict JSON, and without the cost of float-to-text conversion.
+Version 1 records, with number lists in the same order, still load.
 
 Observation CSV: one row per observation with columns
 group_id, y, x_1..x_p; the intercept column is synthesized, so the model
@@ -27,6 +31,7 @@ zero timestamp and no embedded name, so equal content gives equal bytes.
 
 from __future__ import annotations
 
+import base64
 import csv
 import gzip
 import hashlib
@@ -50,7 +55,7 @@ __all__ = [
 ]
 
 DATASET_SCHEMA = "hier-dataset/1"
-DRAWS_SCHEMA = "posterior-draws/1"
+DRAWS_SCHEMA = "posterior-draws/2"
 
 
 def _open(path):
@@ -187,6 +192,27 @@ def load_datasets(path) -> list[HierDataset]:
 # posterior draws
 
 
+def _block(a) -> str | None:
+    """A draw block as base64 of its little-endian float64 bytes, C order."""
+    return None if a is None else base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
+
+
+def _block_array(rec: dict, key: str, count: int) -> np.ndarray:
+    """The `count` float64 values of block `key`: base64 text in a version 2
+    record, a number list in a version 1 record."""
+    raw = rec[key]
+    if rec["schema"] == "posterior-draws/1":
+        values = np.asarray(raw, dtype=np.float64).reshape(-1)
+    else:
+        try:  # not text, a non-base64 character, or not whole float64 values
+            values = np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8")
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"draw block {key!r} is not base64 float64 ({exc})") from None
+    if values.size != count:
+        raise DataFormatError(f"draw block {key!r} holds {values.size} values, expected {count}")
+    return values.astype(np.float64)
+
+
 def draws_to_record(draws: PosteriorDraws, intervals: dict | None = None) -> dict:
     rec = {
         "schema": DRAWS_SCHEMA,
@@ -194,43 +220,37 @@ def draws_to_record(draws: PosteriorDraws, intervals: dict | None = None) -> dic
         "k": draws.k, "d": draws.d, "q": draws.q,
         "infer_noise": draws.infer_noise,
         "param_names": draws.param_names(),
-        "global": draws.global_std.reshape(-1).tolist(),
-        "log_q_global": draws.log_q_global.tolist(),
-        "local": None, "log_q_local": None,
-        "weights": None, "local_weights": None,
+        "global": _block(draws.global_std),
+        "log_q_global": _block(draws.log_q_global),
+        "local": _block(draws.local_std), "log_q_local": _block(draws.log_q_local),
+        "weights": _block(draws.weights), "local_weights": _block(draws.local_weights),
         "standardization": draws.rec.to_json(),
         "intervals": intervals,
     }
     if draws.local_std is not None:
-        rec["local"] = draws.local_std.reshape(-1).tolist()
-        rec["log_q_local"] = draws.log_q_local.reshape(-1).tolist()
         rec["m"] = draws.m
-    if draws.weights is not None:
-        rec["weights"] = draws.weights.tolist()
-    if draws.local_weights is not None:
-        rec["local_weights"] = draws.local_weights.reshape(-1).tolist()
     return rec
 
 
 def draws_from_record(rec: dict) -> PosteriorDraws:
-    if rec.get("schema") != DRAWS_SCHEMA:
+    if rec.get("schema") not in (DRAWS_SCHEMA, "posterior-draws/1"):
         raise DataFormatError(f"not a {DRAWS_SCHEMA} record: schema={rec.get('schema')!r}")
     k, d, q = int(rec["k"]), int(rec["d"]), int(rec["q"])
     infer_noise = bool(rec["infer_noise"])
     p = d + q + (1 if infer_noise else 0)
-    global_std = np.asarray(rec["global"], dtype=np.float64).reshape(k, p)
+    global_std = _block_array(rec, "global", k * p).reshape(k, p)
     local = log_q_local = weights = local_weights = None
     if rec.get("local") is not None:
         m = int(rec["m"])
-        local = np.asarray(rec["local"], dtype=np.float64).reshape(k, m, q)
-        log_q_local = np.asarray(rec["log_q_local"], dtype=np.float64).reshape(k, m)
+        local = _block_array(rec, "local", k * m * q).reshape(k, m, q)
+        log_q_local = _block_array(rec, "log_q_local", k * m).reshape(k, m)
         if rec.get("local_weights") is not None:
-            local_weights = np.asarray(rec["local_weights"], dtype=np.float64).reshape(k, m)
+            local_weights = _block_array(rec, "local_weights", k * m).reshape(k, m)
     if rec.get("weights") is not None:
-        weights = np.asarray(rec["weights"], dtype=np.float64)
+        weights = _block_array(rec, "weights", k)
     return PosteriorDraws(
         global_std=global_std,
-        log_q_global=np.asarray(rec["log_q_global"], dtype=np.float64),
+        log_q_global=_block_array(rec, "log_q_global", k),
         d=d, q=q, infer_noise=infer_noise,
         rec=StandardizationRecord.from_json(rec["standardization"]),
         local_std=local, log_q_local=log_q_local,

@@ -21,7 +21,7 @@ import numpy as np
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError, DimensionError
 from .flow import CouplingFlow
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from .nn.layers import Module
 from .nn.tensor import Tensor, cat, no_grad
 from .simulate import GlobalParams, HierDataset, PriorSpec
@@ -329,13 +329,8 @@ def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
         raise DataFormatError(f"{path}: manifest does not describe a model ({exc!r})") from None
     named = dict(model.named_parameters())
     stored = {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")}
-    if stored.keys() != named.keys():
-        missing, extra = sorted(named.keys() - stored.keys()), sorted(stored.keys() - named.keys())
-        raise DataFormatError(f"{path}: parameters missing {missing[:5]}, unexpected {extra[:5]}")
+    check_arrays(f"{path}: parameters", stored, {n: p.data.shape for n, p in named.items()})
     for name, value in stored.items():
-        if named[name].data.shape != value.shape:
-            raise DataFormatError(f"{path}: parameter {name} has shape {value.shape}, "
-                                  f"the model needs {named[name].data.shape}")
         named[name].data = value.astype(named[name].data.dtype)
     opt_arrays = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
     manifest["checkpoint_id"] = digest

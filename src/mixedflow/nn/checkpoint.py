@@ -39,7 +39,7 @@ from ..io import write_file
 MAGIC = b"MXFL"
 FORMAT_VERSION = 2
 
-__all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_id", "FORMAT_VERSION"]
+__all__ = ["save_checkpoint", "load_checkpoint", "check_arrays", "checkpoint_id", "FORMAT_VERSION"]
 
 
 def _encode(manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -154,3 +154,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], str]:
 def checkpoint_id(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def check_arrays(what: str, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]):
+    """DataFormatError unless `arrays` holds exactly the names in `shapes`, with those shapes."""
+    if arrays.keys() != shapes.keys():
+        missing, extra = sorted(shapes.keys() - arrays.keys()), sorted(arrays.keys() - shapes.keys())
+        raise DataFormatError(f"{what}: missing {missing[:5]}, unexpected {extra[:5]}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise DataFormatError(f"{what}: {name} has shape {arrays[name].shape}, expected {shape}")

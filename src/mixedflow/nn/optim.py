@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, NumericError
+from .checkpoint import check_arrays
 from .tensor import Tensor
 
 __all__ = ["ScheduleFreeAdamW"]
@@ -113,6 +114,9 @@ class ScheduleFreeAdamW:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]):
+        """Restore from exactly the arrays state_arrays() gives, shapes included."""
+        check_arrays("optimizer state", arrays,
+                     {name: a.shape for name, a in self.state_arrays().items()})
         self.t = int(arrays["t"][0])
         self.weight_sum = float(arrays["weight_sum"][0])
         for i, (name, _) in enumerate(self.named_params):

@@ -1,6 +1,7 @@
 """CLI surface: the full command pipeline on a miniature problem, the
 documented exit codes, and reproducibility of draw files."""
 
+import base64
 import gzip
 import json
 import shutil
@@ -8,9 +9,11 @@ import shutil
 import numpy as np
 import pytest
 
+import io_oracle
 from mixedflow.cli import main
 from mixedflow import io as mfio
 from mixedflow.draws import PosteriorDraws
+from mixedflow.nn.checkpoint import load_checkpoint, save_checkpoint
 from mixedflow.standardize import StandardizationRecord
 
 TINY_TRAIN = {"width": 16, "summary_blocks": 1, "heads": 2, "flow_blocks": 2,
@@ -94,6 +97,22 @@ class TestPipeline:
         assert "mine:r" in text.splitlines()[0]
         assert (report_dir / "split_n_mine.csv").exists()
 
+    def test_report_reads_version1_draw_files_alike(self, workdir, tmp_path):
+        draws = tmp_path / "x.jsonl"
+        assert main(_infer(workdir, tmp_path, None, "--refine", "is")) == 0
+        reports = []
+        for version in (2, 1):
+            if version == 1:
+                mfio.save_draws(draws, [io_oracle.draws_to_record(dr, rec["intervals"])
+                                        for dr, rec in mfio.load_draws(draws)])
+            out = tmp_path / f"rep{version}"
+            assert main(["report", "--draws", f"mine={draws}", "--data",
+                         str(workdir / "sets.jsonl"), "--out", str(out)]) == 0
+            reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                            if f.name != "manifest.json"})
+        assert '"posterior-draws/1"' in draws.read_text()
+        assert "report.csv" in reports[0] and reports[0] == reports[1]
+
     def test_csv_inference(self, workdir, tmp_path):
         obs = tmp_path / "obs.csv"
         rows = ["group_id,y,x_1"]
@@ -159,6 +178,26 @@ def _draw_record(**changes) -> str:
     return json.dumps({**mfio.draws_to_record(draws), **changes}) + "\n"
 
 
+def _changed_global(change) -> str:
+    """A draw record whose global block text went through `change`."""
+    return _draw_record(**{"global": change(json.loads(_draw_record())["global"])})
+
+
+def _resume_with_optimizer(change):
+    """Resume from a last.ckpt whose optimizer arrays went through `change`."""
+    def make(workdir, tmp_path):
+        shutil.copytree(workdir / "run", tmp_path / "run")
+        manifest, arrays, _ = load_checkpoint(tmp_path / "run" / "last.ckpt")
+        save_checkpoint(tmp_path / "run" / "last.ckpt", manifest, change(arrays))
+        return _train(tmp_path, _write(tmp_path / "c.json", json.dumps(TINY_TRAIN)), "--resume")
+    return make
+
+
+def _reshape_one_v(arrays):
+    name = next(k for k in arrays if k.startswith("opt.v."))
+    return {**arrays, name: arrays[name].reshape(1, 1, -1)}
+
+
 def _resume_with_curve(workdir, tmp_path):
     shutil.copytree(workdir / "run", tmp_path / "run")
     _write(tmp_path / "run" / "curve.csv", "step,global_loss,local_loss,val_loss\n10,x,1,1\n")
@@ -194,6 +233,17 @@ MALFORMED = [
         (w / "sets.jsonl").read_bytes())[:2000])), 4),
     ("draws-null-k", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(k=None))), 4),
     ("draws-not-utf8", lambda w, t: _report(w, t, _write(t / "x.jsonl", b"\xff\n")), 4),
+    ("draws-global-cut-8-bytes", lambda w, t: _report(w, t, _write(t / "x.jsonl", _changed_global(
+        lambda b: base64.b64encode(base64.b64decode(b)[:-8]).decode()))), 4),
+    ("draws-global-not-base64", lambda w, t: _report(w, t, _write(t / "x.jsonl", _changed_global(
+        lambda b: "!" + b[1:]))), 4),
+    ("draws-block-number", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(
+        log_q_global=1))), 4),
+    ("draws-v1-short-global", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(
+        schema="posterior-draws/1", log_q_global=[0.0] * 3, **{"global": [1.0] * 11}))), 4),
+    ("resume-optimizer-renamed", _resume_with_optimizer(lambda arrays: {
+        k.replace("opt.z.", "opt.m.", 1): v for k, v in arrays.items()}), 4),
+    ("resume-optimizer-reshaped", _resume_with_optimizer(_reshape_one_v), 4),
     ("resume-bad-curve", _resume_with_curve, 4),
 ]
 

@@ -1,9 +1,11 @@
 """Record formats: dataset and draw files round-trip losslessly (including
-gzip containers), observation CSVs build valid datasets, and manifests
+gzip containers), draw files are strict JSON that keep every float bit and
+still read version 1, observation CSVs build valid datasets, and manifests
 carry the reproducibility fields. Writes are atomic and reproducible, and
 io.write_file is the only code in the package that writes a file."""
 
 import ast
+import base64
 import gzip
 import json
 import os
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import io_oracle
 from mixedflow import io as mfio
 from mixedflow import simulate as sim
 from mixedflow.draws import PosteriorDraws
@@ -140,6 +143,25 @@ class TestDrawFiles:
         (back, _), = mfio.load_draws(path)
         assert back.weights is None and back.local_weights is None
 
+    @pytest.mark.parametrize("field, change", [
+        ("global", lambda rec: {"global": _cut(rec["global"], 8)}),
+        ("global", lambda rec: {"global": _cut(rec["global"], 3)}),
+        ("local", lambda rec: {"local": "!" + rec["local"][1:]}),
+        ("log_q_global", lambda rec: {"log_q_global": 1}),
+        ("weights", lambda rec: {"weights": [1.0] * 20}),
+        ("global", lambda rec: {**io_oracle.draws_to_record(mfio.draws_from_record(rec)),
+                                "global": [0.0] * 79}),
+    ], ids=["cut-8-bytes", "cut-3-bytes", "bang", "number", "list-in-v2", "short-v1-list"])
+    def test_malformed_block_names_its_field(self, field, change):
+        rec = mfio.draws_to_record(self._draws())
+        with pytest.raises(DataFormatError, match=f"'{field}'"):
+            mfio.draws_from_record({**rec, **change(rec)})
+
+
+def _cut(block: str, nbytes: int) -> str:
+    """A base64 block with its last `nbytes` bytes removed."""
+    return base64.b64encode(base64.b64decode(block)[:-nbytes]).decode()
+
 
 class TestObservationsCSV:
     def test_build_dataset(self, tmp_path):
@@ -188,10 +210,11 @@ class TestManifest:
 # exact round trips of arbitrary records --------------------------------------
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BLOCKS = ("global_std", "log_q_global", "local_std", "log_q_local", "weights", "local_weights")
 
 
-def _floats(draw, shape):
-    return draw(hnp.arrays(np.float64, shape, elements=FINITE))
+def _floats(draw, shape, elements=FINITE):
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
 
 
 def _same_bytes(a, b):
@@ -220,7 +243,9 @@ def _any_dataset(draw):
 
 
 @st.composite
-def _any_draws(draw):
+def _any_draws(draw, elements=FINITE):
+    """Arbitrary draws whose blocks hold `elements`; the standardization
+    record stays finite."""
     k, d, q, m = (draw(st.integers(1, n)) for n in (6, 3, 2, 4))
     q = draw(st.integers(0, q))
     infer_noise, local, weighted = (draw(st.booleans()) for _ in range(3))
@@ -228,12 +253,13 @@ def _any_draws(draw):
     rec = StandardizationRecord(_floats(draw, d), _floats(draw, d), draw(FINITE), draw(FINITE),
                                 draw(hnp.arrays(bool, d)), draw(st.booleans()))
     return PosteriorDraws(
-        global_std=_floats(draw, (k, d + q + infer_noise)), log_q_global=_floats(draw, k),
+        global_std=_floats(draw, (k, d + q + infer_noise), elements),
+        log_q_global=_floats(draw, k, elements),
         d=d, q=q, infer_noise=infer_noise, rec=rec,
-        local_std=_floats(draw, (k, m, q)) if local else None,
-        log_q_local=_floats(draw, (k, m)) if local else None,
-        weights=_floats(draw, k) if weighted else None,
-        local_weights=_floats(draw, (k, m)) if local and weighted else None,
+        local_std=_floats(draw, (k, m, q), elements) if local else None,
+        log_q_local=_floats(draw, (k, m), elements) if local else None,
+        weights=_floats(draw, k, elements) if weighted else None,
+        local_weights=_floats(draw, (k, m), elements) if local and weighted else None,
         dataset_id=draw(st.text(max_size=12)))
 
 
@@ -271,6 +297,58 @@ def test_draw_records_round_trip_exactly(tmp_path_factory, draws):
         assert (a.d, a.q, a.infer_noise, a.dataset_id) == (b.d, b.q, b.infer_noise, b.dataset_id)
         for name in ("global_std", "log_q_global", "local_std", "log_q_local", "weights",
                      "local_weights"):
+            _same_bytes(getattr(a, name), getattr(b, name))
+        for name in vars(a.rec):
+            _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
+
+
+# a NaN with a payload, a signalling NaN with the sign bit, both infinities, -0.0
+SPECIAL = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000000,
+                    0xFFF0000000000000, 0x8000000000000000], dtype=np.uint64).view(np.float64)
+
+
+def _special_draws() -> PosteriorDraws:
+    """Draws whose every block holds each SPECIAL value."""
+    k, m, q = len(SPECIAL), 2, 1
+    return PosteriorDraws(
+        global_std=np.resize(SPECIAL, (k, 4)), log_q_global=SPECIAL.copy(), d=2, q=q,
+        infer_noise=True, rec=StandardizationRecord.identity(2),
+        local_std=np.resize(SPECIAL[::-1], (k, m, q)), log_q_local=np.resize(SPECIAL, (k, m)),
+        weights=SPECIAL[::-1].copy(), local_weights=np.resize(SPECIAL[1:], (k, m)))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(draws=st.lists(_any_draws(st.floats()), min_size=1, max_size=3))
+@example(draws=[_special_draws()])
+def test_draw_records_are_strict_json_and_keep_every_bit(tmp_path_factory, draws):
+    path = tmp_path_factory.mktemp("draws") / "draws.jsonl"
+    mfio.save_draws(path, [mfio.draws_to_record(dr) for dr in draws])
+    for line in path.read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    for a, (b, _) in zip(draws, mfio.load_draws(path), strict=True):
+        for name in BLOCKS:
+            _same_bytes(getattr(a, name), getattr(b, name))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(draws=st.lists(_any_draws(), min_size=1, max_size=3))
+def test_version1_records_load_like_version2(tmp_path_factory, draws):
+    root = tmp_path_factory.mktemp("draws")
+    mfio.save_draws(root / "v1.jsonl", [io_oracle.draws_to_record(dr) for dr in draws])
+    mfio.save_draws(root / "v2.jsonl", [mfio.draws_to_record(dr) for dr in draws])
+    keys = {"schema", "global", "log_q_global", "local", "log_q_local", "weights",
+            "local_weights"}
+    for (a, rec1), (b, rec2) in zip(mfio.load_draws(root / "v1.jsonl"),
+                                    mfio.load_draws(root / "v2.jsonl"), strict=True):
+        assert (rec1["schema"], rec2["schema"]) == ("posterior-draws/1", "posterior-draws/2")
+        assert list(rec1) == list(rec2)
+        assert {k: v for k, v in rec1.items() if k not in keys} == \
+            {k: v for k, v in rec2.items() if k not in keys}
+        for name in BLOCKS:
             _same_bytes(getattr(a, name), getattr(b, name))
         for name in vars(a.rec):
             _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
