@@ -6,11 +6,13 @@ below its initialization value. The full desk-scale run used by the
 acceptance suite is the same call with budget=20000 and width 64.
 """
 
+import logging
 import pathlib
 import time
 
 from mixedflow.train import TrainConfig, train
 
+logging.basicConfig(level=logging.INFO, format="%(message)s")   # training progress
 OUT = pathlib.Path(__file__).parent / "_artifacts" / "toy-demo-48"
 
 cfg = TrainConfig(
@@ -20,7 +22,7 @@ cfg = TrainConfig(
 )
 
 t0 = time.time()
-result = train(cfg, OUT, progress=True)
+result = train(cfg, OUT)
 print(f"\ntrained {result.steps_run} steps in {time.time() - t0:.0f}s")
 print(f"best validation loss {result.best_val:.3f}")
 print(f"checkpoint: {result.best_path}")

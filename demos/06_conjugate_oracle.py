@@ -6,6 +6,7 @@ Gaussian and exactly computable. A model trained on this family alone
 should land its posterior means and spreads on the closed form.
 """
 
+import logging
 import pathlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from mixedflow.seeding import substream
 from mixedflow.simulate import conjugate_posterior
 from mixedflow.train import TrainConfig, make_training_dataset, train
 
+logging.basicConfig(level=logging.INFO, format="%(message)s")   # training progress
 OUT = pathlib.Path(__file__).parent / "_artifacts" / "conjugate_demo"
 
 # group size held fixed: summaries are means over observations, so the
@@ -28,7 +30,7 @@ cfg = TrainConfig(
 )
 if not (OUT / "best.ckpt").exists():
     print("training on the conjugate family (~4 min) ...")
-    train(cfg, OUT, progress=True)
+    train(cfg, OUT)
 model, _, _ = load_model(OUT / "best.ckpt")
 
 print("\nmodel vs closed form on fresh test sets:")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -107,7 +108,15 @@ def cmd_train(args) -> int:
         cfg = TrainConfig(**fields)
     except TypeError as exc:  # an unknown or ill-typed field
         raise ConfigError(f"bad training configuration ({exc})") from None
-    result = train(cfg, args.out, resume=args.resume, progress=True)
+    train_log = logging.getLogger("mixedflow.train")   # progress lines on stderr
+    handler, level = logging.StreamHandler(sys.stderr), train_log.level
+    train_log.addHandler(handler)
+    train_log.setLevel(logging.INFO)
+    try:
+        result = train(cfg, args.out, resume=args.resume)
+    finally:
+        train_log.removeHandler(handler)
+        train_log.setLevel(level)
     mfio.write_manifest(Path(args.out) / "manifest.json", "train", asdict(cfg), cfg.seed,
                         outputs=[result.best_path, result.last_path, result.curve_path])
     print(f"best validation loss {result.best_val:.4f} after {result.steps_run} steps")
@@ -337,7 +346,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, OSError) as exc:
+    except DataFormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
+        return 4
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except MixedFlowError as exc:

@@ -176,7 +176,8 @@ def _load_records(path, parse, kind: str) -> list:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     out.append(parse(json.loads(line.decode("utf-8"))))
-    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zlib.error) as exc:
+    except (DataFormatError, ValueError, KeyError, TypeError, AttributeError, EOFError,
+            zlib.error) as exc:
         raise DataFormatError(f"{path}:{lineno}: bad {kind} record "
                               f"({type(exc).__name__}: {exc})") from None
     if not out:

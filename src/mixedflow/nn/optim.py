@@ -11,6 +11,8 @@ untouched) rather than poisoning the weights.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError, NumericError
@@ -58,7 +60,7 @@ class ScheduleFreeAdamW:
                 return None
             grads.append(g)
         if self.clip_norm is not None:
-            total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+            total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
             if total > self.clip_norm:
                 scale = self.clip_norm / total
                 grads = [g * scale for g in grads]
@@ -85,7 +87,7 @@ class ScheduleFreeAdamW:
         self.t += 1
         warm = min(1.0, self.t / self.warmup_steps) if self.warmup_steps > 0 else 1.0
         # second-moment bias correction folded into the step size
-        lr_t = self.lr * warm * np.sqrt(1.0 - self.beta2 ** self.t)
+        lr_t = self.lr * warm * math.sqrt(1.0 - self.beta2 ** self.t)
         for i, ((name, p), g) in enumerate(zip(self.named_params, grads)):
             y = p.data
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
@@ -119,8 +121,8 @@ class ScheduleFreeAdamW:
                      {name: a.shape for name, a in self.state_arrays().items()})
         self.t = int(arrays["t"][0])
         self.weight_sum = float(arrays["weight_sum"][0])
-        for i, (name, _) in enumerate(self.named_params):
-            self.z[i] = arrays[f"z.{name}"].copy()
-            self.x[i] = arrays[f"x.{name}"].copy()
-            self.v[i] = arrays[f"v.{name}"].copy()
+        for i, (name, p) in enumerate(self.named_params):   # copies in p's dtype
+            self.z[i] = arrays[f"z.{name}"].astype(p.data.dtype)
+            self.x[i] = arrays[f"x.{name}"].astype(p.data.dtype)
+            self.v[i] = arrays[f"v.{name}"].astype(p.data.dtype)
         self.train_mode()

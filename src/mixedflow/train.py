@@ -173,10 +173,10 @@ def _validation_loss(model: PosteriorModel, opt: ScheduleFreeAdamW,
     return total / count
 
 
-def train(cfg: TrainConfig, out_dir, resume: bool = False,
-          progress: bool = False) -> TrainResult:
+def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     """Run the training loop; writes best/last checkpoints and a CSV curve
-    (step, global loss, local loss, validation loss) into out_dir."""
+    (step, global loss, local loss, validation loss) into out_dir. Each
+    evaluation logs one progress line to `mixedflow.train` at INFO."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     best_path, last_path = out / "best.ckpt", out / "last.ckpt"
@@ -272,11 +272,9 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False,
                 save_model(best_path, model, meta)
             save_model(last_path, model, meta, opt_arrays=opt.state_arrays())
             opt.train_mode()
-            if progress:
-                rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
-                print(f"step {step + 1}/{cfg.steps} train {loss_val:.3f} "
-                      f"val {val:.3f} best {best_val:.3f} ({rate:.2f} steps/s)",
-                      flush=True)
+            rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
+            log.info("step %d/%d train %.3f val %.3f best %.3f (%.2f steps/s)",
+                     step + 1, cfg.steps, loss_val, val, best_val, rate)
             if stale_evals >= cfg.patience:
                 log.info("no validation improvement in %d evaluations, stopping", stale_evals)
                 stopped_early = True

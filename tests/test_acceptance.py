@@ -60,7 +60,7 @@ def _report(name: str, ok: bool, detail: str):
 def _cached_model(cfg: TrainConfig, tag: str):
     out = ARTIFACTS / f"{tag}-{config_hash(asdict(cfg))[:10]}"
     if not (out / "best.ckpt").exists():
-        train(cfg, out, progress=True)
+        train(cfg, out)
     model, manifest, _ = load_model(out / "best.ckpt")
     return model, manifest
 

@@ -4,6 +4,8 @@ documented exit codes, and reproducibility of draw files."""
 import base64
 import gzip
 import json
+import logging
+import re
 import shutil
 
 import numpy as np
@@ -44,6 +46,14 @@ class TestPipeline:
         assert (workdir / "run" / "curve.csv").exists()
         manifest = json.loads((workdir / "run" / "manifest.json").read_text())
         assert manifest["command"] == "train"
+
+    def test_train_progress_goes_to_stderr(self, tmp_path, capsys):
+        assert main(_train(tmp_path, _write(tmp_path / "c.json", json.dumps(TINY_TRAIN)))) == 0
+        out, err = capsys.readouterr()
+        assert re.search(r"^step 10/\d+ train ", err, re.M) and "step 10/" not in out
+        assert out.startswith("best validation loss")
+        train_log = logging.getLogger("mixedflow.train")
+        assert not train_log.handlers and train_log.level == logging.NOTSET
 
     def test_infer_and_determinism(self, workdir):
         out1, out2 = workdir / "draws1.jsonl", workdir / "draws2.jsonl"
@@ -253,6 +263,12 @@ class TestExitCodes:
                              ids=[m[0] for m in MALFORMED])
     def test_malformed_input(self, workdir, tmp_path, make_argv, code):
         assert main(make_argv(workdir, tmp_path)) == code
+
+    def test_format_error_names_file_and_line(self, workdir, tmp_path, capsys):
+        draws = _write(tmp_path / "x.jsonl", _draw_record(**{"global": "AAAA!"}))
+        assert main(_report(workdir, tmp_path, draws)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and f"{draws}:1:" in err
 
     def test_evaluate_conformal_without_table_is_2(self, workdir, tmp_path):
         code = main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"),

@@ -65,6 +65,36 @@ def test_nonfinite_gradient_rejected(opt_cls):
     np.testing.assert_array_equal(p.data, start)
 
 
+def test_steps_keep_the_parameter_dtype():
+    # step sizes are Python floats: a numpy float64 scalar would promote
+    # float32 parameters and moments to float64 (NumPy 2 promotion rules)
+    p = Tensor(np.full((2, 3), 5.0, dtype=np.float32), requires_grad=True)
+    opt = ScheduleFreeAdamW([("p", p)], clip_norm=1.0)
+    for _ in range(3):
+        opt.train_mode()
+        p.grad = np.full((2, 3), 4.0, dtype=np.float32)   # norm 9.8: clipped
+        assert opt.step()
+    opt.eval_mode()
+    assert p.data.dtype == np.float32
+    assert {a.dtype for k, a in opt.state_arrays().items() if "." in k} == {np.dtype(np.float32)}
+
+
+def test_resume_from_float64_state_keeps_float32():
+    # a checkpoint whose optimizer state was promoted to float64 (as older
+    # runs wrote it) resumes in the parameters' float32
+    p = Tensor(np.full((2, 3), 5.0, dtype=np.float32), requires_grad=True)
+    opt = ScheduleFreeAdamW([("p", p)])
+    state = {k: (a.astype(np.float64) if "." in k else a)
+             for k, a in opt.state_arrays().items()}
+    opt.load_state(state)
+    assert p.data.dtype == np.float32
+    p.grad = np.ones((2, 3), dtype=np.float32)
+    assert opt.step()
+    opt.eval_mode()
+    assert p.data.dtype == np.float32
+    assert {a.dtype for k, a in opt.state_arrays().items() if "." in k} == {np.dtype(np.float32)}
+
+
 def test_schedule_free_eval_uses_average():
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = ScheduleFreeAdamW([("p", p)], lr=0.1, weight_decay=0.0, clip_norm=None)
