@@ -3,8 +3,8 @@
 Dataset files: line-delimited JSON, one dataset per record, gzip-compressed
 when the path ends in .gz. Record field order: schema, id, d, q, m,
 group_sizes, x (row-major over unmasked observations), y, prior, truth.
-The random-effect design is not stored: it mirrors the first q columns of
-x by construction.
+The random-effect design is not stored: a dataset derives it as the first
+q columns of x.
 
 Posterior draw files (posterior-draws/2): same container style, one record
 per dataset with the k-by-parameter draw blocks, flow log densities, the
@@ -143,8 +143,6 @@ def dataset_from_record(rec: dict) -> HierDataset:
     mask = np.arange(n_max)[None, :] < sizes[:, None]
     X[mask] = x.reshape(n_total, d)
     y[mask] = y_flat
-    Z = np.zeros_like(X)
-    Z[:, :, :q] = X[:, :, :q]
     truth = None
     if rec.get("truth") is not None:
         t = rec["truth"]
@@ -158,8 +156,8 @@ def dataset_from_record(rec: dict) -> HierDataset:
                                    float(t["sigma_eps"])),
                       LocalParams(np.asarray(t["alpha"], dtype=np.float64).reshape(m, q)),
                       noise)
-    return HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=sizes, d=d, q=q, m=m,
-                       truth=truth, dataset_id=str(rec.get("id", "")))
+    return HierDataset(X=X, y=y, mask=mask, q=q, truth=truth,
+                       dataset_id=str(rec.get("id", "")))
 
 
 def save_datasets(path, datasets: list[HierDataset]):
@@ -310,10 +308,7 @@ def read_observations_csv(path, q: int) -> HierDataset:
         X[i, :sizes[i], 0] = 1.0
         X[i, :sizes[i], 1:] = arr[:, 1:]
         y[i, :sizes[i]] = arr[:, 0]
-    Z = np.zeros_like(X)
-    Z[:, :, :q] = X[:, :, :q]
-    return HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=sizes, d=d, q=q, m=m,
-                       dataset_id=Path(path).stem)
+    return HierDataset(X=X, y=y, mask=mask, q=q, dataset_id=Path(path).stem)
 
 
 # ---------------------------------------------------------------------------

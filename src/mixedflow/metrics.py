@@ -156,7 +156,7 @@ def evaluate_dataset(ds: HierDataset, draws: PosteriorDraws,
             for a, alpha in enumerate(alphas)}
     return DatasetEval(
         dataset_id=ds.dataset_id, n_total=ds.n_total,
-        snr=snr(ds) if ds.truth is not None else float("nan"),
+        snr=snr(ds),
         truths=truths, means=means, hits=hits)
 
 

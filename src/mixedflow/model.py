@@ -86,7 +86,7 @@ class Batch:
     """Padded batch of standardized datasets plus training targets."""
 
     X: np.ndarray            # (B, m, n, d)
-    Z: np.ndarray
+    Z: np.ndarray            # (B, m, n, d): the first q columns of X, zero beyond
     y: np.ndarray            # (B, m, n)
     mask: np.ndarray         # (B, m, n) bool
     group_mask: np.ndarray   # (B, m) bool
@@ -119,9 +119,6 @@ class PosteriorModel(Module):
         self.last_local_conditioning: str | None = None
 
     # -- parameter-space plumbing ---------------------------------------------
-
-    def theta_unconstrained(self, gp: GlobalParams) -> np.ndarray:
-        return theta_unconstrained(gp, self.cfg.infer_noise)
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         """Map unconstrained draws back to [beta, sigma_alpha, sigma_eps]."""
@@ -258,17 +255,16 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
     n_max = max(ds.X.shape[1] for ds in std_list)
     dt = cfg.np_dtype
     X = np.zeros((b, m_max, n_max, cfg.d), dtype=dt)
-    Z = np.zeros_like(X)
     y = np.zeros((b, m_max, n_max), dtype=dt)
     mask = np.zeros((b, m_max, n_max), dtype=bool)
     group_mask = np.zeros((b, m_max), dtype=bool)
     for i, ds in enumerate(std_list):
         mi, ni = ds.m, ds.X.shape[1]
         X[i, :mi, :ni] = ds.X
-        Z[i, :mi, :ni] = ds.Z
         y[i, :mi, :ni] = ds.y
         mask[i, :mi, :ni] = ds.mask
         group_mask[i, :mi] = True
+    Z = np.where(np.arange(cfg.d) < cfg.q, X, 0)
 
     have_truth = all(ds.truth is not None for ds in std_list)
     theta_u = alpha_std = None

@@ -89,9 +89,8 @@ class _GroupGrams:
     W_i'e_i = c_i - G_i delta_i and e_i'e_i = s_i - delta_i'(c_i + W_i'e_i)."""
 
     def __init__(self, ds: HierDataset, beta0: np.ndarray, alpha0: np.ndarray):
-        Z = ds.Z[:, :, :ds.q]
-        W = np.concatenate([ds.X, Z], axis=2) * ds.mask[:, :, None]
-        r = (ds.y - ds.X @ beta0 - np.einsum("mnq,mq->mn", Z, alpha0)) * ds.mask
+        W = np.concatenate([ds.X, ds.Z], axis=2) * ds.mask[:, :, None]
+        r = (ds.y - ds.X @ beta0 - np.einsum("mnq,mq->mn", ds.Z, alpha0)) * ds.mask
         self.d, self.beta0, self.alpha0 = ds.d, beta0, alpha0
         self.n = ds.group_sizes.astype(np.float64)
         self.G = np.einsum("mnp,mnr->mpr", W, W)

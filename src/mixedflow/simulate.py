@@ -111,72 +111,64 @@ class Truth:
 class HierDataset:
     """Padded hierarchical regression dataset.
 
-    X, Z: (m, n_max, d); y: (m, n_max); mask: (m, n_max) bool. Z mirrors the
-    first q columns of X and is zero elsewhere. Padded cells are zero.
+    X: (m, n_max, d); y: (m, n_max); mask: (m, n_max) bool. Padded cells are
+    zero. The random-effect design Z is the first q columns of X, so it is a
+    view, not stored; d, m and the group sizes are read off the arrays.
     """
 
     X: np.ndarray
-    Z: np.ndarray
     y: np.ndarray
     mask: np.ndarray
-    group_sizes: np.ndarray
-    d: int
     q: int
-    m: int
     truth: Truth | None = None
     dataset_id: str = ""
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
-        self.group_sizes = np.asarray(self.group_sizes, dtype=np.int64)
-        if self.X.shape != self.Z.shape or self.X.shape[:2] != self.y.shape:
-            raise DimensionError(f"inconsistent dataset arrays: X {self.X.shape}, Z {self.Z.shape}, y {self.y.shape}")
-        if self.X.shape[0] != self.m or self.X.shape[2] != self.d:
-            raise DimensionError("declared dims disagree with array shapes")
-        if not np.array_equal(self.mask.sum(axis=1), self.group_sizes):
-            raise DimensionError("mask row sums disagree with group_sizes")
+        if self.X.shape[:2] != self.y.shape or self.mask.shape != self.y.shape:
+            raise DimensionError(f"inconsistent dataset arrays: X {self.X.shape}, "
+                                 f"y {self.y.shape}, mask {self.mask.shape}")
+
+    @property
+    def Z(self) -> np.ndarray:
+        """(m, n_max, q) view of the random-effect columns of X."""
+        return self.X[:, :, :self.q]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[2]
+
+    @property
+    def m(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        return self.mask.sum(axis=1)
 
     @property
     def n_total(self) -> int:
-        return int(self.group_sizes.sum())
+        return int(self.mask.sum())
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-FAMILIES = ("normal", "student_t", "uniform", "bernoulli", "neg_binomial", "scaled_beta")
-FAMILY_PROBS = (0.10, 0.40, 0.05, 0.25, 0.10, 0.10)
-
-
 @dataclass
 class SimConfig:
-    """Knobs for dataset generation; defaults follow the package-wide
-    conventions (group counts 5..30, group sizes 5..70, LKJ concentration
-    10, variance cap 1e3)."""
+    """Knobs for dataset generation: group counts, group sizes and toy
+    mode. Defaults follow the package-wide conventions (5..30 groups of
+    5..70 observations)."""
 
     m_range: tuple[int, int] = (5, 30)
     n_range: tuple[int, int] = (5, 70)
     toy: bool = False
-    lkj_eta: float = 10.0
-    variance_cap: float = 1e3
-    family_probs: tuple[float, ...] = FAMILY_PROBS
-    # per-family parameter ranges; documented choices, not pinned anywhere
-    normal_mu: tuple[float, float] = (-3.0, 3.0)
-    normal_sigma: tuple[float, float] = (0.5, 3.0)
-    t_df: tuple[float, float] = (3.0, 30.0)
-    t_loc: tuple[float, float] = (-3.0, 3.0)
-    t_scale: tuple[float, float] = (0.5, 3.0)
-    uniform_lo: tuple[float, float] = (-5.0, 0.0)
-    uniform_width: tuple[float, float] = (1.0, 10.0)
-    binary_corr: tuple[float, float] = (-0.9, 0.9)
-    nb_count: tuple[int, int] = (1, 10)
-    nb_p: tuple[float, float] = (0.3, 0.8)
-    beta_ab: tuple[float, float] = (0.5, 5.0)
-    beta_scale: tuple[float, float] = (1.0, 10.0)
 
-    def slope_scale_bound(self) -> float:
-        return 5.0 if self.toy else 20.0
+
+LKJ_ETA = 10.0           # concentration of the slope-column correlation
+VARIANCE_CAP = 1e3       # bound on column variance times SLOPE_SCALE_BOUND
+SLOPE_SCALE_BOUND = 20.0  # widest non-toy slope prior scale
 
 
 # ---------------------------------------------------------------------------
@@ -289,72 +281,61 @@ def correlated_binary(x: np.ndarray, r: float, rng: np.random.Generator) -> np.n
 # predictors
 
 
-def _family_variance(family: str, params: dict) -> float:
-    if family == "normal":
-        return params["sigma"] ** 2
-    if family == "student_t":
-        return params["scale"] ** 2 * params["df"] / (params["df"] - 2.0)
-    if family == "uniform":
-        return params["width"] ** 2 / 12.0
-    if family == "bernoulli":
-        return 0.25
-    if family == "neg_binomial":
-        return params["count"] * (1.0 - params["p"]) / params["p"] ** 2
-    if family == "scaled_beta":
-        a, b = params["a"], params["b"]
-        return params["scale"] ** 2 * a * b / ((a + b) ** 2 * (a + b + 1.0))
-    raise ConfigError(f"unknown predictor family {family!r}")
+# family: (mixture weight; parameter draw, its draws in RNG order; column
+# variance; column sampler). Binary columns come from correlated_binary
+# instead. The parameter ranges are documented choices, not pinned anywhere.
+_FAMILY_SPECS = {
+    "normal": (
+        0.10,
+        lambda rng: {"mu": rng.uniform(-3.0, 3.0), "sigma": rng.uniform(0.5, 3.0)},
+        lambda p: p["sigma"] ** 2,
+        lambda p, n, rng: rng.normal(p["mu"], p["sigma"], size=n)),
+    "student_t": (
+        0.40,
+        lambda rng: {"df": rng.uniform(3.0, 30.0), "loc": rng.uniform(-3.0, 3.0),
+                     "scale": rng.uniform(0.5, 3.0)},
+        lambda p: p["scale"] ** 2 * p["df"] / (p["df"] - 2.0),
+        lambda p, n, rng: p["loc"] + p["scale"] * rng.standard_t(p["df"], size=n)),
+    "uniform": (
+        0.05,
+        lambda rng: {"lo": rng.uniform(-5.0, 0.0), "width": rng.uniform(1.0, 10.0)},
+        lambda p: p["width"] ** 2 / 12.0,
+        lambda p, n, rng: rng.uniform(p["lo"], p["lo"] + p["width"], size=n)),
+    "bernoulli": (0.25, lambda rng: {"r": rng.uniform(-0.9, 0.9)}, lambda p: 0.25, None),
+    "neg_binomial": (
+        0.10,
+        lambda rng: {"count": int(rng.integers(1, 11)), "p": rng.uniform(0.3, 0.8)},
+        lambda p: p["count"] * (1.0 - p["p"]) / p["p"] ** 2,
+        lambda p, n, rng: rng.negative_binomial(p["count"], p["p"], size=n).astype(np.float64)),
+    "scaled_beta": (
+        0.10,
+        lambda rng: {"a": rng.uniform(0.5, 5.0), "b": rng.uniform(0.5, 5.0),
+                     "scale": rng.uniform(1.0, 10.0)},
+        lambda p: p["scale"] ** 2 * p["a"] * p["b"]
+        / ((p["a"] + p["b"]) ** 2 * (p["a"] + p["b"] + 1.0)),
+        lambda p, n, rng: p["scale"] * rng.beta(p["a"], p["b"], size=n)),
+}
+FAMILIES = tuple(_FAMILY_SPECS)
+FAMILY_PROBS = tuple(spec[0] for spec in _FAMILY_SPECS.values())
 
 
-def choose_families(n_slopes: int, rng: np.random.Generator,
-                    cfg: SimConfig | None = None) -> list[str]:
-    """Pick a distribution family per slope column with the configured
-    mixture probabilities."""
-    cfg = cfg or SimConfig()
-    idx = rng.choice(len(FAMILIES), size=n_slopes, p=np.asarray(cfg.family_probs))
+def choose_families(n_slopes: int, rng: np.random.Generator) -> list[str]:
+    """Pick a distribution family per slope column with the mixture
+    probabilities."""
+    idx = rng.choice(len(FAMILIES), size=n_slopes, p=np.asarray(FAMILY_PROBS))
     return [FAMILIES[i] for i in idx]
 
 
-def _sample_family_params(family: str, cfg: SimConfig, rng: np.random.Generator) -> dict:
+def _sample_family_params(family: str, rng: np.random.Generator) -> dict:
     """Family parameters under the bounded-outcome-variance constraint:
     resample until column variance times the slope-scale bound stays under
     the cap."""
-    bound = cfg.slope_scale_bound()
+    _, draw, variance, _ = _FAMILY_SPECS[family]
     for _ in range(1000):
-        if family == "normal":
-            params = {"mu": rng.uniform(*cfg.normal_mu), "sigma": rng.uniform(*cfg.normal_sigma)}
-        elif family == "student_t":
-            params = {"df": rng.uniform(*cfg.t_df), "loc": rng.uniform(*cfg.t_loc),
-                      "scale": rng.uniform(*cfg.t_scale)}
-        elif family == "uniform":
-            params = {"lo": rng.uniform(*cfg.uniform_lo), "width": rng.uniform(*cfg.uniform_width)}
-        elif family == "bernoulli":
-            params = {"r": rng.uniform(*cfg.binary_corr)}
-        elif family == "neg_binomial":
-            params = {"count": int(rng.integers(cfg.nb_count[0], cfg.nb_count[1] + 1)),
-                      "p": rng.uniform(*cfg.nb_p)}
-        elif family == "scaled_beta":
-            params = {"a": rng.uniform(*cfg.beta_ab), "b": rng.uniform(*cfg.beta_ab),
-                      "scale": rng.uniform(*cfg.beta_scale)}
-        else:
-            raise ConfigError(f"unknown predictor family {family!r}")
-        if _family_variance(family, params) * bound <= cfg.variance_cap:
+        params = draw(rng)
+        if variance(params) * SLOPE_SCALE_BOUND <= VARIANCE_CAP:
             return params
     raise NumericError(f"could not satisfy the variance cap for family {family!r}")
-
-
-def _sample_column(family: str, params: dict, n: int, rng: np.random.Generator) -> np.ndarray:
-    if family == "normal":
-        return rng.normal(params["mu"], params["sigma"], size=n)
-    if family == "student_t":
-        return params["loc"] + params["scale"] * rng.standard_t(params["df"], size=n)
-    if family == "uniform":
-        return rng.uniform(params["lo"], params["lo"] + params["width"], size=n)
-    if family == "neg_binomial":
-        return rng.negative_binomial(params["count"], params["p"], size=n).astype(np.float64)
-    if family == "scaled_beta":
-        return params["scale"] * rng.beta(params["a"], params["b"], size=n)
-    raise ConfigError(f"family {family!r} has no direct sampler")
 
 
 def sample_predictors(m: int, group_sizes: np.ndarray, d: int, rng: np.random.Generator,
@@ -378,18 +359,19 @@ def sample_predictors(m: int, group_sizes: np.ndarray, d: int, rng: np.random.Ge
     if cfg.toy or n_slopes == 0:
         flat = rng.normal(0.0, 1.0, size=(n_total, n_slopes))
     else:
-        families = choose_families(n_slopes, rng, cfg)
+        families = choose_families(n_slopes, rng)
         flat = np.zeros((n_total, n_slopes))
         nonbin = [j for j, f in enumerate(families) if f != "bernoulli"]
         for j in nonbin:
-            params = _sample_family_params(families[j], cfg, rng)
-            flat[:, j] = _sample_column(families[j], params, n_total, rng)
+            params = _sample_family_params(families[j], rng)
+            sample = _FAMILY_SPECS[families[j]][-1]
+            flat[:, j] = sample(params, n_total, rng)
         if len(nonbin) > 1:
-            L = lkj_cholesky_factor(len(nonbin), cfg.lkj_eta, rng)
+            L = lkj_cholesky_factor(len(nonbin), LKJ_ETA, rng)
             flat[:, nonbin] = flat[:, nonbin] @ L.T
         done = list(nonbin)
         for j in (j for j, f in enumerate(families) if f == "bernoulli"):
-            params = _sample_family_params("bernoulli", cfg, rng)
+            params = _sample_family_params("bernoulli", rng)
             if done:
                 src = flat[:, done[rng.integers(len(done))]]
                 r = params["r"]
@@ -413,29 +395,21 @@ def sample_predictors(m: int, group_sizes: np.ndarray, d: int, rng: np.random.Ge
 # assembly
 
 
-def _make_z(X: np.ndarray, q: int) -> np.ndarray:
-    Z = np.zeros_like(X)
-    Z[:, :, :q] = X[:, :, :q]
-    return Z
-
-
 def assemble_dataset(prior: PriorSpec, gp: GlobalParams, lp: LocalParams,
                      X: np.ndarray, group_sizes: np.ndarray, rng: np.random.Generator,
                      dataset_id: str = "") -> HierDataset:
     """Outcomes from the linear mixed model with fresh Gaussian noise;
     padding stays zero and the full generating truth is recorded."""
-    m, n_max, d = X.shape
+    m, n_max, _ = X.shape
     q = prior.q
     group_sizes = np.asarray(group_sizes, dtype=np.int64)
     mask = np.arange(n_max)[None, :] < group_sizes[:, None]
-    Z = _make_z(X, q)
     noise = rng.normal(0.0, gp.sigma_eps, size=(m, n_max)) * mask
-    y = (X @ gp.beta + np.einsum("mnq,mq->mn", Z[:, :, :q], lp.alpha) + noise) * mask
+    y = (X @ gp.beta + np.einsum("mnq,mq->mn", X[:, :, :q], lp.alpha) + noise) * mask
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite outcomes during assembly")
     truth = Truth(prior, gp, lp, noise)
-    return HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=group_sizes,
-                       d=d, q=q, m=m, truth=truth, dataset_id=dataset_id)
+    return HierDataset(X=X, y=y, mask=mask, q=q, truth=truth, dataset_id=dataset_id)
 
 
 def simulate_conjugate_dataset(d: int, rng: np.random.Generator,
@@ -516,7 +490,7 @@ def regenerate_outcomes(ds: HierDataset, beta: np.ndarray | None = None,
     beta = ds.truth.global_params.beta if beta is None else beta
     alpha = ds.truth.local_params.alpha if alpha is None else alpha
     noise = ds.truth.noise if noise is None else noise
-    return (ds.X @ beta + np.einsum("mnq,mq->mn", ds.Z[:, :, :ds.q], alpha) + noise) * ds.mask
+    return (ds.X @ beta + np.einsum("mnq,mq->mn", ds.Z, alpha) + noise) * ds.mask
 
 
 def snr(ds: HierDataset) -> float:
@@ -533,9 +507,9 @@ def snr(ds: HierDataset) -> float:
 
 
 def permute_columns(ds: HierDataset, perm: np.ndarray) -> HierDataset:
-    """Apply one slope permutation consistently to X, Z, beta, alpha and
-    the prior vectors. The intercept stays put and random-effect columns
-    must map onto random-effect columns, otherwise Z would stop mirroring
+    """Apply one slope permutation consistently to X, beta, alpha and the
+    prior vectors. The intercept stays put and random-effect columns must
+    map onto random-effect columns, because Z is the first q columns of
     X."""
     perm = np.asarray(perm, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(ds.d)) or perm[0] != 0:
@@ -543,7 +517,6 @@ def permute_columns(ds: HierDataset, perm: np.ndarray) -> HierDataset:
     if ds.q >= 1 and sorted(perm[:ds.q].tolist()) != list(range(ds.q)):
         raise ConfigError("perm must map the random-effect block onto itself")
     X = ds.X[:, :, perm]
-    Z = _make_z(X, ds.q)
     truth = ds.truth
     if truth is not None:
         qperm = perm[:ds.q]
@@ -554,5 +527,5 @@ def permute_columns(ds: HierDataset, perm: np.ndarray) -> HierDataset:
                           truth.global_params.sigma_eps)
         lp = LocalParams(truth.local_params.alpha[:, qperm])
         truth = Truth(prior, gp, lp, truth.noise)
-    return HierDataset(X=X, Z=Z, y=ds.y, mask=ds.mask, group_sizes=ds.group_sizes,
-                       d=ds.d, q=ds.q, m=ds.m, truth=truth, dataset_id=ds.dataset_id)
+    return HierDataset(X=X, y=ds.y, mask=ds.mask, q=ds.q, truth=truth,
+                       dataset_id=ds.dataset_id)

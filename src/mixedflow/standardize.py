@@ -99,16 +99,14 @@ def standardize_data(ds: HierDataset) -> tuple[HierDataset, StandardizationRecor
     for k in range(1, ds.d):
         X[:, :, k] = (ds.X[:, :, k] - mu_x[k]) / sigma_x[k] * mask
     y = (ds.y - mu_y) / sigma_y * mask
-    Z = np.zeros_like(X)
-    Z[:, :, :ds.q] = X[:, :, :ds.q]
 
     truth = None
     if ds.truth is not None:
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params, rec)
         truth = Truth(standardize_prior(ds.truth.prior, rec), gp_s, lp_s,
                       ds.truth.noise / sigma_y)
-    return HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=ds.group_sizes,
-                       d=ds.d, q=ds.q, m=ds.m, truth=truth, dataset_id=ds.dataset_id), rec
+    return HierDataset(X=X, y=y, mask=mask, q=ds.q, truth=truth,
+                       dataset_id=ds.dataset_id), rec
 
 
 def standardize_params(gp: GlobalParams, lp: LocalParams,

@@ -179,7 +179,6 @@ class TestObservationsCSV:
         np.testing.assert_array_equal(ds.X[0, :3, 0], 1.0)
         np.testing.assert_allclose(ds.X[0, 1], [1.0, 0.6, 2.5])
         np.testing.assert_allclose(ds.y[1, 0], 0.0)
-        assert np.all(ds.Z[:, :, 1:] == 0)
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -237,9 +236,7 @@ def _any_dataset(draw):
     X, y = np.zeros_like(ds.X), np.zeros_like(ds.y)
     X[ds.mask] = _floats(draw, (int(ds.mask.sum()), d))
     y[ds.mask] = _floats(draw, int(ds.mask.sum()))
-    Z = np.zeros_like(X)
-    Z[..., :q] = X[..., :q]
-    return replace(ds, X=X, Z=Z, y=y, truth=ds.truth if draw(st.booleans()) else None)
+    return replace(ds, X=X, y=y, truth=ds.truth if draw(st.booleans()) else None)
 
 
 @st.composite

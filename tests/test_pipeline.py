@@ -73,9 +73,8 @@ class TestInferOne:
         assert np.all(draws.global_std[:, 2:] > 0)
 
     def test_missing_prior_rejected(self, model, dataset):
-        bare = sim.HierDataset(X=dataset.X, Z=dataset.Z, y=dataset.y, mask=dataset.mask,
-                               group_sizes=dataset.group_sizes, d=dataset.d,
-                               q=dataset.q, m=dataset.m, truth=None)
+        bare = sim.HierDataset(X=dataset.X, y=dataset.y, mask=dataset.mask,
+                               q=dataset.q, truth=None)
         with pytest.raises(ConfigError):
             infer_one(model, bare, k=8, rng=substream(7, "f"))
 

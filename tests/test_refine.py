@@ -99,8 +99,7 @@ class TestConditionalLikelihood:
         # rebuild outcomes with zero noise and sigma_eps = 1
         gp1 = sim.GlobalParams(gp.beta, gp.sigma_alpha, 1.0)
         y = sim.regenerate_outcomes(ds, noise=np.zeros_like(ds.y))
-        ds1 = sim.HierDataset(X=ds.X, Z=ds.Z, y=y, mask=ds.mask, group_sizes=ds.group_sizes,
-                              d=ds.d, q=ds.q, m=ds.m, truth=ds.truth)
+        ds1 = sim.HierDataset(X=ds.X, y=y, mask=ds.mask, q=ds.q, truth=ds.truth)
         ll = refine.conditional_log_likelihood(ds1, gp1, lp)
         n = ds.mask.sum()
         assert ll == pytest.approx(-(n / 2) * LOG_2PI, rel=1e-12)
@@ -126,18 +125,13 @@ class TestConditionalLikelihood:
         X[:, :-1] = ds.X
         new_x = np.array([1.0] + [0.5] * (ds.d - 1))
         X[0, -1] = new_x
-        Z = np.zeros_like(X)
-        Z[:, :, :ds.q] = X[:, :, :ds.q]
         y = np.zeros((ds.m, n_max))
         y[:, :-1] = ds.y
         y[0, -1] = new_x @ gp.beta + new_x[:ds.q] @ lp.alpha[0]
         mask = np.zeros((ds.m, n_max), dtype=bool)
         mask[:, :-1] = ds.mask
         mask[0, -1] = True
-        sizes = ds.group_sizes.copy()
-        sizes[0] += 1
-        ds2 = sim.HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=sizes,
-                              d=ds.d, q=ds.q, m=ds.m, truth=ds.truth)
+        ds2 = sim.HierDataset(X=X, y=y, mask=mask, q=ds.q, truth=ds.truth)
         ll = refine.conditional_log_likelihood(ds2, gp, lp)
         assert ll - base == pytest.approx(-0.5 * math.log(2 * math.pi * gp.sigma_eps ** 2), abs=1e-9)
 
@@ -162,8 +156,6 @@ class TestMarginalLikelihood:
     def test_hand_expanded_2x2(self):
         # one group, two observations, a single random intercept
         X = np.array([[[1.0, 0.5], [1.0, -1.0]]])
-        Z = np.zeros_like(X)
-        Z[:, :, :1] = X[:, :, :1]
         beta = np.array([0.3, -0.7])
         s_a, s_e = 0.6, 0.4
         y = np.array([[0.9, -0.2]])
@@ -171,8 +163,7 @@ class TestMarginalLikelihood:
         prior = sim.PriorSpec(np.zeros(2), np.ones(2), np.array([1.0]), 1.0)
         truth = sim.Truth(prior, sim.GlobalParams(beta, [s_a], s_e),
                           sim.LocalParams(np.zeros((1, 1))), np.zeros((1, 2)))
-        ds = sim.HierDataset(X=X, Z=Z, y=y, mask=mask, group_sizes=np.array([2]),
-                             d=2, q=1, m=1, truth=truth)
+        ds = sim.HierDataset(X=X, y=y, mask=mask, q=1, truth=truth)
         cov = np.array([[s_a**2 + s_e**2, s_a**2],
                         [s_a**2, s_a**2 + s_e**2]])
         resid = y[0] - X[0] @ beta

@@ -1,13 +1,17 @@
 """Simulator contracts: prior supports, parameter moments, predictor
-families, correlation machinery, outcome assembly and the permutation
-augmentation. Monte Carlo checks use fixed seeds and 3-standard-error
-tolerances."""
+families, correlation machinery, outcome assembly, the Z view and its
+batch padding, and the permutation augmentation. Monte Carlo checks use
+fixed seeds and 3-standard-error tolerances. The family table must draw
+exactly what the if-chain oracle (simulate_oracle) draws."""
 
 import numpy as np
 import pytest
 
+import simulate_oracle as oracle
 from mixedflow.errors import ConfigError
+from mixedflow import io as mfio
 from mixedflow import simulate as sim
+from mixedflow.model import ModelConfig, make_batch
 
 
 class TestPriors:
@@ -170,8 +174,31 @@ class TestAssembly:
         ds = self._dataset(16)
         assert np.all(ds.y[~ds.mask] == 0)
         assert np.all(ds.X[~ds.mask] == 0)
-        assert np.all(ds.Z[:, :, ds.q:] == 0)
         np.testing.assert_array_equal(ds.mask.sum(axis=1), ds.group_sizes)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_batch_z_is_x_up_to_q(self, d, tmp_path):
+        """Datasets expose Z as the first q columns of X; make_batch pads it
+        to d columns with zeros, for simulated and observation-CSV data."""
+        path = tmp_path / "obs.csv"
+        vals = np.random.default_rng(d).normal(size=(7, d))
+        groups = "aabbbca"
+        path.write_text(",".join(["group_id", "y"] + [f"x_{k}" for k in range(1, d)]) + "\n"
+                        + "".join(f"{g}," + ",".join(map(repr, row)) + "\n"
+                                  for g, row in zip(groups, vals.tolist())))
+        for q in range(1, d + 1):
+            sets = [sim.simulate_dataset(d, q, np.random.default_rng(30 + q),
+                                         sim.SimConfig(m_range=(2, 4), n_range=(2, 6))),
+                    mfio.read_observations_csv(path, q=q)]
+            for ds in sets:
+                assert ds.Z.shape == ds.X.shape[:2] + (q,)
+                np.testing.assert_array_equal(ds.Z, ds.X[:, :, :q])
+            for dtype in ("float32", "float64"):
+                b = make_batch(sets, ModelConfig(d=d, q=q, dtype=dtype),
+                               priors=[sets[0].truth.prior] * 2)
+                assert b.Z.shape == b.X.shape and b.Z.dtype == b.X.dtype
+                np.testing.assert_array_equal(b.Z[..., :q], b.X[..., :q])
+                assert np.all(b.Z[..., q:] == 0)
 
     def test_marginal_covariance_matches_formula(self):
         # redraw (alpha, eps) many times for one fixed group design
@@ -202,8 +229,7 @@ class TestDerived:
         ds = sim.simulate_dataset(2, 1, np.random.default_rng(18))
         noise = ds.truth.noise
         # signal equals noise -> ratio one
-        ds_same = sim.HierDataset(X=ds.X, Z=ds.Z, y=2 * noise, mask=ds.mask,
-                                  group_sizes=ds.group_sizes, d=ds.d, q=ds.q, m=ds.m,
+        ds_same = sim.HierDataset(X=ds.X, y=2 * noise, mask=ds.mask, q=ds.q,
                                   truth=sim.Truth(ds.truth.prior, ds.truth.global_params,
                                                   ds.truth.local_params, noise))
         assert sim.snr(ds_same) == pytest.approx(1.0)
@@ -273,3 +299,46 @@ class TestPermutation:
             sim.permute_columns(ds, np.array([1, 0, 2, 3, 4]))  # moves intercept
         with pytest.raises(ConfigError):
             sim.permute_columns(ds, np.array([0, 3, 1, 2, 4]))  # crosses the q block
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+class TestFamilyOracle:
+    """The family table reproduces the if-chain simulator draw for draw:
+    equal bytes and the same RNG stream position afterwards."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_sample_predictors(self, d):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng([d, seed])
+            m = int(rng.integers(1, 12))
+            sizes = rng.integers(1, 40, size=m)
+            rng_a, rng_b = np.random.default_rng([d, seed, 1]), np.random.default_rng([d, seed, 1])
+            _same_bytes(sim.sample_predictors(m, sizes, d, rng_a),
+                        oracle.sample_predictors(m, sizes, d, rng_b))
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("d,q", [(d, q) for d in range(1, 9) for q in range(1, min(d, 3) + 1)])
+    @pytest.mark.parametrize("toy", [False, True])
+    def test_simulate_dataset(self, d, q, toy):
+        for seed in self.SEEDS:
+            rng_a, rng_b = np.random.default_rng([d, q, seed]), np.random.default_rng([d, q, seed])
+            ds = sim.simulate_dataset(d, q, rng_a, sim.SimConfig(toy=toy))
+            ref = oracle.simulate_dataset(d, q, rng_b, toy=toy)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            t = ds.truth
+            got = {"X": ds.X, "y": ds.y, "mask": ds.mask,
+                   "group_sizes": ds.group_sizes, "noise": t.noise,
+                   "beta": t.global_params.beta, "sigma_alpha": t.global_params.sigma_alpha,
+                   "sigma_eps": np.float64(t.global_params.sigma_eps),
+                   "alpha": t.local_params.alpha, "nu_beta": t.prior.nu_beta,
+                   "tau_beta": t.prior.tau_beta, "tau_sigma": t.prior.tau_sigma,
+                   "tau_eps": np.float64(t.prior.tau_eps)}
+            for name, value in got.items():
+                _same_bytes(value, ref[name])
+            _same_bytes(ds.Z, ref["Z"][:, :, :q])
