@@ -9,8 +9,9 @@ halves alternate across blocks. One-dimensional flows degenerate to
 condition-only transforms of their single coordinate, which keeps every
 block invertible and still conditioning-aware.
 
-Conditioner scale heads are squashed to a bounded band on the log scale
-and zero-initialized, so an untrained flow is exactly the identity map.
+Conditioner scale heads are squashed to the band (-SCALE_BOUND,
+SCALE_BOUND) on the log scale and zero-initialized, so an untrained flow is
+exactly the identity map.
 """
 
 from __future__ import annotations
@@ -25,19 +26,22 @@ from .nn.tensor import Tensor, assert_finite, cat
 
 __all__ = ["CouplingFlow", "StudentTBase"]
 
+SCALE_BOUND = 3.0   # bound on each block's log-scale
+INIT_DF = 30.0      # initial base degrees of freedom: close to a Gaussian
+
 
 class StudentTBase(Module):
     """Independent location-scale Student-t in each dimension; scale and
-    degrees of freedom live on the log scale so they stay positive. The
-    df initialization (30) starts the base near a Gaussian."""
+    degrees of freedom live on the log scale so they stay positive; df
+    starts at INIT_DF."""
 
-    def __init__(self, dim: int, dtype=np.float32, init_df: float = 30.0):
+    def __init__(self, dim: int, dtype=np.float32):
         super().__init__()
         self.dim = dim
         self.loc = self.register("loc", Tensor(np.zeros(dim, dtype=dtype), requires_grad=True))
         self.log_scale = self.register("log_scale", Tensor(np.zeros(dim, dtype=dtype), requires_grad=True))
         self.log_df = self.register("log_df", Tensor(
-            np.full(dim, math.log(init_df), dtype=dtype), requires_grad=True))
+            np.full(dim, math.log(INIT_DF), dtype=dtype), requires_grad=True))
 
     def log_prob(self, z: Tensor) -> Tensor:
         """Summed per-dimension log density, shape (batch,)."""
@@ -63,10 +67,9 @@ class _Conditioner(Module):
     dropout, plus zero-initialized shift and bounded-scale heads."""
 
     def __init__(self, n_in: int, n_out: int, hidden: int, rng: np.random.Generator,
-                 dropout_rate: float, scale_bound: float, dtype=np.float32):
+                 dropout_rate: float, dtype=np.float32):
         super().__init__()
         self.dropout_rate = dropout_rate
-        self.scale_bound = scale_bound
         self.l1 = self.register("l1", Linear(n_in, hidden, rng, dtype))
         self.l2 = self.register("l2", Linear(hidden, hidden, rng, dtype))
         self.l3 = self.register("l3", Linear(hidden, hidden, rng, dtype))
@@ -80,14 +83,14 @@ class _Conditioner(Module):
         h = dropout(self.l2(h).relu(), self.dropout_rate, rng) + h
         h = dropout(self.l3(h).relu(), self.dropout_rate, rng) + h
         t = self.shift(h)
-        s = (self.scale(h) * (1.0 / self.scale_bound)).tanh() * self.scale_bound
+        s = (self.scale(h) * (1.0 / SCALE_BOUND)).tanh() * SCALE_BOUND
         return s, t
 
 
 class CouplingFlow(Module):
     def __init__(self, dim: int, cond_dim: int, rng: np.random.Generator,
                  blocks: int = 4, hidden: int = 128, dropout_rate: float = 0.01,
-                 scale_bound: float = 3.0, dtype=np.float32, name: str = "flow"):
+                 dtype=np.float32, name: str = "flow"):
         super().__init__()
         if dim < 1:
             raise ConfigError("flow dimension must be at least 1")
@@ -109,7 +112,7 @@ class CouplingFlow(Module):
             n_passive = passive.stop - passive.start
             n_active = active.stop - active.start
             cond_net = _Conditioner(n_passive + cond_dim, n_active, hidden, rng,
-                                    dropout_rate, scale_bound, dtype)
+                                    dropout_rate, dtype)
             self.register(f"block{i}", cond_net)
             self.conditioners.append(cond_net)
             self._plans.append((passive, active))

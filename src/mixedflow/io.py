@@ -294,6 +294,8 @@ def read_observations_csv(path, q: int) -> HierDataset:
                 groups[gid] = []
                 order.append(gid)
             groups[gid].append(vals)
+    if not order:
+        raise DataFormatError(f"{path}: header but no observation rows")
     d = p + 1
     if q > d:
         raise ConfigError(f"q={q} exceeds d={d} (including the synthesized intercept)")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError, DimensionError
-from .refine import ALPHA_GRID, ConformalTable, _border_scores, apply_calibration
+from .refine import ALPHA_GRID, ROLES, ConformalTable, _border_scores, apply_calibration
 from .simulate import HierDataset, regenerate_outcomes, snr
 from .standardize import StandardizationRecord, standardize_params
 
@@ -28,8 +28,6 @@ __all__ = [
     "DatasetEval", "evaluate_dataset", "MetricReport", "aggregate",
     "split_report", "ingest_external_samples",
 ]
-
-ROLES = ("fixed", "variance", "random")
 
 
 def recovery(truths: np.ndarray, means: np.ndarray) -> tuple[float, float, float]:

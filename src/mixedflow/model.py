@@ -14,7 +14,7 @@ condition vector so their scale matches the data the network sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -317,9 +317,7 @@ def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
     if manifest.get("kind") != "posterior-model":
         raise ConfigError(f"{path} is not a posterior-model checkpoint")
     try:
-        cfg = ModelConfig(**{k: manifest[k] for k in (
-            "d", "q", "width", "summary_blocks", "heads", "flow_blocks",
-            "flow_hidden", "dropout", "infer_noise", "standardize", "dtype")})
+        cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
         model = PosteriorModel(cfg, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: manifest does not describe a model ({exc!r})") from None

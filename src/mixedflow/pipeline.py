@@ -42,8 +42,7 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
               rng: np.random.Generator, refine: str = "none",
               table: ConformalTable | None = None,
               prior: PriorSpec | None = None,
-              alphas: tuple[float, ...] = ALPHA_GRID,
-              is_rounds: int = 3, likelihood: str = "conditional"
+              alphas: tuple[float, ...] = ALPHA_GRID
               ) -> tuple[PosteriorDraws, dict]:
     """Returns (draws, intervals) where intervals maps each alpha to the
     border table in standardized and data-scale units (format in the
@@ -51,7 +50,7 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
     conformal = refine in ("conformal", "both")
     if conformal and table is None:
         raise ConfigError("conformal refinement needs a calibration table")
-    draws = posterior_draws(model, ds, k, rng, refine, prior, is_rounds, likelihood)
+    draws = posterior_draws(model, ds, k, rng, refine, prior)
     std = apply_calibration(draws, table if conformal else None, alphas)
     data = intervals_to_data_scale(draws, std)
 
@@ -65,8 +64,7 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
 
 def posterior_draws(model: PosteriorModel, ds: HierDataset, k: int,
                     rng: np.random.Generator, refine: str = "none",
-                    prior: PriorSpec | None = None, is_rounds: int = 3,
-                    likelihood: str = "conditional") -> PosteriorDraws:
+                    prior: PriorSpec | None = None) -> PosteriorDraws:
     """The model's k draws for `ds`, importance-reweighted for the "is" and
     "both" modes under the data-scale `prior` (the dataset's recorded one
     when None). IS works in the space the draws live in: standardizing
@@ -84,10 +82,7 @@ def posterior_draws(model: PosteriorModel, ds: HierDataset, k: int,
         ds_s, rec = standardize_data(ds)
         prior_std = standardize_prior(prior, rec)
         beta_mean_cov = standardized_beta_prior(prior, rec)
-    known = None if model.cfg.infer_noise else prior_std.tau_eps
-    return alternating_refine(ds_s, prior_std, draws, rounds=is_rounds,
-                              likelihood=likelihood, known_sigma_eps=known,
-                              beta_mean_cov=beta_mean_cov)
+    return alternating_refine(ds_s, prior_std, draws, beta_mean_cov)
 
 
 def intervals_to_data_scale(draws: PosteriorDraws, borders

@@ -1,15 +1,16 @@
 """Post-hoc posterior refinement.
 
 Importance sampling: flow draws get self-normalized weights computed from
-the (conditional, by default) likelihood times the prior over the flow's
-own density. Because the global posterior conditions on the data only and
-the local posterior conditions on the globals, the two levels are
-reweighted alternately, local first, plugging posterior means of the other
-level into the likelihood; three rounds, any number q of random effects.
+the conditional likelihood times the prior over the flow's own density.
+Because the global posterior conditions on the data only and the local
+posterior conditions on the globals, the two levels are reweighted
+alternately, local first, plugging posterior means of the other level into
+the likelihood; IS_ROUNDS rounds, any number q of random effects.
 Likelihoods come from per-group sufficient statistics (Gram blocks of
 [X_i, Z_i, y_i], computed once per dataset), so a round costs
-O(k m (d + q)^2) whatever the group sizes; the marginal likelihood solves
-one q x q system per group (Woodbury, matrix determinant lemma).
+O(k m (d + q)^2) whatever the group sizes; the marginal likelihood
+(`marginal_log_likelihood`) solves one q x q system per group (Woodbury,
+matrix determinant lemma).
 
 Conformal calibration: on held-out calibration sets, the signed distance
 from the true parameter to the nearest border of the proposed credible
@@ -48,6 +49,8 @@ __all__ = [
 
 ALPHA_GRID = (0.05, 0.1, 0.2, 0.32, 0.5)
 ROLES = ("fixed", "variance", "random")
+IS_ROUNDS = 3             # alternating local/global reweighting rounds
+CLIP_PERCENTILE = 98.0    # log-weights above this percentile are clipped to it
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -140,12 +143,12 @@ def _gaussian_loglik(ds: HierDataset, beta: np.ndarray, alpha: np.ndarray,
     return _normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
 
 
-def _split_global(draws: np.ndarray, d: int, q: int, infer_noise: bool,
-                  known_sigma_eps: float | None = None):
-    if not infer_noise and known_sigma_eps is None:
-        raise ConfigError("draws carry no noise component and none was supplied")
-    sigma_eps = draws[:, d + q] if infer_noise else np.full(draws.shape[0], float(known_sigma_eps))
-    return draws[:, :d], draws[:, d:d + q], sigma_eps
+def _split_global(draws: PosteriorDraws, prior: PriorSpec):
+    """(beta, sigma_alpha, sigma_eps) of the global draws; draws without a
+    noise component take the prior's noise scale as the known noise."""
+    g, d, q = draws.global_std, draws.d, draws.q
+    sigma_eps = g[:, d + q] if draws.infer_noise else np.full(draws.k, float(prior.tau_eps))
+    return g[:, :d], g[:, d:d + q], sigma_eps
 
 
 def _log_prior_global(beta, sigma_alpha, sigma_eps, prior: PriorSpec,
@@ -201,8 +204,7 @@ def marginal_log_likelihood(ds: HierDataset, gp: GlobalParams,
 # importance sampling
 
 
-def importance_weights(log_p: np.ndarray, log_q: np.ndarray,
-                       clip_percentile: float = 98.0) -> np.ndarray:
+def importance_weights(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """Self-normalized weights: log ratio, percentile clip, exponentiate
     after max subtraction, normalize to mean one. A (k, m) input is weighted
     column by column; a column with no finite ratio gets uniform weights."""
@@ -214,15 +216,13 @@ def importance_weights(log_p: np.ndarray, log_q: np.ndarray,
         log.warning("all importance weights degenerate, falling back to uniform")
     cols = np.where(good, cols, np.nan)
     cols[:, dead] = 0.0
-    cap = (np.percentile if good.all() else np.nanpercentile)(cols, clip_percentile, axis=0)
+    cap = (np.percentile if good.all() else np.nanpercentile)(cols, CLIP_PERCENTILE, axis=0)
     # the clipped maximum is the cap itself; non-finite ratios get weight 0
     w = np.nan_to_num(np.exp(np.minimum(cols, cap) - cap))
     return (w / w.mean(axis=0)).reshape(log_w.shape)
 
 
 def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
-                       rounds: int = 3, likelihood: str = "conditional",
-                       known_sigma_eps: float | None = None,
                        beta_mean_cov=None) -> PosteriorDraws:
     """Alternating importance reweighting of local and global draws,
     starting with the locals; deterministic given the draws.
@@ -230,15 +230,11 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
     `ds` and `prior` must live in the same (standardized) space as the
     draws. Pass beta_mean_cov = (mean, cov) for the exact pushforward
     fixed-effect prior; otherwise the independent-normal form of `prior`
-    is used. The conditional likelihood plugs in posterior means of the
-    other level; the marginal variant integrates the random effects out
-    for the global level instead.
+    is used. Each level's conditional likelihood plugs in posterior means
+    of the other level.
     """
-    if likelihood not in ("conditional", "marginal"):
-        raise ConfigError(f"unknown likelihood kind {likelihood!r}")
-    k, d, q, m = draws.k, draws.d, draws.q, ds.m
-    beta, sigma_alpha, sigma_eps = _split_global(
-        draws.global_std, d, q, draws.infer_noise, known_sigma_eps)
+    k, q, m = draws.k, draws.q, ds.m
+    beta, sigma_alpha, sigma_eps = _split_global(draws, prior)
     alpha = draws.local_std.astype(np.float64) if q else np.zeros((k, m, 0))
     grams = _GroupGrams(ds, beta.mean(axis=0), alpha.mean(axis=0))
     log_prior = _log_prior_global(beta, sigma_alpha, sigma_eps, prior,
@@ -247,7 +243,7 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
     w_global = np.ones(k)
     w_local = np.ones((k, m)) if q else None
     alpha_bar = np.zeros((m, q))
-    for _ in range(max(rounds, 0)):
+    for _ in range(IS_ROUNDS):
         if q:
             # local step: plug in the current global posterior means, over
             # the draws with weight only (a zero-weight infinite draw would
@@ -261,12 +257,9 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
             alpha_bar = np.einsum("kmq,km->mq", alpha, w_local) / w_local.sum(axis=0)[:, None]
 
         # global step: plug in the local posterior means
-        if likelihood == "conditional":
-            ee, _ = grams.residuals(beta, alpha_bar)
-            ll = (_normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
-                  + _log_prior_random(alpha_bar, sigma_alpha))
-        else:
-            ll = grams.marginal(beta, sigma_alpha, sigma_eps)
+        ee, _ = grams.residuals(beta, alpha_bar)
+        ll = (_normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
+              + _log_prior_random(alpha_bar, sigma_alpha))
         w_global = importance_weights(ll + log_prior, draws.log_q_global)
 
     return replace(draws, weights=w_global, local_weights=w_local)

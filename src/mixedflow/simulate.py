@@ -414,23 +414,21 @@ def assemble_dataset(prior: PriorSpec, gp: GlobalParams, lp: LocalParams,
 
 def simulate_conjugate_dataset(d: int, rng: np.random.Generator,
                                n_range: tuple[int, int] = (20, 60),
-                               nu_range: tuple[float, float] = (-2.0, 2.0),
-                               tau_range: tuple[float, float] = (0.5, 3.0),
-                               sigma_range: tuple[float, float] = (0.3, 1.5),
                                dataset_id: str = "") -> HierDataset:
     """Single-group fixed-effects-only dataset with known noise level.
 
     No random effects (q = 0), standard-normal slope columns, a normal
-    prior on beta and a noise std dev that is drawn per dataset but treated
+    prior on beta (means uniform on (-2, 2), std devs on (0.5, 3)) and a
+    noise std dev that is drawn uniform on (0.3, 1.5) per dataset but treated
     as known: it rides in the tau_eps slot of the prior so conditioning
     networks can see it. The posterior over beta is Gaussian in closed
     form, which makes this family an end-to-end oracle.
     """
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     sizes = np.array([n])
-    nu = rng.uniform(*nu_range, size=d)
-    tau = rng.uniform(*tau_range, size=d)
-    sigma_eps = float(rng.uniform(*sigma_range))
+    nu = rng.uniform(-2.0, 2.0, size=d)
+    tau = rng.uniform(0.5, 3.0, size=d)
+    sigma_eps = float(rng.uniform(0.3, 1.5))
     prior = PriorSpec(nu, tau, np.zeros(0), sigma_eps)
     beta = rng.normal(nu, tau)
     gp = GlobalParams(beta, np.zeros(0), sigma_eps)

@@ -134,50 +134,28 @@ def standardize_params(gp: GlobalParams, lp: LocalParams,
 
 def unstandardize_params(gp: GlobalParams, lp: LocalParams,
                          rec: StandardizationRecord) -> tuple[GlobalParams, LocalParams]:
-    """Exact inverse of standardize_params (the random-intercept std dev
-    subtracts the slope contributions using this draw's own values, clamped
-    at zero)."""
-    d = rec.d
-    q = gp.sigma_alpha.shape[0]
-    beta = np.empty(d)
-    beta[1:] = gp.beta[1:] * rec.sigma_y / rec.sigma_x[1:]
-    beta[0] = gp.beta[0] * rec.sigma_y + rec.mu_y - beta[1:] @ rec.mu_x[1:]
-
-    sigma_alpha = np.empty(q)
-    alpha = np.empty_like(lp.alpha)
-    if q >= 1:
-        mu_z = rec.mu_x[:q]
-        sigma_alpha[1:] = gp.sigma_alpha[1:] * rec.sigma_y / rec.sigma_x[1:q]
-        rest = np.sum(mu_z[1:] ** 2 * sigma_alpha[1:] ** 2)
-        sigma_alpha[0] = np.sqrt(max((gp.sigma_alpha[0] * rec.sigma_y) ** 2 - rest, 0.0))
-        alpha[:, 1:] = lp.alpha[:, 1:] * rec.sigma_y / rec.sigma_x[1:q]
-        alpha[:, 0] = lp.alpha[:, 0] * rec.sigma_y - alpha[:, 1:] @ mu_z[1:]
-    sigma_eps = gp.sigma_eps * rec.sigma_y
-    return GlobalParams(beta, sigma_alpha, sigma_eps), LocalParams(alpha)
+    """Exact inverse of standardize_params: `unstandardize_global_draws`
+    and `unstandardize_local_draws` applied to this one draw."""
+    d, q = rec.d, gp.sigma_alpha.shape[0]
+    row = np.concatenate([gp.beta, gp.sigma_alpha, [gp.sigma_eps]])
+    g = unstandardize_global_draws(row, d, q, rec)[0]
+    return (GlobalParams(g[:d], g[d:d + q], g[d + q]),
+            LocalParams(unstandardize_local_draws(lp.alpha, q, rec)))
 
 
 def standardize_prior(prior: PriorSpec, rec: StandardizationRecord) -> PriorSpec:
     """Prior hyperparameters pushed into standardized space.
 
-    Slope entries transform exactly; the intercept scale aggregates the
-    independent slope-prior contributions, mirroring how the intercept
-    itself transforms.
+    Means and the random-effect and noise scales transform as the
+    parameters themselves do (`standardize_params`); the intercept scale
+    aggregates the independent slope-prior contributions in quadrature.
     """
-    d, q = prior.d, prior.q
-    nu = np.empty(d)
-    tau_b = np.empty(d)
-    nu[1:] = prior.nu_beta[1:] * rec.sigma_x[1:] / rec.sigma_y
-    nu[0] = (prior.nu_beta[0] + prior.nu_beta[1:] @ rec.mu_x[1:] - rec.mu_y) / rec.sigma_y
-    tau_b[1:] = prior.tau_beta[1:] * rec.sigma_x[1:] / rec.sigma_y
+    gp, _ = standardize_params(GlobalParams(prior.nu_beta, prior.tau_sigma, prior.tau_eps),
+                               LocalParams(np.zeros((0, prior.q))), rec)
+    tau_b = prior.tau_beta * rec.sigma_x / rec.sigma_y
     tau_b[0] = np.sqrt(prior.tau_beta[0] ** 2
                        + np.sum(rec.mu_x[1:] ** 2 * prior.tau_beta[1:] ** 2)) / rec.sigma_y
-    tau_s = np.empty(q)
-    if q >= 1:
-        mu_z = rec.mu_x[:q]
-        tau_s[1:] = prior.tau_sigma[1:] * rec.sigma_x[1:q] / rec.sigma_y
-        tau_s[0] = np.sqrt(np.sum(mu_z ** 2 * prior.tau_sigma ** 2)) / rec.sigma_y
-    tau_e = prior.tau_eps / rec.sigma_y
-    return PriorSpec(nu, tau_b, tau_s, tau_e)
+    return PriorSpec(gp.beta, tau_b, gp.sigma_alpha, gp.sigma_eps)
 
 
 def standardized_beta_prior(prior: PriorSpec, rec: StandardizationRecord) -> tuple[np.ndarray, np.ndarray]:

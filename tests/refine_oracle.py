@@ -53,26 +53,24 @@ def marginal_loglik(ds, beta, sigma_alpha, sigma_eps):
     return total
 
 
-def importance_weights(log_p, log_q, clip_percentile=98.0):
+def importance_weights(log_p, log_q):
     log_w = np.asarray(log_p, dtype=np.float64) - np.asarray(log_q, dtype=np.float64)
     good = np.isfinite(log_w)
     if not good.any():
         return np.ones(log_w.shape[0])
     log_w = np.where(good, log_w, -np.inf)
-    log_w = np.minimum(log_w, np.percentile(log_w[good], clip_percentile))
+    log_w = np.minimum(log_w, np.percentile(log_w[good], 98.0))
     w = np.exp(log_w - log_w.max())
     return w / w.mean()
 
 
-def alternating_refine(ds, prior, draws, rounds=3, likelihood="conditional",
-                       known_sigma_eps=None, beta_mean_cov=None):
-    """Returns (global weights (k,), local weights (k, m) or None)."""
-    k, d, q = draws.k, draws.d, draws.q
-    beta, sigma_alpha, sigma_eps = _split_global(
-        draws.global_std, d, q, draws.infer_noise, known_sigma_eps)
+def alternating_refine(ds, prior, draws, beta_mean_cov=None):
+    """Three rounds; returns (global weights (k,), local weights (k, m) or None)."""
+    k, q = draws.k, draws.q
+    beta, sigma_alpha, sigma_eps = _split_global(draws, prior)
     w_global = np.ones(k)
     w_local = np.ones((k, ds.m)) if q else None
-    for _ in range(max(rounds, 0)):
+    for _ in range(3):
         if q:
             bar_beta = (beta * w_global[:, None]).sum(axis=0) / w_global.sum()
             bar_sig = (sigma_alpha * w_global[:, None]).sum(axis=0) / w_global.sum()
@@ -92,13 +90,9 @@ def alternating_refine(ds, prior, draws, rounds=3, likelihood="conditional",
                          / w_local.sum(axis=0)[:, None])
         else:
             alpha_bar = np.zeros((ds.m, 0))
-        if likelihood == "conditional":
-            ll = gaussian_loglik(ds, beta, alpha_bar, sigma_eps)
-            if q:
-                ll = ll + log_prior_random(alpha_bar, sigma_alpha)
-        else:
-            ll = np.array([marginal_loglik(ds, beta[j], sigma_alpha[j], sigma_eps[j])
-                           for j in range(k)])
+        ll = gaussian_loglik(ds, beta, alpha_bar, sigma_eps)
+        if q:
+            ll = ll + log_prior_random(alpha_bar, sigma_alpha)
         log_num = ll + _log_prior_global(beta, sigma_alpha, sigma_eps, prior,
                                          beta_mean_cov, include_noise=draws.infer_noise)
         w_global = importance_weights(log_num, draws.log_q_global)

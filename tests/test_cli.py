@@ -239,6 +239,8 @@ MALFORMED = [
     ("calibrate-dataset-not-utf8", lambda w, t: [
         "calibrate", "--checkpoint", str(w / "run" / "best.ckpt"),
         "--sets", _write(t / "d.jsonl", b"\xfe\xff\n"), "--out", str(t / "t.json")], 4),
+    ("observations-csv-no-rows", lambda w, t: _infer(
+        w, t, _write(t / "empty.csv", "group_id,y,x_1\n")), 4),
     ("dataset-gzip-cut", lambda w, t: _infer(w, t, _write(t / "d.jsonl.gz", gzip.compress(
         (w / "sets.jsonl").read_bytes())[:2000])), 4),
     ("draws-null-k", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(k=None))), 4),

@@ -204,7 +204,7 @@ class TestDenseOracle:
     def test_conditional_loglik(self, case):
         ds, prior = _ragged_dataset(**case)
         draws = oracle.random_draws(ds, 50, np.random.default_rng(case["seed"]))
-        beta, sig, eps = refine._split_global(draws.global_std, ds.d, ds.q, True)
+        beta, sig, eps = refine._split_global(draws, prior)
         alpha = draws.local_std if ds.q else np.zeros((50, ds.m, 0))
         for a in (alpha, alpha[0]):
             assert _rel(refine._gaussian_loglik(ds, beta, a, eps),
@@ -218,9 +218,9 @@ class TestDenseOracle:
         assert abs(got - ref) < 1e-8 * abs(ref)
 
     def test_marginal_loglik(self, case):
-        ds, _ = _ragged_dataset(**case)
+        ds, prior = _ragged_dataset(**case)
         draws = oracle.random_draws(ds, 20, np.random.default_rng(case["seed"]))
-        beta, sig, eps = refine._split_global(draws.global_std, ds.d, ds.q, True)
+        beta, sig, eps = refine._split_global(draws, prior)
         for j in range(20):
             gp = sim.GlobalParams(beta[j], sig[j], eps[j])
             ref = oracle.marginal_loglik(ds, beta[j], sig[j], eps[j])
@@ -231,8 +231,20 @@ class TestDenseOracle:
         ds, prior = _ragged_dataset(**case)
         k = 60 if likelihood == "marginal" else 300
         draws = oracle.random_draws(ds, k, np.random.default_rng(case["seed"] + 1))
-        out = refine.alternating_refine(ds, prior, draws, likelihood=likelihood)
-        w_global, w_local = oracle.alternating_refine(ds, prior, draws, likelihood=likelihood)
+        if likelihood == "marginal":
+            # the vectorised k-draw marginal likelihood, and the global
+            # weights it gives, against the dense per-draw reference
+            beta, sig, eps = refine._split_global(draws, prior)
+            alpha0 = draws.local_std.mean(axis=0) if ds.q else np.zeros((ds.m, 0))
+            ll = refine._GroupGrams(ds, beta.mean(axis=0), alpha0).marginal(beta, sig, eps)
+            ref = np.array([oracle.marginal_loglik(ds, beta[j], sig[j], eps[j]) for j in range(k)])
+            assert np.all(np.abs(ll - ref) < 1e-8 * np.abs(ref))
+            log_prior = refine._log_prior_global(beta, sig, eps, prior)
+            w = refine.importance_weights(ll + log_prior, draws.log_q_global)
+            assert np.abs(w - oracle.importance_weights(ref + log_prior, draws.log_q_global)).max() < 1e-8
+            return
+        out = refine.alternating_refine(ds, prior, draws)
+        w_global, w_local = oracle.alternating_refine(ds, prior, draws)
         assert np.abs(out.weights - w_global).max() < 1e-8
         if ds.q:
             assert np.abs(out.local_weights - w_local).max() < 1e-8
@@ -254,7 +266,7 @@ class TestAlternatingRefine:
         local = rng.normal(size=(k, m, q)) * 0.3
         return global_std, local
 
-    def test_exact_proposal_is_fixed_point(self):
+    def test_exact_proposal_is_fixed_point(self, monkeypatch):
         ds, prior = _toy_dataset(11)
         rec = StandardizationRecord.identity(ds.d)
         global_std, local = self._draws_from_flow_truth(ds, prior)
@@ -290,7 +302,8 @@ class TestAlternatingRefine:
         draws = PosteriorDraws(global_std=global_std, log_q_global=log_q_global,
                                d=ds.d, q=ds.q, infer_noise=True, rec=rec,
                                local_std=local, log_q_local=log_q_local)
-        out = refine.alternating_refine(ds, prior, draws, rounds=1)
+        monkeypatch.setattr(refine, "IS_ROUNDS", 1)
+        out = refine.alternating_refine(ds, prior, draws)
         np.testing.assert_allclose(out.weights, 1.0, atol=1e-10)
         np.testing.assert_allclose(out.local_weights, 1.0, atol=1e-10)
 
@@ -307,7 +320,7 @@ class TestAlternatingRefine:
         draws = PosteriorDraws(global_std=global_std, log_q_global=np.zeros(k),
                                d=ds.d, q=ds.q, infer_noise=True, rec=rec,
                                local_std=local, log_q_local=np.zeros((k, ds.m)))
-        out = refine.alternating_refine(ds, prior, draws, rounds=3)
+        out = refine.alternating_refine(ds, prior, draws)
         naive_mean = global_std[:, 0].mean()
         weighted_mean = (global_std[:, 0] * out.weights).sum() / out.weights.sum()
         assert abs(weighted_mean - gp.beta[0]) < abs(naive_mean - gp.beta[0])
@@ -330,7 +343,7 @@ class TestAlternatingRefine:
         np.testing.assert_array_equal(out1.local_weights, out2.local_weights)
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_global_numerator_matches_per_draw_loop(self, q):
+    def test_global_numerator_matches_per_draw_loop(self, q, monkeypatch):
         # every draw shares the true random effects, so the local step
         # leaves alpha_bar at them and the global numerator is explicit
         ds, prior = _toy_dataset(16, d=3, q=q, m=4, n=5)
@@ -360,7 +373,8 @@ class TestAlternatingRefine:
                                rec=StandardizationRecord.identity(ds.d),
                                local_std=np.tile(lp.alpha, (k, 1, 1)),
                                log_q_local=np.zeros((k, ds.m)))
-        out = refine.alternating_refine(ds, prior, draws, rounds=1)
+        monkeypatch.setattr(refine, "IS_ROUNDS", 1)
+        out = refine.alternating_refine(ds, prior, draws)
         np.testing.assert_allclose(out.weights, 1.0, atol=1e-10)
 
     def test_huge_noise_draws_do_not_raise(self, caplog):

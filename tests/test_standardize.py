@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import standardize_oracle as oracle
 from mixedflow import simulate as sim
 from mixedflow import standardize as stz
 
@@ -255,7 +256,7 @@ def test_draw_transforms_match_params_row_by_row(case, k, has_noise, data):
     for j in range(k):
         gp_s = sim.GlobalParams(beta[j], sigma[j, :q], sigma[j, q])
         lp_s = sim.LocalParams(alpha[j])
-        gp_b, lp_b = stz.unstandardize_params(gp_s, lp_s, rec)
+        gp_b, lp_b = oracle.unstandardize_params(gp_s, lp_s, rec)
         beta_mag, var_mag, alpha_mag = _magnitudes(gp_b, lp_b, rec)
         _close(glob[j, :d], gp_b.beta, beta_mag)
         _close(glob[j, d:d + q] ** 2, gp_b.sigma_alpha ** 2, var_mag)
@@ -281,3 +282,57 @@ def test_prior_pushforward_matches_exact_beta_prior(case, data):
     _close(pushed.nu_beta, mean, mean_mag)
     # every term of the scale is non-negative, so its own size is the magnitude
     _close(pushed.tau_beta, np.sqrt(np.diag(cov)), pushed.tau_beta)
+
+
+# against the reference formulas -----------------------------------------------
+
+ORACLE_SEEDS = 25
+
+
+def _oracle_sets(kind):
+    """Seeded (dataset, prior, global, local parameters): toy, non-toy and
+    degenerate-column sets for d = 1..6 and q = 0..d (no degenerate slope
+    at d = 1), and conjugate sets for d = 1..6. A q = 0 case keeps no
+    random effect of a set simulated with one."""
+    if kind == "conjugate":
+        for d in range(1, 7):
+            for seed in range(40):
+                ds = sim.simulate_conjugate_dataset(d, np.random.default_rng([d, seed]))
+                yield ds, ds.truth.prior, ds.truth.global_params, ds.truth.local_params
+        return
+    for d in range(2 if kind == "degenerate" else 1, 7):
+        for q in range(d + 1):
+            for seed in range(ORACLE_SEEDS):
+                ds = sim.simulate_dataset(d, max(q, 1), np.random.default_rng([d, q, seed]),
+                                          sim.SimConfig(toy=kind == "toy"))
+                if kind == "degenerate":
+                    ds.X[:, :, d - 1] = ds.mask * 5.0
+                prior, gp, lp = ds.truth.prior, ds.truth.global_params, ds.truth.local_params
+                yield (ds, sim.PriorSpec(prior.nu_beta, prior.tau_beta, prior.tau_sigma[:q],
+                                         prior.tau_eps),
+                       sim.GlobalParams(gp.beta, gp.sigma_alpha[:q], gp.sigma_eps),
+                       sim.LocalParams(lp.alpha[:, :q]))
+
+
+@pytest.mark.parametrize("kind", ["toy", "non-toy", "degenerate", "conjugate"])
+def test_prior_and_inverse_match_reference_formulas(kind):
+    """standardize_prior is byte-equal to the formulas it replaced, and
+    unstandardize_params agrees with them within RTOL."""
+    cases = 0
+    for ds, prior, gp, lp in _oracle_sets(kind):
+        _, rec = stz.standardize_data(ds)
+        assert rec.degenerate_x[-1] == (kind == "degenerate")
+        got, want = stz.standardize_prior(prior, rec), oracle.standardize_prior(prior, rec)
+        for name in ("nu_beta", "tau_beta", "tau_sigma"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.tau_eps == want.tau_eps
+        gp_s, lp_s = stz.standardize_params(gp, lp, rec)
+        gp_b, lp_b = stz.unstandardize_params(gp_s, lp_s, rec)
+        ref_g, ref_l = oracle.unstandardize_params(gp_s, lp_s, rec)
+        beta_mag, var_mag, alpha_mag = _magnitudes(ref_g, ref_l, rec)
+        _close(gp_b.beta, ref_g.beta, beta_mag)
+        _close(gp_b.sigma_alpha ** 2, ref_g.sigma_alpha ** 2, var_mag)
+        _close(gp_b.sigma_eps, ref_g.sigma_eps, ref_g.sigma_eps)
+        _close(lp_b.alpha, ref_l.alpha, alpha_mag)
+        cases += 1
+    assert cases == {"conjugate": 240, "degenerate": 625}.get(kind, 675)

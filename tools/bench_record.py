@@ -4,15 +4,17 @@
         [--note "how the pairs were run"]
 
 PARENT_OUT and CHANGE_OUT are the .perfbench_out/ directories of a parent
-checkout and of a change checkout, each run with `perfbench/run.py --trace 0`
-and the same settings. A run is paired with the run of the same workload
-and seed on the other side; unpaired runs and traced runs are left out.
+checkout and of a change checkout, each run with `perfbench/run.py` and the
+same settings. A run is paired with the run of the same workload, seed and
+--trace setting on the other side; unpaired runs are listed and left out.
 
-For each workload and each end-to-end metric of BENCHMARK.json the record
-holds every run's value (in seed order), each side's median and quartiles,
-and the number of pairs the change won, ties counting for neither. It also
-holds the operations attempted and failed in each run, and each side's git
-commit and environment, which must be the same for all runs of a side.
+For each workload and each end-to-end metric of BENCHMARK.json (from the
+--trace 0 pairs), and under "per_layer" each per-layer metric (from the
+--trace 1 pairs), the record holds every run's value (in seed order), each
+side's median and quartiles, and the number of pairs the change won, ties
+counting for neither. It also holds the operations attempted and failed in
+each run, and each side's git commit and environment, which must be the
+same for all runs of a side.
 """
 
 import argparse
@@ -24,13 +26,13 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def load_runs(directory) -> dict[tuple[str, int], dict]:
-    """The --trace 0 records of one .perfbench_out/, by (workload, seed)."""
+def load_runs(directory) -> dict[tuple[str, int, int], dict]:
+    """The records of one .perfbench_out/, by (workload, seed, trace)."""
     runs = {}
-    for path in sorted(Path(directory).glob("*-trace0.json")):
+    for path in sorted(Path(directory).glob("*-trace[01].json")):
         with open(path, encoding="utf-8") as fh:
             rec = json.load(fh)
-        runs[(rec["workload"], rec["environment"]["seed"])] = rec
+        runs[(rec["workload"], rec["environment"]["seed"], rec["trace"])] = rec
     return runs
 
 
@@ -54,40 +56,56 @@ def side(records: list[dict], name: str) -> dict:
     return {"git_commit": env.pop("git_commit"), "environment": env}
 
 
+def paired(pairs: list[tuple[dict, dict]], seeds: list[int], metrics: list[dict]) -> dict:
+    """Seeds, op counts and the spread of every listed metric over pairs."""
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        before = [p["metrics"][name] for p, _ in pairs]
+        after = [c["metrics"][name] for _, c in pairs]
+        out[name] = {
+            **{k: metric[k] for k in ("unit", "better", "bound") if k in metric},
+            "parent": spread(before), "change": spread(after),
+            "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
+        }
+    return {
+        "seeds": seeds, "pairs": len(pairs),
+        "attempted": {"parent": [len(p["ops"]) for p, _ in pairs],
+                      "change": [len(c["ops"]) for _, c in pairs]},
+        "failed": {"parent": [failed_ops(p) for p, _ in pairs],
+                   "change": [failed_ops(c) for _, c in pairs]},
+        "metrics": out,
+    }
+
+
 def fold(parent: dict, change: dict, spec: dict, note: str = "") -> dict:
-    """One record from the paired runs of load_runs() on each side."""
+    """One record from the paired runs of load_runs() on each side: the
+    untraced pairs of a workload at its top level, the traced ones under
+    "per_layer"."""
     keys = sorted(parent.keys() & change.keys())
     if not keys:
-        raise SystemExit("bench_record: no workload and seed was run on both sides")
+        raise SystemExit("bench_record: no workload, seed and trace was run on both sides")
     seconds = {r["seconds"] for r in [*parent.values(), *change.values()]}
     workloads = {}
-    for workload in sorted({w for w, _ in keys}):
-        seeds = [s for w, s in keys if w == workload]
-        pairs = [(parent[workload, s], change[workload, s]) for s in seeds]
-        metrics = {}
-        for metric in spec["end_to_end"]:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            before = [p["metrics"][name] for p, _ in pairs]
-            after = [c["metrics"][name] for _, c in pairs]
-            metrics[name] = {
-                "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                "parent": spread(before), "change": spread(after),
-                "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
-            }
-        workloads[workload] = {
-            "seeds": seeds, "pairs": len(pairs),
-            "attempted": {"parent": [len(p["ops"]) for p, _ in pairs],
-                          "change": [len(c["ops"]) for _, c in pairs]},
-            "failed": {"parent": [failed_ops(p) for p, _ in pairs],
-                       "change": [failed_ops(c) for _, c in pairs]},
-            "metrics": metrics,
-        }
+    for workload in sorted({w for w, _, _ in keys}):
+        body = {}
+        for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
+            seeds = [s for w, s, t in keys if w == workload and t == trace]
+            if seeds:
+                pairs = [(parent[workload, s, trace], change[workload, s, trace]) for s in seeds]
+                block = paired(pairs, seeds, spec[kind])
+                if trace:
+                    body["per_layer"] = block
+                else:
+                    body.update(block)
+        workloads[workload] = body
     return {
         "seconds": sorted(seconds),
         "note": note,
         "parent": side([parent[k] for k in keys], "parent"),
         "change": side([change[k] for k in keys], "change"),
-        "unpaired": sorted(f"{w}-seed{s}" for w, s in parent.keys() ^ change.keys()),
+        "unpaired": sorted(f"{w}-seed{s}" + ("-trace1" if t else "")
+                           for w, s, t in parent.keys() ^ change.keys()),
         "workloads": workloads,
     }
 
@@ -104,7 +122,7 @@ def main(argv=None) -> int:
     record = fold(load_runs(args.parent), load_runs(args.change), spec, args.note)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, body in record["workloads"].items():
-        for name, m in body["metrics"].items():
+        for name, m in body.get("metrics", {}).items():
             print(f"{workload:16s} {name:15s} {m['parent']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g} {m['unit']:4s} "
                   f"change won {m['change_wins']} of {body['pairs']}")
