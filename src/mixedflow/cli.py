@@ -52,11 +52,7 @@ def _load_json(path, build, what: str):
 
 
 def _load_prior(path) -> PriorSpec:
-    return _load_json(path, lambda obj: PriorSpec(
-        np.asarray(obj["nu_beta"], dtype=np.float64),
-        np.asarray(obj["tau_beta"], dtype=np.float64),
-        np.asarray(obj.get("tau_sigma", []), dtype=np.float64),
-        float(obj["tau_eps"])), "prior")
+    return _load_json(path, PriorSpec.from_json, "prior")
 
 
 def _conformal_table(args) -> ConformalTable | None:
@@ -192,8 +188,7 @@ def cmd_report(args) -> int:
         else:
             name, path = Path(spec_item).stem, spec_item
         if path.endswith(".csv"):
-            pairs = [ingest_external_samples(path)]
-            draw_list = [(pairs[0][0], {"dataset_id": pairs[0][0].dataset_id})]
+            draw_list = [ingest_external_samples(path)]
         else:
             draw_list = mfio.load_draws(path)
         evals, skipped = [], []

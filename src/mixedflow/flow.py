@@ -9,6 +9,11 @@ halves alternate across blocks. One-dimensional flows degenerate to
 condition-only transforms of their single coordinate, which keeps every
 block invertible and still conditioning-aware.
 
+Sampling is one inverse pass of (g, k, dim) base draws, for k draws per
+condition row (`sample`, g = 1) or per group (`sample_grouped`). A
+one-dimensional flow's conditioners see one row per group, since its
+transform never reads the draw; wider flows see one row per draw.
+
 Conditioner scale heads are squashed to the band (-SCALE_BOUND,
 SCALE_BOUND) on the log scale and zero-initialized, so an untrained flow is
 exactly the identity map.
@@ -139,8 +144,7 @@ class CouplingFlow(Module):
                 raise NumericError(f"non-finite output in {self.name} block {i}")
         return z, logdet
 
-    def inverse(self, z: Tensor, cond: Tensor,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    def inverse(self, z: Tensor, cond: Tensor) -> tuple[Tensor, Tensor]:
         """Map base-space points back to parameters; logdet is the log
         Jacobian determinant of this inverse map."""
         theta = z
@@ -148,7 +152,7 @@ class CouplingFlow(Module):
         for i in reversed(range(len(self._plans))):
             psl, asl = self._plans[i]
             passive, active = theta[..., psl], theta[..., asl]
-            s, t = self._block_params(i, passive, cond, rng)
+            s, t = self._block_params(i, passive, cond, None)
             new_active = (active - t) * (-s).exp()
             theta = cat([passive, new_active] if psl.start == 0 else [new_active, passive], axis=-1)
             contrib = (-s).sum(axis=-1)
@@ -166,43 +170,31 @@ class CouplingFlow(Module):
     def sample(self, cond: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """k draws per condition row. cond may be one row (shared) or
         (k, cond_dim); returns (draws (k, dim), log density (k,))."""
-        dt = self.base.loc.data.dtype
-        cond = np.asarray(cond, dtype=dt)
+        cond = np.asarray(cond, dtype=self.base.loc.data.dtype)
         if cond.ndim == 1:
             cond = np.broadcast_to(cond, (k, cond.shape[0]))
         elif cond.shape[0] != k:
             raise ConfigError(f"need one condition row per draw, got {cond.shape[0]} for k={k}")
-        z = Tensor(self.base.sample(k, rng).astype(dt))
-        theta, logdet_inv = self.inverse(z, Tensor(cond))
-        log_q = self.base.log_prob(z).data - logdet_inv.data
-        assert_finite(theta, f"{self.name} samples")
-        return theta.data, log_q
+        theta, log_q = self._sample(cond[None], k, rng)
+        return theta[0], log_q[0]
 
     def sample_grouped(self, cond: np.ndarray, k: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """k draws for each of g condition rows: (draws (g, k, dim),
-        log density (g, k)).
+        log density (g, k))."""
+        cond = np.atleast_2d(np.asarray(cond, dtype=self.base.loc.data.dtype))
+        return self._sample(cond[:, None, :], k, rng)
 
-        One-dimensional flows run their conditioners once per condition
-        row instead of once per draw (the transform never reads the draw
-        itself), which makes many-draws-per-group sampling cheap; wider
-        flows fall back to the flat path.
-        """
-        dt = self.base.loc.data.dtype
-        cond = np.atleast_2d(np.asarray(cond, dtype=dt))
+    def _sample(self, cond: np.ndarray, k: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse pass of (g, k, dim) base draws under cond (g, 1 or k,
+        cond_dim); wider flows `cat` the condition to the passive half of
+        each draw, so only they need a condition row per draw."""
         g = cond.shape[0]
-        if self.dim != 1:
-            flat, log_q = self.sample(np.repeat(cond, k, axis=0), g * k, rng)
-            return flat.reshape(g, k, self.dim), log_q.reshape(g, k)
-        z = self.base.sample(g * k, rng).reshape(g, k).astype(dt)
-        theta = z.copy()
-        logdet_inv = np.zeros((g, 1), dtype=dt)
-        cond_t = Tensor(cond)
-        for i in reversed(range(len(self._plans))):
-            s, t = self.conditioners[i](cond_t)           # (g, 1) each
-            theta = (theta - t.data) * np.exp(-s.data)
-            logdet_inv = logdet_inv - s.data
-            if not np.all(np.isfinite(theta)):
-                raise NumericError(f"non-finite output in {self.name} block {i} (inverse)")
-        log_q = self.base.log_prob(Tensor(z.reshape(g * k, 1))).data.reshape(g, k) - logdet_inv
-        return theta[..., None], log_q
+        if self.dim > 1:
+            cond = np.broadcast_to(cond, (g, k, cond.shape[-1]))
+        z = Tensor(self.base.sample(g * k, rng).reshape(g, k, self.dim).astype(cond.dtype))
+        theta, logdet_inv = self.inverse(z, Tensor(cond))
+        log_q = self.base.log_prob(z).data - logdet_inv.data
+        assert_finite(theta, f"{self.name} samples")
+        return theta.data, log_q

@@ -113,9 +113,7 @@ def dataset_to_record(ds: HierDataset) -> dict:
         "truth": None,
     }
     if ds.truth is not None:
-        p = ds.truth.prior
-        rec["prior"] = {"nu_beta": p.nu_beta.tolist(), "tau_beta": p.tau_beta.tolist(),
-                        "tau_sigma": p.tau_sigma.tolist(), "tau_eps": p.tau_eps}
+        rec["prior"] = ds.truth.prior.to_json()
         gp, lp = ds.truth.global_params, ds.truth.local_params
         rec["truth"] = {"beta": gp.beta.tolist(),
                         "sigma_alpha": gp.sigma_alpha.tolist(),
@@ -146,12 +144,9 @@ def dataset_from_record(rec: dict) -> HierDataset:
     truth = None
     if rec.get("truth") is not None:
         t = rec["truth"]
-        p = rec["prior"]
-        prior = PriorSpec(np.asarray(p["nu_beta"]), np.asarray(p["tau_beta"]),
-                          np.asarray(p["tau_sigma"]), float(p["tau_eps"]))
         noise = np.zeros((m, n_max))
         noise[mask] = np.asarray(t["noise"], dtype=np.float64)
-        truth = Truth(prior,
+        truth = Truth(PriorSpec.from_json(rec["prior"]),
                       GlobalParams(np.asarray(t["beta"]), np.asarray(t["sigma_alpha"]),
                                    float(t["sigma_eps"])),
                       LocalParams(np.asarray(t["alpha"], dtype=np.float64).reshape(m, q)),

@@ -115,8 +115,6 @@ class PosteriorModel(Module):
             self.local_flow = self.register("local_flow", CouplingFlow(
                 cfg.q, cfg.width + cfg.p_global, rng, cfg.flow_blocks,
                 cfg.flow_hidden, cfg.dropout, dtype=dt, name="local-flow"))
-        # set by the two conditioning paths; training asserts "truth"
-        self.last_local_conditioning: str | None = None
 
     # -- parameter-space plumbing ---------------------------------------------
 
@@ -161,7 +159,6 @@ class PosteriorModel(Module):
             raise ConfigError("batch carries no local truth")
         b, m = batch.group_mask.shape
         dt = self.cfg.np_dtype
-        self.last_local_conditioning = "truth"
         theta_rep = np.repeat(batch.theta_u[:, None, :], m, axis=1).reshape(b * m, -1)
         cond = cat([s_local.reshape(b * m, self.cfg.width),
                     Tensor(theta_rep.astype(dt))], axis=-1)
@@ -206,7 +203,6 @@ class PosteriorModel(Module):
 
                 local_std = log_q_local = None
                 if self.local_flow is not None:
-                    self.last_local_conditioning = "inferred"
                     u_mean = u.mean(axis=0)
                     m = ds.m
                     cond_l = np.concatenate([
@@ -237,8 +233,18 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
     when every dataset carries them."""
     if not datasets:
         raise ConfigError("empty batch")
-    std_list: list[HierDataset] = []
+    b, dt = len(datasets), cfg.np_dtype
+    m_max = max(ds.m for ds in datasets)
+    n_max = max(ds.X.shape[1] for ds in datasets)
+    X = np.zeros((b, m_max, n_max, cfg.d), dtype=dt)
+    y = np.zeros((b, m_max, n_max), dtype=dt)
+    mask = np.zeros((b, m_max, n_max), dtype=bool)
+    group_mask = np.zeros((b, m_max), dtype=bool)
+    theta_u = np.zeros((b, cfg.p_global))
+    alpha_std = np.zeros((b, m_max, cfg.q))
+    prior_feats = np.zeros((b, cfg.prior_dim))
     rec_list: list[StandardizationRecord] = []
+    have_truth = True
     for i, ds in enumerate(datasets):
         if ds.d != cfg.d or ds.q != cfg.q:
             raise DimensionError(f"dataset {i} is (d={ds.d}, q={ds.q}), "
@@ -247,40 +253,20 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
             ds, rec = standardize_data(ds)
         else:
             rec = StandardizationRecord.identity(ds.d)
-        std_list.append(ds)
         rec_list.append(rec)
-
-    b = len(std_list)
-    m_max = max(ds.m for ds in std_list)
-    n_max = max(ds.X.shape[1] for ds in std_list)
-    dt = cfg.np_dtype
-    X = np.zeros((b, m_max, n_max, cfg.d), dtype=dt)
-    y = np.zeros((b, m_max, n_max), dtype=dt)
-    mask = np.zeros((b, m_max, n_max), dtype=bool)
-    group_mask = np.zeros((b, m_max), dtype=bool)
-    for i, ds in enumerate(std_list):
         mi, ni = ds.m, ds.X.shape[1]
         X[i, :mi, :ni] = ds.X
         y[i, :mi, :ni] = ds.y
         mask[i, :mi, :ni] = ds.mask
         group_mask[i, :mi] = True
-    Z = np.where(np.arange(cfg.d) < cfg.q, X, 0)
-
-    have_truth = all(ds.truth is not None for ds in std_list)
-    theta_u = alpha_std = None
-    if have_truth:
-        theta_u = np.zeros((b, cfg.p_global))
-        alpha_std = np.zeros((b, m_max, cfg.q))
-        for i, ds in enumerate(std_list):
+        if ds.truth is None:
+            have_truth = False
+        else:
             theta_u[i] = theta_unconstrained(ds.truth.global_params, cfg.infer_noise)
-            if cfg.q:
-                alpha_std[i, :ds.m] = ds.truth.local_params.alpha
-
-    # priors recorded on the (possibly standardized) datasets are already
-    # in the right space (standardize_data records standardize_prior of the
-    # data-scale one); passed priors get rescaled against each record
-    prior_feats = np.zeros((b, cfg.prior_dim))
-    for i, (ds, rec) in enumerate(zip(std_list, rec_list)):
+            alpha_std[i, :mi] = ds.truth.local_params.alpha
+        # priors recorded on the (possibly standardized) datasets are already
+        # in the right space (standardize_data records standardize_prior of the
+        # data-scale one); passed priors get rescaled against each record
         if priors is not None:
             p = standardize_prior(priors[i], rec) if cfg.standardize else priors[i]
         elif ds.truth is not None:
@@ -288,6 +274,9 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
         else:
             raise ConfigError(f"no prior given and dataset {i} has no recorded one")
         prior_feats[i] = np.concatenate([p.nu_beta, p.tau_beta, p.tau_sigma, [p.tau_eps]])
+    Z = np.where(np.arange(cfg.d) < cfg.q, X, 0)
+    if not have_truth:
+        theta_u = alpha_std = None
 
     return Batch(X=X, Z=Z, y=y, mask=mask, group_mask=group_mask,
                  prior_feats=prior_feats, theta_u=theta_u, alpha_std=alpha_std,

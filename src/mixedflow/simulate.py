@@ -70,6 +70,15 @@ class PriorSpec:
         if np.any(self.tau_beta <= 0) or np.any(self.tau_sigma <= 0) or self.tau_eps <= 0:
             raise ConfigError("prior scales must be strictly positive")
 
+    def to_json(self) -> dict:
+        return {"nu_beta": self.nu_beta.tolist(), "tau_beta": self.tau_beta.tolist(),
+                "tau_sigma": self.tau_sigma.tolist(), "tau_eps": self.tau_eps}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PriorSpec":
+        """The prior of a `to_json` dict; no `tau_sigma` means q = 0."""
+        return cls(obj["nu_beta"], obj["tau_beta"], obj.get("tau_sigma", []), obj["tau_eps"])
+
     @property
     def d(self) -> int:
         return self.nu_beta.shape[0]

@@ -154,22 +154,14 @@ def total_loss(model: PosteriorModel, batch: Batch,
     return float(model.loss(batch, rng).item())
 
 
-def _validation_loss(model: PosteriorModel, opt: ScheduleFreeAdamW,
-                     val_batches: list[Batch]) -> float:
-    """Mean per-dataset loss at the optimizer's averaged iterate; leaves the
-    model and optimizer in training mode."""
-    opt.eval_mode()
-    model.set_training(False)
+def _validation_loss(model: PosteriorModel, val_batches: list[Batch]) -> float:
+    """Mean per-dataset loss at the parameters the model holds."""
     total, count = 0.0, 0
-    try:
-        with no_grad():
-            for batch in val_batches:
-                g, l = model.loss_components(batch)
-                total += float((g + l).sum().item())
-                count += batch.size
-    finally:
-        opt.train_mode()
-        model.set_training(True)
+    with no_grad():
+        for batch in val_batches:
+            g, l = model.loss_components(batch)
+            total += float((g + l).sum().item())
+            count += batch.size
     return total / count
 
 
@@ -223,13 +215,15 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     stopped_early = False
     t_start = time.time()
 
-    step = start_step
+    # parameters at the gradient point y before the first step: a fresh
+    # optimizer holds x = z, and beta1*x + (1-beta1)*z is not bitwise x
+    opt.train_mode()
+    model.set_training(True)
+    step = start_step - 1  # a finished run resumes to zero steps
     for step in range(start_step, cfg.steps):
         datasets = [make_training_dataset(cfg, step * cfg.batch_size + j)
                     for j in range(cfg.batch_size)]
         batch = make_batch(datasets, mcfg)
-        opt.train_mode()
-        model.set_training(True)
         model.zero_grad()
         drop_rng = substream(cfg.seed, "dropout", step)
         g, l = model.loss_components(batch, drop_rng)
@@ -240,8 +234,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             continue
         loss.backward()
         opt.step()
-        if model.local_flow is not None and model.last_local_conditioning != "truth":
-            raise NumericError("teacher forcing violated: local flow saw inferred globals")
 
         if initial_loss is None:
             initial_loss = loss_val
@@ -256,7 +248,12 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             divergent_streak = 0
 
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
-            val = _validation_loss(model, opt, val_batches)
+            # validation and both checkpoints read the averaged iterate x, so
+            # one window holds x in the parameters for all three; the next
+            # step needs y back, dropout included
+            opt.eval_mode()
+            model.set_training(False)
+            val = _validation_loss(model, val_batches)
             curve.append((step + 1, float(g.mean().item()), float(l.mean().item()), val))
             _write_curve(curve_path, curve)
             improved = val < best_val
@@ -267,11 +264,11 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                 stale_evals += 1
             meta = {"step": step + 1, "seed": cfg.seed, "best_val": best_val,
                     "train_config": asdict(cfg)}
-            opt.eval_mode()
             if improved:
                 save_model(best_path, model, meta)
             save_model(last_path, model, meta, opt_arrays=opt.state_arrays())
             opt.train_mode()
+            model.set_training(True)
             rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
             log.info("step %d/%d train %.3f val %.3f best %.3f (%.2f steps/s)",
                      step + 1, cfg.steps, loss_val, val, best_val, rate)

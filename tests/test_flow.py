@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixedflow.flow import CouplingFlow, StudentTBase
+import flow_oracle
+from mixedflow.flow import CouplingFlow, StudentTBase, _Conditioner
 from mixedflow.nn.tensor import Tensor
 
 
-def make_flow(dim, cond_dim, seed=0, randomize=True, blocks=4, hidden=32):
+def make_flow(dim, cond_dim, seed=0, randomize=True, blocks=4, hidden=32, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    flow = CouplingFlow(dim, cond_dim, rng, blocks=blocks, hidden=hidden, dtype=np.float64)
+    flow = CouplingFlow(dim, cond_dim, rng, blocks=blocks, hidden=hidden, dtype=dtype)
     if randomize:
         # heads are zero-initialized; give them weight so the map is not identity
         for net in flow.conditioners:
-            net.shift.w.data = rng.normal(0, 0.3, size=net.shift.w.data.shape)
-            net.shift.b.data = rng.normal(0, 0.1, size=net.shift.b.data.shape)
-            net.scale.w.data = rng.normal(0, 0.3, size=net.scale.w.data.shape)
-            net.scale.b.data = rng.normal(0, 0.1, size=net.scale.b.data.shape)
+            for head, sd in ((net.shift.w, 0.3), (net.shift.b, 0.1),
+                             (net.scale.w, 0.3), (net.scale.b, 0.1)):
+                head.data = rng.normal(0, sd, size=head.data.shape).astype(dtype)
     return flow
 
 
@@ -141,6 +141,41 @@ class TestSampling:
                                       np.random.default_rng(16))
         np.testing.assert_allclose(g_draws.reshape(100, dim), f_draws, atol=1e-12)
         np.testing.assert_allclose(g_logq.reshape(100), f_logq, atol=1e-10)
+
+
+def _counting_conditioner_rows(monkeypatch):
+    """Patch every conditioner to log the number of input rows it runs on."""
+    rows = []
+    call = _Conditioner.__call__
+
+    def counted(self, x, rng=None):
+        rows.append(int(np.prod(x.shape[:-1])))
+        return call(self, x, rng)
+
+    monkeypatch.setattr(_Conditioner, "__call__", counted)
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_samplers_match_reference_bytes_and_conditioner_rows(dim, dtype, monkeypatch):
+    # the shapes inference uses: one shared row, one row per draw, and g
+    # groups; a one-dimensional flow must run one conditioner row per group
+    flow = make_flow(dim, 3, seed=20 + dim, dtype=dtype)
+    k = 7
+    cond = np.random.default_rng(21).normal(size=(k, 3))
+    cases = [("sample", cond[0]), ("sample", cond), ("sample_grouped", cond[:5])]
+    rows = _counting_conditioner_rows(monkeypatch)
+    for method, c in cases:
+        got = getattr(flow, method)(c, k, np.random.default_rng(22))
+        got_rows = rows[:]
+        rows.clear()
+        want = getattr(flow_oracle, method)(flow, c, k, np.random.default_rng(22))
+        assert rows == got_rows, (method, c.shape)
+        rows.clear()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, method
+            assert a.tobytes() == b.tobytes(), (method, c.shape)
 
 
 def test_student_t_base_log_prob_matches_scipy():

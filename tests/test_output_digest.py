@@ -1,0 +1,26 @@
+"""Every command's output is reproducible: the digest matrix of
+tools/output_digest.py, run twice from fresh working directories, writes
+the same bytes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _digest() -> list[str]:
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
+                           "--checkout", str(ROOT)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    return done.stdout.splitlines()
+
+
+def test_every_command_writes_the_same_bytes_twice():
+    first, second = _digest(), _digest()
+    assert first == second
+    paths = {line.split("  ", 1)[1] for line in first}
+    for path in ("toy.jsonl", "full.jsonl.gz", "conj.jsonl", "m21/best.ckpt", "m32/last.ckpt",
+                 "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",
+                 "eval-conformal/report.csv", "report/report.txt"):
+        assert path in paths

@@ -8,7 +8,7 @@ from scipy import stats
 
 from mixedflow import simulate as sim
 from mixedflow.model import ModelConfig, PosteriorModel, load_model, make_batch
-from mixedflow.nn.tensor import no_grad
+from mixedflow.nn.tensor import Tensor, no_grad
 from mixedflow.seeding import substream
 from mixedflow.train import (TrainConfig, global_loss, local_loss, make_training_dataset,
                              total_loss, train)
@@ -78,14 +78,50 @@ class TestLossStructure:
             l_solo = model.local_nll(solo, s_local_solo).data[0]
         assert l_batch == pytest.approx(l_solo, rel=1e-4)
 
-    def test_teacher_forcing_flag(self):
+    def test_local_nll_is_teacher_forced_on_true_globals(self):
         model, cfg = small_model()
-        batch, dsets = toy_batch(cfg)
+        rng = np.random.default_rng(31)
+        for net in model.local_flow.conditioners:   # zero heads ignore the condition
+            for head in (net.shift.w, net.scale.w):
+                head.data = rng.normal(0, 0.3, size=head.data.shape).astype(np.float32)
+        batch, _ = toy_batch(cfg)
         with no_grad():
-            model.loss(batch)
-        assert model.last_local_conditioning == "truth"
+            s_local, _ = model.encode(batch)
+            got = model.local_nll(batch, s_local).data
+            want = np.zeros(batch.size)
+            for i in range(batch.size):
+                for j in np.flatnonzero(batch.group_mask[i]):
+                    cond = np.concatenate([s_local.data[i, j], batch.theta_u[i]])[None]
+                    alpha = batch.alpha_std[i, j][None]
+                    want[i] -= model.local_flow.log_prob(
+                        Tensor(alpha.astype(np.float32)), Tensor(cond.astype(np.float32))).data[0]
+            batch.theta_u = batch.theta_u + 0.5
+            moved = model.local_nll(batch, s_local).data
+        np.testing.assert_allclose(got, want, rtol=1e-5)
+        assert np.all(np.abs(moved - got) > 1e-4)
+
+    def test_posterior_conditions_local_flow_on_mean_global_draw(self, monkeypatch):
+        model, cfg = small_model()
+        _, dsets = toy_batch(cfg, count=1)
+        seen = {}
+        global_sample = model.global_flow.sample
+        local_sample = model.local_flow.sample_grouped
+
+        def capture_global(cond, k, rng):
+            seen["u"], log_q = global_sample(cond, k, rng)
+            return seen["u"], log_q
+
+        def capture_local(cond, k, rng):
+            seen["cond"] = cond
+            return local_sample(cond, k, rng)
+
+        monkeypatch.setattr(model.global_flow, "sample", capture_global)
+        monkeypatch.setattr(model.local_flow, "sample_grouped", capture_local)
         model.posterior(dsets[0], k=10, rng=np.random.default_rng(0))
-        assert model.last_local_conditioning == "inferred"
+        u_mean = seen["u"].mean(axis=0).astype(np.float32)
+        assert seen["cond"].shape == (dsets[0].m, cfg.width + cfg.p_global)
+        np.testing.assert_array_equal(seen["cond"][:, cfg.width:],
+                                      np.tile(u_mean, (dsets[0].m, 1)))
 
     def test_initialization_matches_base_density_oracle(self):
         # identity flow at init: the global loss must equal the Student-t
@@ -157,6 +193,16 @@ class TestTrainingLoop:
         m_res, _, _ = load_model(resumed.best_path)
         for (n1, p1), (n2, p2) in zip(m_full.named_parameters(), m_res.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data, err_msg=n1)
+
+    def test_resuming_a_finished_run_runs_nothing(self, tmp_path):
+        cfg = TrainConfig(d=2, q=1, budget=80, batch_size=8, seed=19, toy=True,
+                          eval_every=5, val_sets=8, warmup_steps=5, **SMALL)
+        train(cfg, tmp_path)
+        names = ("best.ckpt", "last.ckpt", "curve.csv")
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        res = train(cfg, tmp_path, resume=True)
+        assert res.steps_run == 0
+        assert {n: (tmp_path / n).read_bytes() for n in names} == before
 
     def test_validation_reproducible_from_checkpoint(self, tmp_path):
         cfg = TrainConfig(d=2, q=1, budget=160, batch_size=8, seed=17, toy=True,

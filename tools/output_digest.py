@@ -1,0 +1,131 @@
+"""Digest every file the command line writes, to compare two checkouts byte
+for byte.
+
+    python3 tools/output_digest.py --checkout DIR
+
+Runs a fixed matrix of `mixedflow` commands in-process, with the package
+imported from DIR/src, inside a fresh temporary working directory and with
+relative paths only, so no manifest carries a machine path. Each command's
+standard output is kept as a file too. Prints `sha256  path` for every file,
+sorted by path; two checkouts that print the same lines wrote the same
+bytes. One BLAS thread is set before numpy loads, so reductions do not
+depend on the thread count.
+
+The matrix: `simulate` toy, non-toy and conjugate; a tiny `train` on
+d=2/q=1, d=3/q=2 (stopped early) and the conjugate family, each followed by
+`train --resume` with a larger budget; `calibrate --refine none|is`;
+`infer` in all four refine modes and on an observation CSV; `evaluate` in
+all four refine modes; `report`.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+TINY = {"width": 16, "summary_blocks": 1, "heads": 2, "flow_blocks": 2,
+        "flow_hidden": 16, "eval_every": 5, "val_sets": 8, "warmup_steps": 5}
+REFINES = ("none", "is", "conformal", "both")
+
+
+def _inputs():
+    """Training configs, an observation CSV and its prior, as files."""
+    files = {
+        "tiny.json": TINY,
+        "early.json": {**TINY, "eval_every": 2, "patience": 1, "lr": 0.05},
+        "conj.json": {**TINY, "family": "conjugate"},
+        "prior.json": {"nu_beta": [0.0, 0.0], "tau_beta": [2.0, 2.0],
+                       "tau_sigma": [1.0], "tau_eps": 1.0},
+    }
+    for name, obj in files.items():
+        Path(name).write_text(json.dumps(obj), encoding="utf-8")
+    rows = ["group_id,y,x_1"]
+    for g, group in enumerate("abc"):
+        rows += [f"{group},{(7 * g + 3 * i) % 11 / 5 - 1:.2f},{(5 * i + g) % 7 / 3 - 1:.3f}"
+                 for i in range(6 + g)]
+    Path("obs.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _commands() -> list[list[str]]:
+    def train(name, d, q, budget, config, *extra):
+        return ["train", "--d", str(d), "--q", str(q), "--budget", str(budget), "--batch", "8",
+                "--seed", "4", "--toy", "--config", config, "--out", name, *extra]
+
+    cmds = [
+        ["simulate", "--d", "2", "--q", "1", "--count", "6", "--seed", "1", "--toy",
+         "--m-range", "3,6", "--n-range", "5,10", "--out", "toy.jsonl"],
+        ["simulate", "--d", "3", "--q", "2", "--count", "4", "--seed", "2",
+         "--m-range", "3,5", "--n-range", "5,10", "--out", "full.jsonl.gz"],
+        ["simulate", "--d", "2", "--q", "0", "--family", "conjugate", "--count", "4",
+         "--seed", "3", "--n-range", "10,20", "--out", "conj.jsonl"],
+    ]
+    for name, d, q, config in (("m21", 2, 1, "tiny.json"), ("m32", 3, 2, "early.json"),
+                               ("mconj", 2, 0, "conj.json")):
+        cmds += [train(name, d, q, 80, config), train(name, d, q, 120, config, "--resume")]
+    model = ["--checkpoint", "m21/best.ckpt"]
+    for refine in ("none", "is"):
+        cmds.append(["calibrate", *model, "--sets", "toy.jsonl", "--k", "40", "--seed", "5",
+                     "--refine", refine, "--out", f"cal-{refine}.json"])
+    for refine in REFINES:
+        table = {"conformal": ["--conformal-table", "cal-none.json"],
+                 "both": ["--conformal-table", "cal-is.json"]}.get(refine, [])
+        cmds.append(["infer", *model, "--data", "toy.jsonl", "--k", "40", "--seed", "6",
+                     "--refine", refine, *table, "--out", f"infer-{refine}.jsonl"])
+        cmds.append(["evaluate", *model, "--data", "toy.jsonl", "--k", "40", "--seed", "7",
+                     "--refine", refine, *table, "--out", f"eval-{refine}"])
+    cmds += [
+        ["infer", *model, "--data", "obs.csv", "--q", "1", "--prior", "prior.json",
+         "--k", "40", "--seed", "8", "--out", "infer-csv.jsonl"],
+        ["infer", "--checkpoint", "m32/best.ckpt", "--data", "full.jsonl.gz", "--k", "40",
+         "--refine", "is", "--out", "infer-m32.jsonl.gz"],
+        ["infer", "--checkpoint", "mconj/best.ckpt", "--data", "conj.jsonl", "--k", "40",
+         "--refine", "is", "--out", "infer-conj.jsonl"],
+        ["report", "--draws", "none=infer-none.jsonl", "is=infer-is.jsonl",
+         "--data", "toy.jsonl", "--out", "report"],
+    ]
+    return cmds
+
+
+def run_matrix(checkout) -> list[tuple[str, str]]:
+    """(sha256, relative path) for every file the matrix writes."""
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    from mixedflow.cli import main
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="mixedflow-digest-") as work:
+        os.chdir(work)
+        try:
+            _inputs()
+            Path("stdout").mkdir()
+            for i, argv in enumerate(_commands()):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                if code != 0:
+                    raise SystemExit(f"output_digest: exit {code} from {' '.join(argv)}")
+                Path(f"stdout/{i:02d}-{argv[0]}.txt").write_text(out.getvalue(), encoding="utf-8")
+            return [(hashlib.sha256(p.read_bytes()).hexdigest(), p.as_posix())
+                    for p in sorted(Path(".").rglob("*")) if p.is_file()]
+        finally:
+            os.chdir(home)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--checkout", required=True, help="repository root to run")
+    args = parser.parse_args(argv)
+    for digest, path in run_matrix(args.checkout):
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
