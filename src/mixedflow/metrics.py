@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -239,7 +240,8 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
     wrap it as uniform-weighted draws.
 
     Parameter names follow the draw-file convention: beta[j], sigma[j],
-    sigma_eps, alpha[i,j]. Returns (draws, info) where info records the
+    sigma_eps, alpha[i,j]. The dataset id is the file stem, as for an
+    observation CSV. Returns (draws, info) where info records the
     per-chain outlier counts and the selected chain.
     """
     series: dict[tuple[str, str], list[tuple[int, float]]] = {}
@@ -304,7 +306,8 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
         global_std=np.column_stack(global_cols), log_q_global=np.zeros(k),
         d=d, q=q, infer_noise=infer_noise,
         rec=StandardizationRecord.identity(d),
-        local_std=local, log_q_local=np.zeros((k, local.shape[1])) if local is not None else None)
+        local_std=local, log_q_local=np.zeros((k, local.shape[1])) if local is not None else None,
+        dataset_id=Path(path).stem)
     info = {"selected_chain": selected, "outlier_counts": outlier_counts,
             "k": k, "mad_threshold": mad_threshold}
     return draws, info

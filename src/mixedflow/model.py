@@ -26,7 +26,7 @@ from .nn.layers import Module
 from .nn.tensor import Tensor, cat, no_grad
 from .simulate import GlobalParams, HierDataset, PriorSpec
 from .standardize import StandardizationRecord, standardize_data, standardize_prior
-from .summary import SummaryConfig, SummaryNetwork
+from .summary import SummaryNetwork
 
 __all__ = ["ModelConfig", "PosteriorModel", "Batch", "make_batch",
            "theta_unconstrained", "save_model", "load_model"]
@@ -67,6 +67,8 @@ class ModelConfig:
             raise ConfigError("need at least one predictor column")
         if self.q < 0 or self.q > self.d:
             raise ConfigError(f"q={self.q} must lie in [0, d={self.d}]")
+        if self.heads < 1 or self.width % self.heads != 0:
+            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
 
     @property
     def p_global(self) -> int:
@@ -105,8 +107,8 @@ class PosteriorModel(Module):
         super().__init__()
         self.cfg = cfg
         dt = cfg.np_dtype
-        scfg = SummaryConfig(cfg.width, cfg.summary_blocks, cfg.heads, cfg.dropout)
-        self.summary = self.register("summary", SummaryNetwork(cfg.d, scfg, rng, dt))
+        self.summary = self.register("summary", SummaryNetwork(
+            cfg.d, cfg.width, cfg.summary_blocks, cfg.heads, cfg.dropout, rng, dt))
         self.global_flow = self.register("global_flow", CouplingFlow(
             cfg.p_global, cfg.width + cfg.prior_dim, rng, cfg.flow_blocks,
             cfg.flow_hidden, cfg.dropout, dtype=dt, name="global-flow"))

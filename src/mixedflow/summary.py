@@ -17,15 +17,13 @@ truncated to its longest group, and only then embeds them: the padded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .nn.layers import EncoderStack, Linear, Module, masked_mean
 from .nn.tensor import Tensor, cat as tensor_cat
 
-__all__ = ["SummaryConfig", "SummaryNetwork", "size_buckets"]
+__all__ = ["SummaryNetwork", "size_buckets"]
 
 # Fixed cost of one local-encoder pass, in padded rows. A desk `train` op (2
 # steps and a 16-set validation; 2-CPU host, one BLAS thread) took 1040-1080
@@ -53,29 +51,17 @@ def size_buckets(sizes: np.ndarray) -> list[np.ndarray]:
     return [order[ends[lo]:ends[hi]] for hi, lo in zip(bounds, bounds[1:])][::-1]
 
 
-@dataclass
-class SummaryConfig:
-    width: int = 128
-    blocks: int = 4
-    heads: int = 8
-    dropout: float = 0.01
-
-    def __post_init__(self):
-        if self.heads < 1 or self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-
-
 class SummaryNetwork(Module):
-    def __init__(self, d: int, cfg: SummaryConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, d: int, width: int, blocks: int, heads: int, dropout: float,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.d = d
-        self.cfg = cfg
-        self.feature_dim = 1 + 2 * d  # [y, X-row, Z-row]
-        self.embed = self.register("embed", Linear(self.feature_dim, cfg.width, rng, dtype))
+        # rows are [y, X-row, Z-row]
+        self.embed = self.register("embed", Linear(1 + 2 * d, width, rng, dtype))
         self.local_encoder = self.register(
-            "local", EncoderStack(cfg.width, cfg.blocks, cfg.heads, rng, cfg.dropout, dtype, name="local"))
+            "local", EncoderStack(width, blocks, heads, rng, dropout, dtype, name="local"))
         self.global_encoder = self.register(
-            "global", EncoderStack(cfg.width, cfg.blocks, cfg.heads, rng, cfg.dropout, dtype, name="global"))
+            "global", EncoderStack(width, blocks, heads, rng, dropout, dtype, name="global"))
 
     # -- stages --------------------------------------------------------------
 

@@ -33,8 +33,12 @@ from .simulate import (HierDataset, SimConfig, permute_columns, simulate_conjuga
 
 log = logging.getLogger(__name__)
 
-__all__ = ["TrainConfig", "TrainResult", "train", "make_training_dataset",
-           "global_loss", "local_loss", "total_loss"]
+__all__ = ["TrainConfig", "TrainResult", "train", "make_training_dataset"]
+
+# divergence guard: stop once the loss stays above DIVERGENCE_FACTOR times
+# the first step's (at least 1) for DIVERGENCE_STEPS steps in a row
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_STEPS = 1000
 
 
 @dataclass
@@ -51,57 +55,38 @@ class TrainConfig:
     flow_blocks: int = 4
     flow_hidden: int = 128
     dropout: float = 0.01
-    dtype: str = "float32"
     # data
     toy: bool = False
     family: str = "full"           # "full" | "conjugate"
     m_range: tuple[int, int] = (5, 30)
     n_range: tuple[int, int] = (5, 70)
-    permute_slopes: bool = True
-    standardize: bool = True
-    # optimization (defaults are conventional choices, nothing prescribes them);
-    # "schedule_free" is the only optimizer
-    optimizer: str = "schedule_free"
+    # optimization (conventional choices, nothing prescribes them); the other
+    # hyperparameters are ScheduleFreeAdamW's defaults
     lr: float = 1e-3
-    weight_decay: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     warmup_steps: int = 200
-    clip_norm: float | None = 10.0
     # evaluation / stopping
     eval_every: int = 100
     val_sets: int = 512
     patience: int = 20             # evaluations without improvement
-    divergence_factor: float = 10.0
-    divergence_steps: int = 1000
 
     def __post_init__(self):
         if self.budget < self.batch_size:
             raise ConfigError("dataset budget is smaller than one batch")
         if self.family not in ("full", "conjugate"):
             raise ConfigError(f"unknown training family {self.family!r}")
-        if self.optimizer != "schedule_free":
-            raise ConfigError(f"unknown optimizer kind {self.optimizer!r}")
         if self.family == "conjugate":
-            # single group, no random effects, known noise, raw scale
-            self.q = 0
-            self.standardize = False
-
-    @property
-    def infer_noise(self) -> bool:
-        return self.family != "conjugate"
+            self.q = 0  # a single group without random effects
 
     @property
     def steps(self) -> int:
         return self.budget // self.batch_size
 
     def model_config(self) -> ModelConfig:
+        full = self.family != "conjugate"  # conjugate: known noise, raw scale
         return ModelConfig(
             d=self.d, q=self.q, width=self.width, summary_blocks=self.summary_blocks,
             heads=self.heads, flow_blocks=self.flow_blocks, flow_hidden=self.flow_hidden,
-            dropout=self.dropout, infer_noise=self.infer_noise,
-            standardize=self.standardize, dtype=self.dtype)
+            dropout=self.dropout, infer_noise=full, standardize=full)
 
     def sim_config(self) -> SimConfig:
         return SimConfig(m_range=self.m_range, n_range=self.n_range, toy=self.toy)
@@ -125,7 +110,7 @@ def make_training_dataset(cfg: TrainConfig, index: int, purpose: str = "data") -
     if cfg.family == "conjugate":
         return simulate_conjugate_dataset(cfg.d, rng, n_range=cfg.n_range, dataset_id=ds_id)
     ds = simulate_dataset(cfg.d, cfg.q, rng, cfg.sim_config(), dataset_id=ds_id)
-    if cfg.permute_slopes and cfg.d > 2:
+    if cfg.d > 2:
         perm = np.arange(cfg.d)
         if cfg.q > 1:
             perm[1:cfg.q] = 1 + rng.permutation(cfg.q - 1)
@@ -133,25 +118,6 @@ def make_training_dataset(cfg: TrainConfig, index: int, purpose: str = "data") -
             perm[cfg.q:] = cfg.q + rng.permutation(cfg.d - cfg.q)
         ds = permute_columns(ds, perm)
     return ds
-
-
-# spec-surface wrappers over the model's loss pieces -------------------------
-
-def global_loss(model: PosteriorModel, batch: Batch,
-                rng: np.random.Generator | None = None) -> float:
-    _, s_global = model.encode(batch, rng)
-    return float(model.global_nll(batch, s_global, rng).mean().item())
-
-
-def local_loss(model: PosteriorModel, batch: Batch,
-               rng: np.random.Generator | None = None) -> float:
-    s_local, _ = model.encode(batch, rng)
-    return float(model.local_nll(batch, s_local, rng).mean().item())
-
-
-def total_loss(model: PosteriorModel, batch: Batch,
-               rng: np.random.Generator | None = None) -> float:
-    return float(model.loss(batch, rng).item())
 
 
 def _validation_loss(model: PosteriorModel, val_batches: list[Batch]) -> float:
@@ -168,15 +134,20 @@ def _validation_loss(model: PosteriorModel, val_batches: list[Batch]) -> float:
 def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     """Run the training loop; writes best/last checkpoints and a CSV curve
     (step, global loss, local loss, validation loss) into out_dir. Each
-    evaluation logs one progress line to `mixedflow.train` at INFO."""
+    evaluation logs one progress line to `mixedflow.train` at INFO.
+
+    Every evaluation records in both manifests whether the run stopped on
+    patience (`stopped_early`) and whether it is over (`complete`: budget
+    used or patience reached); `last.ckpt` holds the record of the run.
+    `resume` continues from `last.ckpt` with the budget and patience cfg
+    leaves, so resuming a complete run runs nothing."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     best_path, last_path = out / "best.ckpt", out / "last.ckpt"
     curve_path = out / "curve.csv"
 
     mcfg = cfg.model_config()
-    start_step = 0
-    best_val = float("inf")
+    start_step, best_val, stale_evals = 0, float("inf"), 0
     curve: list[tuple[int, float, float, float]] = []
     if resume:
         if not last_path.exists():
@@ -186,21 +157,23 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             raise ConfigError("resume checkpoint carries no optimizer state")
         start_step = int(manifest["step"])
         best_val = float(manifest.get("best_val", float("inf")))
+        stale_evals = int(manifest.get("stale_evals", 0))
         if curve_path.exists():
             try:
                 with open(curve_path, encoding="utf-8") as fh:
-                    for row in csv.DictReader(fh):
-                        curve.append((int(row["step"]), float(row["global_loss"]),
-                                      float(row["local_loss"]), float(row["val_loss"])))
+                    rows = [(int(row["step"]), float(row["global_loss"]),
+                             float(row["local_loss"]), float(row["val_loss"]))
+                            for row in csv.DictReader(fh)]
+                # the curve is written before the checkpoints: drop any row
+                # of an evaluation whose checkpoint was never written
+                curve = [row for row in rows if row[0] <= start_step]
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{curve_path}: bad training curve "
                                       f"({type(exc).__name__}: {exc})") from None
     else:
         model, opt_arrays = PosteriorModel(mcfg, substream(cfg.seed, "init")), None
-    opt = ScheduleFreeAdamW(
-        list(model.named_parameters()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-        eps=cfg.eps, weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps,
-        clip_norm=cfg.clip_norm)
+    opt = ScheduleFreeAdamW(list(model.named_parameters()), lr=cfg.lr,
+                            warmup_steps=cfg.warmup_steps)
     if opt_arrays:
         opt.load_state(opt_arrays)
 
@@ -211,16 +184,15 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
 
     initial_loss: float | None = None
     divergent_streak = 0
-    stale_evals = 0
-    stopped_early = False
+    stopped_early = stale_evals >= cfg.patience
     t_start = time.time()
 
     # parameters at the gradient point y before the first step: a fresh
     # optimizer holds x = z, and beta1*x + (1-beta1)*z is not bitwise x
     opt.train_mode()
     model.set_training(True)
-    step = start_step - 1  # a finished run resumes to zero steps
-    for step in range(start_step, cfg.steps):
+    step = start_step - 1  # a complete run resumes to zero steps
+    for step in range(start_step, start_step if stopped_early else cfg.steps):
         datasets = [make_training_dataset(cfg, step * cfg.batch_size + j)
                     for j in range(cfg.batch_size)]
         batch = make_batch(datasets, mcfg)
@@ -237,12 +209,12 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
 
         if initial_loss is None:
             initial_loss = loss_val
-        if loss_val > cfg.divergence_factor * max(abs(initial_loss), 1.0):
+        if loss_val > DIVERGENCE_FACTOR * max(abs(initial_loss), 1.0):
             divergent_streak += 1
-            if divergent_streak >= cfg.divergence_steps:
+            if divergent_streak >= DIVERGENCE_STEPS:
                 raise NumericError(
                     f"training diverged: loss {loss_val:.3g} stayed above "
-                    f"{cfg.divergence_factor} x initial ({initial_loss:.3g}) for "
+                    f"{DIVERGENCE_FACTOR} x initial ({initial_loss:.3g}) for "
                     f"{divergent_streak} steps")
         else:
             divergent_streak = 0
@@ -262,7 +234,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                 stale_evals = 0
             else:
                 stale_evals += 1
+            stopped_early = stale_evals >= cfg.patience
             meta = {"step": step + 1, "seed": cfg.seed, "best_val": best_val,
+                    "stale_evals": stale_evals, "stopped_early": stopped_early,
+                    "complete": stopped_early or step + 1 == cfg.steps,
                     "train_config": asdict(cfg)}
             if improved:
                 save_model(best_path, model, meta)
@@ -272,9 +247,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
             log.info("step %d/%d train %.3f val %.3f best %.3f (%.2f steps/s)",
                      step + 1, cfg.steps, loss_val, val, best_val, rate)
-            if stale_evals >= cfg.patience:
+            if stopped_early:
                 log.info("no validation improvement in %d evaluations, stopping", stale_evals)
-                stopped_early = True
                 break
 
     if not best_path.exists():  # budget smaller than one eval interval

@@ -30,7 +30,7 @@ from mixedflow.refine import (ALPHA_GRID, calibrate, importance_weights,
                               marginal_log_likelihood,
                               conditional_log_likelihood, _gaussian_loglik)
 from mixedflow.seeding import substream
-from mixedflow.summary import SummaryConfig, SummaryNetwork
+from mixedflow.summary import SummaryNetwork
 from mixedflow.train import TrainConfig, make_training_dataset, train
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / ".artifacts" / "acceptance"
@@ -58,9 +58,12 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _cached_model(cfg: TrainConfig, tag: str):
+    """best.ckpt of a complete run: a cut run is resumed to its end first."""
     out = ARTIFACTS / f"{tag}-{config_hash(asdict(cfg))[:10]}"
-    if not (out / "best.ckpt").exists():
-        train(cfg, out)
+    last = out / "last.ckpt"
+    if not (last.exists() and load_model(last)[1].get("complete")):
+        train(cfg, out, resume=last.exists())
+    assert load_model(last)[1]["complete"], f"{last}: training did not complete"
     model, manifest, _ = load_model(out / "best.ckpt")
     return model, manifest
 
@@ -184,8 +187,7 @@ def test_gradient_suite():
 
 def test_permutation_invariance():
     rng = np.random.default_rng(2)
-    net = SummaryNetwork(2, SummaryConfig(width=16, blocks=2, heads=2, dropout=0.0),
-                         np.random.default_rng(3), dtype=np.float64)
+    net = SummaryNetwork(2, 16, 2, 2, 0.0, np.random.default_rng(3), dtype=np.float64)
     b, m, n = 2, 5, 8
     X = rng.normal(size=(b, m, n, 2))
     Z = X.copy()

@@ -107,6 +107,23 @@ class TestPipeline:
         assert "mine:r" in text.splitlines()[0]
         assert (report_dir / "split_n_mine.csv").exists()
 
+    def test_report_scores_chain_csv_named_after_a_set(self, workdir, tmp_path):
+        ds = mfio.load_datasets(workdir / "sets.jsonl")[0]
+        gp, alpha = ds.truth.global_params, ds.truth.local_params.alpha
+        truth = {f"beta[{j}]": b for j, b in enumerate(gp.beta)}
+        truth |= {f"sigma[{j}]": s for j, s in enumerate(gp.sigma_alpha)}
+        truth |= {f"alpha[{i},0]": a for i, a in enumerate(alpha[:, 0])}
+        truth["sigma_eps"] = gp.sigma_eps
+        noise = np.random.default_rng(3).normal(0.0, 0.05, size=(2, 30, len(truth)))
+        rows = ["chain,draw,parameter,value"]
+        rows += [f'{c},{i},"{p}",{float(v + noise[c, i, j])!r}' for c in range(2) for i in range(30)
+                 for j, (p, v) in enumerate(truth.items())]
+        chains = _write(tmp_path / f"{ds.dataset_id}.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "rep"
+        assert main(["report", "--draws", f"hmc={chains}", "--data",
+                     str(workdir / "sets.jsonl"), "--out", str(out)]) == 0
+        assert "hmc" in (out / "report.csv").read_text()
+
     def test_report_reads_version1_draw_files_alike(self, workdir, tmp_path):
         draws = tmp_path / "x.jsonl"
         assert main(_infer(workdir, tmp_path, None, "--refine", "is")) == 0
@@ -233,6 +250,8 @@ MALFORMED = [
         t, _write(t / "c.json", json.dumps({"widht": 16}))), 2),
     ("train-config-unknown-optimizer", lambda w, t: _train(
         t, _write(t / "c.json", json.dumps({"optimizer": "adamw"}))), 2),
+    ("train-config-heads-not-dividing-width", lambda w, t: _train(
+        t, _write(t / "c.json", json.dumps({**TINY_TRAIN, "heads": 3}))), 2),
     ("dataset-bad-dim", lambda w, t: _infer(w, t, _write(t / "d.jsonl", json.dumps(
         {**_first_record(w), "d": "two"}) + "\n")), 4),
     ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),

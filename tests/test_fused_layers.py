@@ -17,7 +17,7 @@ from mixedflow.model import ModelConfig, PosteriorModel, make_batch
 from mixedflow.nn import EncoderBlock, Tensor, no_grad
 from mixedflow.nn.layers import layer_norm, linear, masked_attention
 from mixedflow.seeding import substream
-from mixedflow.summary import SummaryConfig, SummaryNetwork
+from mixedflow.summary import SummaryNetwork
 
 RNG = np.random.default_rng(20251018)
 
@@ -128,7 +128,7 @@ def test_summary_network_matches_composed_oracle(shape):
         cfg = ModelConfig(d=5, q=1)
         sets = [sim.simulate_dataset(5, 1, substream(11, "paper", 0),
                                      sim.SimConfig(m_range=(30, 30), n_range=(70, 70)))]
-    net = SummaryNetwork(cfg.d, SummaryConfig(cfg.width, cfg.summary_blocks, cfg.heads),
+    net = SummaryNetwork(cfg.d, cfg.width, cfg.summary_blocks, cfg.heads, cfg.dropout,
                          np.random.default_rng(13)).set_training(False)
     batch = make_batch(sets, cfg)
     for got, want in zip(_summaries(net, batch, False), _summaries(net, batch, True)):

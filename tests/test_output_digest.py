@@ -1,6 +1,6 @@
 """Every command's output is reproducible: the digest matrix of
 tools/output_digest.py, run twice from fresh working directories, writes
-the same bytes."""
+the same bytes. Each checkpoint also has an array-only digest line."""
 
 import subprocess
 import sys
@@ -24,3 +24,6 @@ def test_every_command_writes_the_same_bytes_twice():
                  "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",
                  "eval-conformal/report.csv", "report/report.txt"):
         assert path in paths
+    checkpoints = {p for p in paths if p.endswith(".ckpt")}
+    assert len(checkpoints) == 6
+    assert {p + " arrays" for p in checkpoints} <= paths

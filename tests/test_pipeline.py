@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import refine_oracle as oracle
-from mixedflow import refine, simulate as sim
+from mixedflow import refine, simulate as sim, train as mftrain
 from mixedflow.errors import ConfigError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel
 from mixedflow.pipeline import infer_one, posterior_draws
@@ -142,9 +142,10 @@ class TestRefinement:
 
 
 class TestDivergenceGuard:
-    def test_sustained_blowup_aborts(self, tmp_path):
+    def test_sustained_blowup_aborts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mftrain, "DIVERGENCE_FACTOR", 1e-9)
+        monkeypatch.setattr(mftrain, "DIVERGENCE_STEPS", 3)
         cfg = TrainConfig(d=2, q=1, budget=400, batch_size=8, seed=9, toy=True,
-                          eval_every=1000, val_sets=8, warmup_steps=0,
-                          divergence_factor=1e-9, divergence_steps=3, **SMALL)
+                          eval_every=1000, val_sets=8, warmup_steps=0, **SMALL)
         with pytest.raises(NumericError, match="diverged"):
             train(cfg, tmp_path)

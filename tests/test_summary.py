@@ -13,15 +13,15 @@ from helpers import RowCounter, rel_err
 from mixedflow.errors import ConfigError
 from mixedflow.model import make_batch
 from mixedflow.nn.tensor import Tensor, no_grad
-from mixedflow.summary import BUCKET_ROWS, SummaryConfig, SummaryNetwork, size_buckets
+from mixedflow.summary import BUCKET_ROWS, SummaryNetwork, size_buckets
 from mixedflow.train import TrainConfig, make_training_dataset
 
 
-CFG = SummaryConfig(width=16, blocks=2, heads=2, dropout=0.0)
+WIDTH = 16
 
 
 def make_net(d=2, seed=0):
-    return SummaryNetwork(d, CFG, np.random.default_rng(seed), dtype=np.float64)
+    return SummaryNetwork(d, WIDTH, 2, 2, 0.0, np.random.default_rng(seed), dtype=np.float64)
 
 
 def random_batch(seed=1, b=2, m=4, n=6, d=2, phantom=False):
@@ -44,7 +44,7 @@ def random_batch(seed=1, b=2, m=4, n=6, d=2, phantom=False):
 class TestEmbedding:
     def test_zero_row_embeds_to_bias(self):
         net = make_net()
-        net.embed.b.data = np.random.default_rng(99).normal(size=CFG.width)
+        net.embed.b.data = np.random.default_rng(99).normal(size=WIDTH)
         X, Z, y, mask, gm = random_batch()
         emb = net.embed_rows(np.zeros_like(X), np.zeros_like(Z), np.zeros_like(y), mask)
         expected = np.tile(net.embed.b.data, (int(mask.sum()), 1))
@@ -88,7 +88,7 @@ class TestLocalSummaries:
         y = rng.normal(size=(1, 1, 1))
         emb = net.embed_rows(X, X.copy(), y, np.ones((1, 1, 1), bool))
         s = net.summarize_local(X, X.copy(), y, np.ones((1, 1, 1), bool))
-        enc = net.local_encoder(emb.reshape(1, 1, CFG.width), np.ones((1, 1), bool))
+        enc = net.local_encoder(emb.reshape(1, 1, WIDTH), np.ones((1, 1), bool))
         np.testing.assert_allclose(s.data[0, 0], enc.data[0, 0], atol=1e-12)
 
     def test_duplicating_observations_keeps_mean(self):
@@ -127,7 +127,7 @@ class TestGlobalSummary:
     def test_single_group(self):
         net = make_net()
         rng = np.random.default_rng(9)
-        s_local = Tensor(rng.normal(size=(1, 1, CFG.width)))
+        s_local = Tensor(rng.normal(size=(1, 1, WIDTH)))
         out = net.summarize_global(s_local)
         enc = net.global_encoder(s_local, np.ones((1, 1), bool))
         np.testing.assert_allclose(out.data[0], enc.data[0, 0], atol=1e-12)
@@ -165,8 +165,8 @@ DESK = TrainConfig(d=2, q=1, budget=320, batch_size=16, seed=101, toy=True,
 
 
 def desk_net(width=DESK.width):
-    cfg = SummaryConfig(width, DESK.summary_blocks, DESK.heads, dropout=0.0)
-    return SummaryNetwork(DESK.d, cfg, np.random.default_rng(13))
+    return SummaryNetwork(DESK.d, width, DESK.summary_blocks, DESK.heads, 0.0,
+                          np.random.default_rng(13))
 
 
 def desk_batch(start, count=6):

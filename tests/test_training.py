@@ -2,16 +2,18 @@
 phantom-group neutrality, initialization oracle, gradient reach, smoke
 descent, and exact resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from mixedflow import simulate as sim
+from mixedflow import simulate as sim, train as mftrain
 from mixedflow.model import ModelConfig, PosteriorModel, load_model, make_batch
+from mixedflow.nn.checkpoint import load_checkpoint
 from mixedflow.nn.tensor import Tensor, no_grad
 from mixedflow.seeding import substream
-from mixedflow.train import (TrainConfig, global_loss, local_loss, make_training_dataset,
-                             total_loss, train)
+from mixedflow.train import TrainConfig, make_training_dataset, train
 
 SMALL = dict(width=16, summary_blocks=1, heads=2, flow_blocks=2, flow_hidden=16)
 
@@ -159,14 +161,10 @@ class TestGradientReach:
         assert not dead, f"parameters with no gradient: {dead}"
 
 
-class TestSpecSurfaceWrappers:
-    def test_wrappers_agree_with_components(self):
-        model, cfg = small_model()
-        batch, _ = toy_batch(cfg)
-        g = global_loss(model, batch)
-        l = local_loss(model, batch)
-        t = total_loss(model, batch)
-        assert t == pytest.approx(g + l, abs=1e-5)
+def _record(out):
+    """(step, complete, stopped_early) from a run's last.ckpt manifest."""
+    manifest, _, _ = load_checkpoint(out / "last.ckpt")
+    return manifest["step"], manifest["complete"], manifest["stopped_early"]
 
 
 class TestTrainingLoop:
@@ -200,9 +198,52 @@ class TestTrainingLoop:
         train(cfg, tmp_path)
         names = ("best.ckpt", "last.ckpt", "curve.csv")
         before = {n: (tmp_path / n).read_bytes() for n in names}
+        assert _record(tmp_path) == (10, True, False)
         res = train(cfg, tmp_path, resume=True)
         assert res.steps_run == 0
         assert {n: (tmp_path / n).read_bytes() for n in names} == before
+
+    @pytest.mark.parametrize("cut", ["make_batch", "save_model"])
+    def test_interrupted_run_is_incomplete_until_resumed(self, tmp_path, monkeypatch, cut):
+        common = dict(d=2, q=1, budget=160, batch_size=8, seed=23, toy=True,
+                      eval_every=5, val_sets=8, warmup_steps=5, **SMALL)
+        full = train(TrainConfig(**common), tmp_path / "full")
+        real = getattr(mftrain, cut)
+
+        def interrupt(*args, **kwargs):
+            # step 7's batch (its first set is 7 * 8), or the step-10
+            # checkpoint, written after the step-10 curve row
+            if (args[0][0].dataset_id == "data-23-56" if cut == "make_batch"
+                    else args[2]["step"] == 10):
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mftrain, cut, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            train(TrainConfig(**common), tmp_path / "cut")
+        assert _record(tmp_path / "cut") == (5, False, False)
+        monkeypatch.setattr(mftrain, cut, real)
+        resumed = train(TrainConfig(**common), tmp_path / "cut", resume=True)
+        assert resumed.steps_run == 15
+        assert _record(tmp_path / "cut") == (20, True, False)
+        for name in ("best.ckpt", "curve.csv"):
+            cut_bytes = (tmp_path / "cut" / name).read_bytes()
+            assert cut_bytes == (tmp_path / "full" / name).read_bytes(), name
+        assert resumed.checkpoint_id == full.checkpoint_id
+
+    def test_patience_stop_is_complete_and_resume_runs_nothing(self, tmp_path):
+        cfg = TrainConfig(d=2, q=1, budget=800, batch_size=8, seed=29, toy=True,
+                          eval_every=2, val_sets=8, warmup_steps=5, lr=0.05, patience=1,
+                          **SMALL)
+        res = train(cfg, tmp_path)
+        assert res.stopped_early and res.steps_run < cfg.steps
+        assert _record(tmp_path) == (res.steps_run, True, True)
+        names = ("best.ckpt", "last.ckpt", "curve.csv")
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+        for budget in (800, 1600):  # a larger budget leaves patience spent
+            again = train(replace(cfg, budget=budget), tmp_path, resume=True)
+            assert again.steps_run == 0 and again.stopped_early
+            assert {n: (tmp_path / n).read_bytes() for n in names} == before
 
     def test_validation_reproducible_from_checkpoint(self, tmp_path):
         cfg = TrainConfig(d=2, q=1, budget=160, batch_size=8, seed=17, toy=True,

@@ -8,14 +8,17 @@ imported from DIR/src, inside a fresh temporary working directory and with
 relative paths only, so no manifest carries a machine path. Each command's
 standard output is kept as a file too. Prints `sha256  path` for every file,
 sorted by path; two checkouts that print the same lines wrote the same
-bytes. One BLAS thread is set before numpy loads, so reductions do not
-depend on the thread count.
+bytes. Each checkpoint also gets a line `sha256  path arrays`, a digest of
+its arrays alone (names, dtypes, shapes, bytes), so a change that edits
+only manifests shows up as one. One BLAS thread is set before numpy loads,
+so reductions do not depend on the thread count.
 
 The matrix: `simulate` toy, non-toy and conjugate; a tiny `train` on
-d=2/q=1, d=3/q=2 (stopped early) and the conjugate family, each followed by
-`train --resume` with a larger budget; `calibrate --refine none|is`;
-`infer` in all four refine modes and on an observation CSV; `evaluate` in
-all four refine modes; `report`.
+d=2/q=1, d=3/q=2 and the conjugate family, each followed by `train
+--resume` with a larger budget (the d=3/q=2 run stops on patience, so its
+resume runs nothing); `calibrate --refine none|is`; `infer` in all four
+refine modes and on an observation CSV; `evaluate` in all four refine
+modes; `report`.
 """
 
 import os
@@ -94,8 +97,20 @@ def _commands() -> list[list[str]]:
     return cmds
 
 
+def _array_digest(path) -> str:
+    from mixedflow.nn.checkpoint import load_checkpoint  # the checkout's, as run_matrix set up
+    _, arrays, _ = load_checkpoint(path)
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = arrays[name]
+        h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def run_matrix(checkout) -> list[tuple[str, str]]:
-    """(sha256, relative path) for every file the matrix writes."""
+    """(sha256, relative path) for every file the matrix writes, plus
+    (array digest, "path arrays") for every checkpoint."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from mixedflow.cli import main
 
@@ -112,8 +127,11 @@ def run_matrix(checkout) -> list[tuple[str, str]]:
                 if code != 0:
                     raise SystemExit(f"output_digest: exit {code} from {' '.join(argv)}")
                 Path(f"stdout/{i:02d}-{argv[0]}.txt").write_text(out.getvalue(), encoding="utf-8")
-            return [(hashlib.sha256(p.read_bytes()).hexdigest(), p.as_posix())
-                    for p in sorted(Path(".").rglob("*")) if p.is_file()]
+            files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+            lines = [(hashlib.sha256(p.read_bytes()).hexdigest(), p.as_posix()) for p in files]
+            lines += [(_array_digest(p), f"{p.as_posix()} arrays")
+                      for p in files if p.suffix == ".ckpt"]
+            return sorted(lines, key=lambda line: line[1])
         finally:
             os.chdir(home)
 
