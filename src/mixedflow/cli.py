@@ -39,7 +39,10 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
-    return tuple(float(a) for a in text.split(","))
+    alphas = tuple(float(a) for a in text.split(","))
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise argparse.ArgumentTypeError(f"every alpha must lie in (0, 1), got {text!r}")
+    return alphas
 
 
 def _load_json(path, build, what: str):
@@ -172,9 +175,9 @@ def cmd_evaluate(args) -> int:
     reports = {name: aggregate(evals, args.alphas,
                                {"checkpoint": manifest.get("checkpoint_id", "")[:12],
                                 "refine": args.refine})}
-    _emit_reports(out_dir, reports, evals, args.alphas)
+    outputs = [str(out_dir / "draws.jsonl"), *_emit_reports(out_dir, reports, evals, args.alphas)]
     mfio.write_manifest(out_dir / "manifest.json", "evaluate", vars_for_manifest(args),
-                        args.seed, outputs=[str(out_dir / "draws.jsonl")])
+                        args.seed, outputs=outputs)
     print(render_table(reports))
     return 0
 
@@ -207,41 +210,42 @@ def cmd_report(args) -> int:
         all_evals[name] = evals
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _emit_reports(out_dir, reports, next(iter(all_evals.values())), args.alphas)
+    outputs = _emit_reports(out_dir, reports, next(iter(all_evals.values())), args.alphas)
     for name, evals in all_evals.items():
         if len(evals) >= 2:
             for key in ("n", "snr"):
                 top, bottom = split_report(evals, key, args.alphas)
-                write_report_csv(out_dir / f"split_{key}_{name}.csv",
+                outputs.append(str(out_dir / f"split_{key}_{name}.csv"))
+                write_report_csv(outputs[-1],
                                  {f"{name}-{key}-top": top, f"{name}-{key}-bottom": bottom})
     table_text = render_table(reports)
-    mfio.write_file(out_dir / "report.txt", table_text + "\n")
+    outputs.append(str(out_dir / "report.txt"))
+    mfio.write_file(outputs[-1], table_text + "\n")
     mfio.write_manifest(out_dir / "manifest.json", "report", vars_for_manifest(args),
-                        None, outputs=[str(out_dir / "report.csv")])
+                        None, outputs=outputs)
     print(table_text)
     return 0
 
 
-def _emit_reports(out_dir: Path, reports, evals, alphas):
-    write_report_csv(out_dir / "report.csv", reports)
+def _emit_reports(out_dir: Path, reports, evals, alphas) -> list[str]:
+    """Write report.csv, coverage.csv and the fixed-effect recovery and
+    coverage plots; returns their paths."""
+    paths = [out_dir / name for name in ("report.csv", "recovery_fixed.svg",
+                                         "coverage_fixed.svg", "coverage.csv")]
+    write_report_csv(paths[0], reports)
     truths = np.concatenate([e.truths["fixed"] for e in evals])
     means = np.concatenate([e.means["fixed"] for e in evals])
-    svg_scatter(out_dir / "recovery_fixed.svg", truths, means, title="fixed effects")
-    coverage = {}
-    for name, rep in reports.items():
-        role_stats = rep.per_role.get("fixed")
-        if role_stats:
-            coverage[name] = [role_stats["ce"][a] + (1 - a) for a in alphas]
-    if coverage:
-        svg_coverage_curve(out_dir / "coverage_fixed.svg", list(alphas), coverage,
-                           title="fixed-effect coverage")
-    rows = []
-    for name, rep in reports.items():
-        for role, stats in rep.per_role.items():
-            for a in alphas:
-                rows.append(f"{name},{role},{a},{stats['ce'][a] + (1 - a):.4f}")
-    mfio.write_file(out_dir / "coverage.csv",
-                    "model,role,alpha,coverage\n" + "\n".join(rows) + "\n")
+    svg_scatter(paths[1], truths, means, title="fixed effects")
+    coverage = {name: {role: [stats["ce"][a] + (1 - a) for a in alphas]
+                       for role, stats in rep.per_role.items()}
+                for name, rep in reports.items()}
+    svg_coverage_curve(paths[2], list(alphas),
+                       {name: cov["fixed"] for name, cov in coverage.items()},
+                       title="fixed-effect coverage")
+    rows = [f"{name},{role},{a},{c:.4f}" for name, cov in coverage.items()
+            for role, per_alpha in cov.items() for a, c in zip(alphas, per_alpha)]
+    mfio.write_file(paths[3], "model,role,alpha,coverage\n" + "\n".join(rows) + "\n")
+    return [str(path) for path in paths]
 
 
 def vars_for_manifest(args) -> dict:

@@ -12,18 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .simulate import GlobalParams
 from .standardize import (StandardizationRecord, unstandardize_global_draws,
                           unstandardize_local_draws)
 
-__all__ = ["PosteriorDraws", "weighted_quantile", "global_param_names"]
-
-
-def global_param_names(d: int, q: int, infer_noise: bool = True) -> list[str]:
-    names = [f"beta[{j}]" for j in range(d)]
-    names += [f"sigma[{j}]" for j in range(q)]
-    if infer_noise:
-        names.append("sigma_eps")
-    return names
+__all__ = ["PosteriorDraws", "weighted_quantile"]
 
 
 def weighted_quantile(values: np.ndarray, probs, weights: np.ndarray | None = None) -> np.ndarray:
@@ -84,8 +77,24 @@ class PosteriorDraws:
     def p_global(self) -> int:
         return self.d + self.q + (1 if self.infer_noise else 0)
 
+    @property
+    def layout(self) -> list[tuple[str, str]]:
+        """(name, role) of each global component (`GlobalParams.layout`)."""
+        return GlobalParams.layout(self.d, self.q, self.infer_noise)
+
     def param_names(self) -> list[str]:
-        return global_param_names(self.d, self.q, self.infer_noise)
+        return [name for name, _ in self.layout]
+
+    def by_role(self, g: np.ndarray, local: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Split a global array (..., p_global) into its "fixed" and
+        "variance" components (a role without components is left out)
+        and, with random effects, add a local array (..., m, q) as
+        "random", flattened to (..., m * q)."""
+        roles = [role for _, role in self.layout]
+        out = {r: g[..., np.array(roles) == r] for r in dict.fromkeys(roles)}
+        if self.q and local is not None:
+            out["random"] = local.reshape(*local.shape[:-2], -1)
+        return out
 
     # -- data-scale views ---------------------------------------------------
 

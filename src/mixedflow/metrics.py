@@ -4,9 +4,10 @@ Recovery (Pearson r, RMSE, bias) compares data-scale posterior means with
 data-scale truths. Coverage error CE(alpha) is the empirical hit rate of
 the (1 - alpha) credible interval minus its nominal mass; hits are scored
 on standardized components, where the interval construction (and any
-conformal adjustment) lives, by the border distance that conformal
-calibration scores (a hit is a distance of at most zero). Reports
-aggregate per parameter role: fixed effects, variance parameters, random
+conformal adjustment, `refine.apply_calibration`) lives, by the border
+distance that conformal calibration scores (`refine.border_scores`; a hit
+is a distance of at most zero). Reports aggregate per parameter role
+(`PosteriorDraws.by_role`): fixed effects, variance parameters, random
 effects.
 """
 
@@ -20,14 +21,14 @@ import numpy as np
 
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError, DimensionError
-from .refine import ALPHA_GRID, ROLES, ConformalTable, _border_scores, apply_calibration
-from .simulate import HierDataset, regenerate_outcomes, snr
+from .refine import ALPHA_GRID, ROLES, ConformalTable, apply_calibration, border_scores
+from .simulate import GlobalParams, HierDataset, snr
 from .standardize import StandardizationRecord, standardize_params
 
 __all__ = [
-    "recovery", "coverage_error", "mad_outliers", "posterior_predictive",
-    "DatasetEval", "evaluate_dataset", "MetricReport", "aggregate",
-    "split_report", "ingest_external_samples",
+    "recovery", "coverage_error", "mad_outliers", "DatasetEval",
+    "evaluate_dataset", "MetricReport", "aggregate", "split_report",
+    "ingest_external_samples",
 ]
 
 
@@ -74,46 +75,6 @@ def mad_outliers(x: np.ndarray, threshold: float = 3.0) -> np.ndarray:
     return dev / (1.4826 * mad) > threshold
 
 
-def posterior_predictive(ds: HierDataset, draws: PosteriorDraws, t: int,
-                         rng: np.random.Generator,
-                         noise_override: np.ndarray | None = None) -> np.ndarray:
-    """Outcomes regenerated from t posterior draws with fresh noise,
-    on the data scale, shape (t, total_n).
-
-    Draw selection is weighted resampling when importance weights are
-    present, otherwise the first t draws. noise_override (shape (m, n_max))
-    bypasses the fresh noise, e.g. to replay the recorded noise exactly.
-    """
-    if t < 1:
-        raise ConfigError("need at least one predictive draw")
-    g = draws.global_data()
-    if draws.weights is not None:
-        idx = rng.choice(draws.k, size=t, replace=True, p=draws.weights / draws.weights.sum())
-    elif t <= draws.k:
-        idx = np.arange(t)
-    else:
-        idx = rng.integers(0, draws.k, size=t)
-    out = np.empty((t, ds.n_total))
-    local = draws.local_data() if (ds.q and draws.local_std is not None) else None
-    for row, j in enumerate(idx):
-        beta = g[j, :ds.d]
-        alpha = local[j] if local is not None else np.zeros((ds.m, ds.q))
-        if noise_override is not None:
-            noise = noise_override
-        else:
-            sigma_eps = g[j, ds.d + ds.q] if draws.infer_noise else _known_sigma(ds)
-            noise = rng.normal(0.0, max(float(sigma_eps), 0.0), size=ds.y.shape) * ds.mask
-        y = regenerate_outcomes(ds, beta=beta, alpha=alpha[:ds.m], noise=noise)
-        out[row] = y[ds.mask]
-    return out
-
-
-def _known_sigma(ds: HierDataset) -> float:
-    if ds.truth is None:
-        raise ConfigError("known-noise predictive needs the recorded truth")
-    return float(ds.truth.prior.tau_eps)
-
-
 # ---------------------------------------------------------------------------
 # per-dataset evaluation
 
@@ -135,22 +96,12 @@ def evaluate_dataset(ds: HierDataset, draws: PosteriorDraws,
     if ds.truth is None:
         raise ConfigError("evaluation needs the generating truth")
     gp, lp = ds.truth.global_params, ds.truth.local_params
-    truths = {
-        "fixed": gp.beta.copy(),
-        "variance": np.concatenate([gp.sigma_alpha,
-                                    [gp.sigma_eps] if draws.infer_noise else []]),
-    }
-    g_mean = draws.global_mean(data_scale=True)
-    means = {
-        "fixed": g_mean[:ds.d],
-        "variance": g_mean[ds.d:],
-    }
-    if ds.q and draws.local_std is not None:
-        truths["random"] = lp.alpha.reshape(-1)
-        means["random"] = draws.local_mean(data_scale=True)[:ds.m].reshape(-1)
-
-    scores = _border_scores(draws, apply_calibration(draws, table, alphas),
-                            *standardize_params(gp, lp, draws.rec))
+    local = draws.local_std is not None
+    truths = draws.by_role(gp.vector(draws.infer_noise), lp.alpha if local else None)
+    means = draws.by_role(draws.global_mean(data_scale=True),
+                          draws.local_mean(data_scale=True)[:ds.m] if local else None)
+    scores = border_scores(draws, apply_calibration(draws, table, alphas),
+                           *standardize_params(gp, lp, draws.rec))
     hits = {(role, alpha): s[a] <= 0 for role, s in scores.items()
             for a, alpha in enumerate(alphas)}
     return DatasetEval(
@@ -165,14 +116,6 @@ class MetricReport:
     n_datasets: int
     descriptors: dict[str, float] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
-
-    def row_iter(self):
-        for role, stats in self.per_role.items():
-            row = {"role": role, "r": stats["r"], "rmse": stats["rmse"], "bias": stats["bias"],
-                   "ce_mean": stats["ce_mean"]}
-            for alpha, ce in stats["ce"].items():
-                row[f"ce_{alpha}"] = ce
-            yield row
 
 
 def aggregate(evals: list[DatasetEval], alphas: tuple[float, ...] = ALPHA_GRID,
@@ -207,12 +150,9 @@ def split_report(evals: list[DatasetEval], key: str,
     Ties at the median go by dataset id for a deterministic partition."""
     if len(evals) < 2:
         raise ConfigError("a split needs at least two datasets")
-    if key == "n":
-        values = np.array([e.n_total for e in evals], dtype=np.float64)
-    elif key.lower() == "snr":
-        values = np.array([e.snr for e in evals], dtype=np.float64)
-    else:
+    if key not in ("n", "snr"):
         raise ConfigError(f"unknown split key {key!r}")
+    values = np.array([e.n_total if key == "n" else e.snr for e in evals], dtype=np.float64)
     med = float(np.median(values))
     top, bottom = [], []
     ties = sorted((e for e, v in zip(evals, values) if v == med),
@@ -285,25 +225,29 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
     k = min(len(v) for v in values.values())
     values = {p: v[:k] for p, v in values.items()}
 
-    d = 1 + max((int(p[5:-1]) for p in params if p.startswith("beta[")), default=-1)
-    q = 1 + max((int(p[6:-1]) for p in params if p.startswith("sigma[")), default=-1)
-    infer_noise = "sigma_eps" in params
+    index = {p: _indices(path, p) for p in params if p.startswith(("beta[", "sigma[", "alpha["))}
+
+    def size(prefix):  # one more than the largest leading index
+        return 1 + max((i[0] for p, i in index.items() if p.startswith(prefix)), default=-1)
+
+    d, q, infer_noise = size("beta["), size("sigma["), "sigma_eps" in params
     if d == 0:
         raise DataFormatError(f"{path}: no beta[j] parameters present")
-    global_cols = [values[f"beta[{j}]"] for j in range(d)]
-    global_cols += [values[f"sigma[{j}]"] for j in range(q)]
-    if infer_noise:
-        global_cols.append(values["sigma_eps"])
+    names = [name for name, _ in GlobalParams.layout(d, q, infer_noise)]
+    for name in names:
+        if name not in values:
+            raise DataFormatError(f"{path}: parameter {name} missing")
     local = None
-    alpha_keys = [p for p in params if p.startswith("alpha[")]
+    alpha_keys = [p for p in index if p.startswith("alpha[")]
     if alpha_keys:
-        pairs = [tuple(int(x) for x in p[6:-1].split(",")) for p in alpha_keys]
-        m = 1 + max(i for i, _ in pairs)
-        local = np.zeros((k, m, q))
-        for p, (i, j) in zip(alpha_keys, pairs):
+        local = np.zeros((k, size("alpha["), q))
+        for p in alpha_keys:
+            i, j = index[p]
+            if j >= q:
+                raise DataFormatError(f"{path}: parameter {p} has no sigma[{j}]")
             local[:, i, j] = values[p]
     draws = PosteriorDraws(
-        global_std=np.column_stack(global_cols), log_q_global=np.zeros(k),
+        global_std=np.column_stack([values[name] for name in names]), log_q_global=np.zeros(k),
         d=d, q=q, infer_noise=infer_noise,
         rec=StandardizationRecord.identity(d),
         local_std=local, log_q_local=np.zeros((k, local.shape[1])) if local is not None else None,
@@ -311,3 +255,15 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
     info = {"selected_chain": selected, "outlier_counts": outlier_counts,
             "k": k, "mad_threshold": mad_threshold}
     return draws, info
+
+
+def _indices(path, param: str) -> tuple[int, ...]:
+    """(j,) of a beta[j] or sigma[j] name, (i, j) of an alpha[i,j] one."""
+    head, _, rest = param.partition("[")
+    try:
+        idx = tuple(int(x) for x in rest[:-1].split(",")) if rest.endswith("]") else ()
+    except ValueError:
+        idx = ()
+    if len(idx) != (2 if head == "alpha" else 1) or min(idx) < 0:
+        raise DataFormatError(f"{path}: bad parameter name {param!r}")
+    return idx

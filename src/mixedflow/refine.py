@@ -14,9 +14,10 @@ matrix determinant lemma).
 
 Conformal calibration: on held-out calibration sets, the signed distance
 from the true parameter to the nearest border of the proposed credible
-interval is collected per parameter role; its conformal quantile is an
-additive border adjustment (positive widens, negative narrows) that is
-applied to every later interval at that level.
+interval (`border_scores`, which also scores evaluation hits) is collected
+per parameter role; its conformal quantile is an additive border
+adjustment (positive widens, negative narrows) that `apply_calibration`
+applies to every later interval at that level.
 
 All densities here live in standardized space: the standardized data
 follow the same mixed-effects story exactly, and the standardized prior is
@@ -43,8 +44,7 @@ __all__ = [
     "ALPHA_GRID", "ConformalTable", "importance_weights",
     "conditional_log_likelihood", "marginal_log_likelihood",
     "alternating_refine", "build_conformal_table", "calibrate",
-    "conformal_scores", "apply_calibration", "component_roles",
-    "log_half_normal",
+    "border_scores", "apply_calibration", "log_half_normal",
 ]
 
 ALPHA_GRID = (0.05, 0.1, 0.2, 0.32, 0.5)
@@ -53,11 +53,6 @@ IS_ROUNDS = 3             # alternating local/global reweighting rounds
 CLIP_PERCENTILE = 98.0    # log-weights above this percentile are clipped to it
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def component_roles(d: int, q: int, infer_noise: bool = True) -> list[str]:
-    """Role of each global draw component: fixed effects then variances."""
-    return ["fixed"] * d + ["variance"] * (q + (1 if infer_noise else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,36 +309,23 @@ class ConformalTable:
         return table
 
 
-def conformal_scores(draws: PosteriorDraws, gp_true_std: GlobalParams,
-                     lp_true_std: LocalParams, alphas) -> dict[str, np.ndarray]:
-    """Signed distance from each true standardized parameter to the nearest
-    border of its proposed (1 - alpha) interval, (len(alphas), count) per
-    role: positive outside (needs widening), negative inside."""
-    return _border_scores(draws, draws.interval_borders(alphas), gp_true_std, lp_true_std)
-
-
-def _border_scores(draws: PosteriorDraws, borders, gp_true_std: GlobalParams,
-                   lp_true_std: LocalParams) -> dict[str, np.ndarray]:
-    """max(lo - t, t - hi) per role for the border arrays (global, local)
-    of `interval_borders` or `apply_calibration`; at most 0 exactly when
+def border_scores(draws: PosteriorDraws, borders, gp_true_std: GlobalParams,
+                  lp_true_std: LocalParams) -> dict[str, np.ndarray]:
+    """Signed distance max(lo - t, t - hi) from each true standardized
+    parameter t to the nearest border of its interval in the border arrays
+    (global, local) of `apply_calibration`, (len(alphas), count) per role:
+    positive outside (needs widening), at most 0 exactly when
     lo <= t <= hi (IEEE subtraction has the sign of the exact difference)."""
-    roles = np.array(component_roles(draws.d, draws.q, draws.infer_noise))
-    truth = np.concatenate([
-        gp_true_std.beta,
-        gp_true_std.sigma_alpha,
-        [gp_true_std.sigma_eps] if draws.infer_noise else [],
-    ])
     b_global, b_local = borders
 
     def outside(b, t):
         return np.maximum(b[..., 0] - t, t - b[..., 1])
 
-    signed = outside(b_global, truth)
-    out = {r: signed[:, roles == r] for r in ROLES if np.any(roles == r)}
-    if draws.q and b_local is not None:
+    local = None
+    if b_local is not None:
         m = min(draws.m, lp_true_std.alpha.shape[0])
-        out["random"] = outside(b_local[:, :m], lp_true_std.alpha[:m]).reshape(len(signed), -1)
-    return out
+        local = outside(b_local[:, :m], lp_true_std.alpha[:m])
+    return draws.by_role(outside(b_global, gp_true_std.vector(draws.infer_noise)), local)
 
 
 def build_conformal_table(score_lists: dict[str, list[list[float]]],
@@ -390,7 +372,8 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
         draws = posterior_draws(model, ds, k, substream(seed, "calibrate", idx), refine)
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params,
                                         draws.rec)
-        for role, vals in conformal_scores(draws, gp_s, lp_s, alphas).items():
+        borders = apply_calibration(draws, None, alphas)
+        for role, vals in border_scores(draws, borders, gp_s, lp_s).items():
             for a_idx, row in enumerate(vals):
                 score_lists[role][a_idx].extend(row.tolist())
     score_lists = {r: v for r, v in score_lists.items() if any(len(x) for x in v)}
@@ -403,7 +386,7 @@ def apply_calibration(draws: PosteriorDraws, table: ConformalTable | None,
     (A, p_global, 2) and local (A, m, q, 2) or None without local draws,
     each widened or narrowed by the table entry of its role (no table
     means the raw weighted empirical quantile interval)."""
-    roles = component_roles(draws.d, draws.q, draws.infer_noise)
+    roles = [role for _, role in draws.layout]
     b_global, b_local = draws.interval_borders(alphas)
 
     def widen(role):  # (A, 2): the entry comes off the lower border, onto the upper

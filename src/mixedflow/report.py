@@ -43,11 +43,10 @@ def render_table(reports: dict[str, MetricReport]) -> str:
 
 
 def write_report_csv(path, reports: dict[str, MetricReport]):
-    rows = []
-    for name, rep in reports.items():
-        for row in rep.row_iter():
-            rows.append({"model": name, "n_datasets": rep.n_datasets,
-                         **rep.descriptors, **rep.provenance, **row})
+    rows = [{"model": name, "n_datasets": rep.n_datasets, **rep.descriptors, **rep.provenance,
+             "role": role, "r": stats["r"], "rmse": stats["rmse"], "bias": stats["bias"],
+             "ce_mean": stats["ce_mean"], **{f"ce_{alpha}": ce for alpha, ce in stats["ce"].items()}}
+            for name, rep in reports.items() for role, stats in rep.per_role.items()]
     keys: list[str] = []
     for row in rows:
         for key in row:
@@ -60,11 +59,20 @@ def write_report_csv(path, reports: dict[str, MetricReport]):
     write_file(path, buf.getvalue())
 
 
-def _svg_head(width, height, title):
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            f'<title>{title}</title>',
-            f'<rect width="{width}" height="{height}" fill="white"/>']
+def _write_svg(path, size, body, x_label, y_label, title):
+    """A size x size white canvas holding `body`, the axis labels and the title."""
+    mid = f"{size / 2:.0f}"
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">',
+             f'<title>{title}</title>',
+             f'<rect width="{size}" height="{size}" fill="white"/>',
+             *body,
+             f'<text x="{mid}" y="{size - 8}" text-anchor="middle" font-size="12">{x_label}</text>',
+             f'<text x="12" y="{mid}" text-anchor="middle" font-size="12" '
+             f'transform="rotate(-90 12 {mid})">{y_label}</text>',
+             f'<text x="{mid}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+             "</svg>"]
+    write_file(path, "\n".join(parts))
 
 
 def _axis_map(values, lo_px, hi_px):
@@ -89,22 +97,14 @@ def svg_scatter(path, truths, means, title="recovery", size=420):
     pad = 40
     both = np.concatenate([truths, means])
     to_px, vmin, vmax = _axis_map(both, pad, size - pad)
-    parts = _svg_head(size, size, title)
     y_of = lambda v: size - to_px(v)  # flip y
     lo_px, hi_px = float(to_px(vmin)), float(to_px(vmax))
-    parts.append(f'<line x1="{lo_px:.1f}" y1="{size - lo_px:.1f}" x2="{hi_px:.1f}" '
-                 f'y2="{size - hi_px:.1f}" stroke="#999" stroke-dasharray="4 3"/>')
+    body = [f'<line x1="{lo_px:.1f}" y1="{size - lo_px:.1f}" x2="{hi_px:.1f}" '
+            f'y2="{size - hi_px:.1f}" stroke="#999" stroke-dasharray="4 3"/>']
     for t, m in zip(truths, means):
-        parts.append(f'<circle cx="{float(to_px(t)):.1f}" cy="{float(y_of(m)):.1f}" '
-                     f'r="2.5" fill="#1f6fb2" fill-opacity="0.6"/>')
-    parts.append(f'<text x="{size / 2:.0f}" y="{size - 8}" text-anchor="middle" '
-                 f'font-size="12">truth</text>')
-    parts.append(f'<text x="12" y="{size / 2:.0f}" text-anchor="middle" font-size="12" '
-                 f'transform="rotate(-90 12 {size / 2:.0f})">posterior mean</text>')
-    parts.append(f'<text x="{size / 2:.0f}" y="18" text-anchor="middle" '
-                 f'font-size="13">{title}</text>')
-    parts.append("</svg>")
-    write_file(path, "\n".join(parts))
+        body.append(f'<circle cx="{float(to_px(t)):.1f}" cy="{float(y_of(m)):.1f}" '
+                    f'r="2.5" fill="#1f6fb2" fill-opacity="0.6"/>')
+    _write_svg(path, size, body, "truth", "posterior mean", title)
 
 
 def svg_coverage_curve(path, alphas, coverages_by_name: dict[str, list[float]],
@@ -114,23 +114,15 @@ def svg_coverage_curve(path, alphas, coverages_by_name: dict[str, list[float]],
     nominal = [1.0 - a for a in alphas]
     to_px, _, _ = _axis_map([0.0, 1.0], pad, size - pad)
     y_of = lambda v: size - float(to_px(v))
-    parts = _svg_head(size, size, title)
-    parts.append(f'<line x1="{float(to_px(0)):.1f}" y1="{y_of(0):.1f}" '
-                 f'x2="{float(to_px(1)):.1f}" y2="{y_of(1):.1f}" '
-                 f'stroke="#999" stroke-dasharray="4 3"/>')
+    body = [f'<line x1="{float(to_px(0)):.1f}" y1="{y_of(0):.1f}" '
+            f'x2="{float(to_px(1)):.1f}" y2="{y_of(1):.1f}" '
+            f'stroke="#999" stroke-dasharray="4 3"/>']
     palette = ["#1f6fb2", "#b2451f", "#3a9e4e", "#8e44ad"]
     for ci, (name, cov) in enumerate(coverages_by_name.items()):
         color = palette[ci % len(palette)]
         order = np.argsort(nominal)
         pts = " ".join(f"{float(to_px(nominal[i])):.1f},{y_of(cov[i]):.1f}" for i in order)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{pad + 4}" y="{pad + 14 * (ci + 1)}" font-size="11" '
-                     f'fill="{color}">{name}</text>')
-    parts.append(f'<text x="{size / 2:.0f}" y="{size - 8}" text-anchor="middle" '
-                 f'font-size="12">nominal mass</text>')
-    parts.append(f'<text x="12" y="{size / 2:.0f}" text-anchor="middle" font-size="12" '
-                 f'transform="rotate(-90 12 {size / 2:.0f})">empirical coverage</text>')
-    parts.append(f'<text x="{size / 2:.0f}" y="18" text-anchor="middle" '
-                 f'font-size="13">{title}</text>')
-    parts.append("</svg>")
-    write_file(path, "\n".join(parts))
+        body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
+        body.append(f'<text x="{pad + 4}" y="{pad + 14 * (ci + 1)}" font-size="11" '
+                    f'fill="{color}">{name}</text>')
+    _write_svg(path, size, body, "nominal mass", "empirical coverage", title)

@@ -99,6 +99,19 @@ class GlobalParams:
         self.sigma_alpha = np.asarray(self.sigma_alpha, dtype=np.float64)
         self.sigma_eps = float(self.sigma_eps)
 
+    def vector(self, noise: bool = True) -> np.ndarray:
+        """[beta (d), sigma_alpha (q), sigma_eps (with `noise`)]: the column
+        layout of every global draw array."""
+        return np.concatenate([self.beta, self.sigma_alpha, [self.sigma_eps] if noise else []])
+
+    @staticmethod
+    def layout(d: int, q: int, noise: bool = True) -> list[tuple[str, str]]:
+        """(name, role) of each entry of `vector`: fixed effects, then the
+        variance parameters."""
+        return ([(f"beta[{j}]", "fixed") for j in range(d)]
+                + [(f"sigma[{j}]", "variance") for j in range(q)]
+                + ([("sigma_eps", "variance")] if noise else []))
+
 
 @dataclass
 class LocalParams:

@@ -137,8 +137,7 @@ def unstandardize_params(gp: GlobalParams, lp: LocalParams,
     """Exact inverse of standardize_params: `unstandardize_global_draws`
     and `unstandardize_local_draws` applied to this one draw."""
     d, q = rec.d, gp.sigma_alpha.shape[0]
-    row = np.concatenate([gp.beta, gp.sigma_alpha, [gp.sigma_eps]])
-    g = unstandardize_global_draws(row, d, q, rec)[0]
+    g = unstandardize_global_draws(gp.vector(), d, q, rec)[0]
     return (GlobalParams(g[:d], g[d:d + q], g[d + q]),
             LocalParams(unstandardize_local_draws(lp.alpha, q, rec)))
 

@@ -10,8 +10,12 @@ oracle that `refine.apply_calibration`, `pipeline.intervals_to_data_scale`,
 
 import numpy as np
 
-from mixedflow.refine import component_roles
 from mixedflow.standardize import standardize_params
+
+
+def component_roles(d, q, infer_noise):
+    """Role of each global draw component: fixed effects then variances."""
+    return ["fixed"] * d + ["variance"] * (q + (1 if infer_noise else 0))
 
 
 def apply_calibration(draws, table, alphas) -> dict[float, dict]:

@@ -107,6 +107,19 @@ class TestPipeline:
         assert "mine:r" in text.splitlines()[0]
         assert (report_dir / "split_n_mine.csv").exists()
 
+    def test_manifests_list_every_output(self, workdir, tmp_path):
+        eval_dir, report_dir = tmp_path / "eval", tmp_path / "rep"
+        assert main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--data", str(workdir / "sets.jsonl"), "--k", "20", "--seed", "13",
+                     "--out", str(eval_dir)]) == 0
+        assert main(["report", "--draws", f"mine={eval_dir / 'draws.jsonl'}",
+                     "--data", str(workdir / "sets.jsonl"), "--out", str(report_dir)]) == 0
+        for out in (eval_dir, report_dir):
+            listed = json.loads((out / "manifest.json").read_text())["outputs"]
+            written = [str(f) for f in out.iterdir() if f.name != "manifest.json"]
+            assert sorted(listed) == sorted(written)
+        assert str(report_dir / "split_snr_mine.csv") in listed
+
     def test_report_scores_chain_csv_named_after_a_set(self, workdir, tmp_path):
         ds = mfio.load_datasets(workdir / "sets.jsonl")[0]
         gp, alpha = ds.truth.global_params, ds.truth.local_params.alpha
@@ -199,6 +212,12 @@ def _report(workdir, tmp_path, draws: str):
             "--out", str(tmp_path / "rep")]
 
 
+def _chains(*params) -> str:
+    """An external-sample CSV: one chain, three draws of each quoted name."""
+    return "chain,draw,parameter,value\n" + "".join(
+        f'0,{i},"{p}",{0.1 * i}\n' for p in params for i in range(3))
+
+
 def _draw_record(**changes) -> str:
     draws = PosteriorDraws(global_std=np.ones((3, 4)), log_q_global=np.zeros(3), d=2, q=1,
                            infer_noise=True, rec=StandardizationRecord.identity(2))
@@ -272,6 +291,11 @@ MALFORMED = [
         log_q_global=1))), 4),
     ("draws-v1-short-global", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(
         schema="posterior-draws/1", log_q_global=[0.0] * 3, **{"global": [1.0] * 11}))), 4),
+    ("chains-bad-index", lambda w, t: _report(w, t, _write(t / "c.csv", _chains("beta[x]"))), 4),
+    ("chains-beta-gap", lambda w, t: _report(w, t, _write(t / "c.csv", _chains(
+        "beta[0]", "beta[2]"))), 4),
+    ("chains-alpha-without-sigma", lambda w, t: _report(w, t, _write(t / "c.csv", _chains(
+        "beta[0]", "alpha[0,3]"))), 4),
     ("resume-optimizer-renamed", _resume_with_optimizer(lambda arrays: {
         k.replace("opt.z.", "opt.m.", 1): v for k, v in arrays.items()}), 4),
     ("resume-optimizer-reshaped", _resume_with_optimizer(_reshape_one_v), 4),
@@ -290,6 +314,29 @@ class TestExitCodes:
         assert main(_report(workdir, tmp_path, draws)) == 4
         err = capsys.readouterr().err
         assert err.startswith("format error: ") and f"{draws}:1:" in err
+
+    def test_chain_csv_error_names_file_and_parameter(self, workdir, tmp_path, capsys):
+        chains = _write(tmp_path / "c.csv", _chains("lp__", "beta[0]", "beta[2]", "sigma_eps"))
+        assert main(_report(workdir, tmp_path, chains)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and chains in err and "beta[1]" in err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("infer", ["--checkpoint", "missing.ckpt", "--data", "missing.jsonl"]),
+        ("calibrate", ["--checkpoint", "missing.ckpt", "--sets", "missing.jsonl"]),
+        ("evaluate", ["--checkpoint", "missing.ckpt", "--data", "missing.jsonl"]),
+        ("report", ["--draws", "missing.jsonl", "--data", "missing.jsonl"]),
+    ])
+    def test_alphas_outside_the_unit_interval_are_2(self, tmp_path, capsys, command, argv):
+        argv = [command, *(str(tmp_path / a) if "." in a else a for a in argv),
+                "--out", str(tmp_path / "out")]
+        # with valid alphas the same line fails later, on the missing files
+        assert main([*argv, "--alphas", "0.1,0.5"]) == 4
+        for alphas in ("1.5,-0.2", "2", "0", "1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--alphas", alphas])
+            assert exc.value.code == 2
+        assert "(0, 1)" in capsys.readouterr().err
 
     def test_evaluate_conformal_without_table_is_2(self, workdir, tmp_path):
         code = main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"),

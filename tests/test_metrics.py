@@ -1,12 +1,12 @@
-"""Metric arithmetic, outlier flagging, posterior predictive shapes, split
-reports, and external-sample ingestion (chain selection by MAD outliers)."""
+"""Metric arithmetic, outlier flagging, split reports, and external-sample
+ingestion (chain selection by MAD outliers)."""
 
 import numpy as np
 import pytest
 
 from mixedflow import metrics, simulate as sim
 from mixedflow.draws import PosteriorDraws
-from mixedflow.errors import DataFormatError
+from mixedflow.errors import ConfigError, DataFormatError
 from mixedflow.standardize import StandardizationRecord
 
 
@@ -74,45 +74,6 @@ def _toy_ds(seed=0, **kw):
     return sim.simulate_dataset(2, 1, rng, sim.SimConfig(toy=True, **kw))
 
 
-class TestPosteriorPredictive:
-    def test_exact_replay_with_true_params_and_noise(self):
-        ds = _toy_ds(1)
-        gp, lp = ds.truth.global_params, ds.truth.local_params
-        row = np.concatenate([gp.beta, gp.sigma_alpha, [gp.sigma_eps]])
-        draws = _draws_at(ds, row, lp.alpha, jitter=0.0)
-        out = metrics.posterior_predictive(ds, draws, t=3, rng=np.random.default_rng(2),
-                                           noise_override=ds.truth.noise)
-        for t in range(3):
-            np.testing.assert_array_equal(out[t], ds.y[ds.mask])
-
-    def test_zero_noise_draws_reproduce_signal(self):
-        ds = _toy_ds(3)
-        gp, lp = ds.truth.global_params, ds.truth.local_params
-        row = np.concatenate([gp.beta, gp.sigma_alpha, [0.0]])
-        draws = _draws_at(ds, row, lp.alpha, jitter=0.0)
-        out = metrics.posterior_predictive(ds, draws, t=2, rng=np.random.default_rng(4))
-        signal = (ds.y - ds.truth.noise)[ds.mask]
-        np.testing.assert_allclose(out[0], signal, atol=1e-12)
-
-    def test_output_shape(self):
-        ds = _toy_ds(5)
-        gp, lp = ds.truth.global_params, ds.truth.local_params
-        row = np.concatenate([gp.beta, gp.sigma_alpha, [gp.sigma_eps]])
-        draws = _draws_at(ds, row, lp.alpha)
-        out = metrics.posterior_predictive(ds, draws, t=7, rng=np.random.default_rng(6))
-        assert out.shape == (7, ds.n_total)
-
-    def test_predictive_mean_tracks_signal(self):
-        ds = _toy_ds(7)
-        gp, lp = ds.truth.global_params, ds.truth.local_params
-        row = np.concatenate([gp.beta, gp.sigma_alpha, [max(gp.sigma_eps, 0.1)]])
-        draws = _draws_at(ds, row, lp.alpha)
-        out = metrics.posterior_predictive(ds, draws, t=1000, rng=np.random.default_rng(8))
-        signal = (ds.y - ds.truth.noise)[ds.mask]
-        se = max(gp.sigma_eps, 0.1) / np.sqrt(1000)
-        assert np.abs(out.mean(axis=0) - signal).max() < 6 * se
-
-
 class TestEvaluationAndSplits:
     def _eval(self, seed):
         ds = _toy_ds(seed)
@@ -141,6 +102,24 @@ class TestEvaluationAndSplits:
         evals = [self._eval(30), self._eval(31)]
         top, bottom = metrics.split_report(evals, "snr")
         assert top.n_datasets == bottom.n_datasets == 1
+
+    def test_known_noise_fixed_effects_model_scores_fixed_effects_only(self):
+        # no random effects and no noise component: there is no variance role
+        evals = []
+        for seed in range(3):
+            ds = sim.simulate_conjugate_dataset(2, np.random.default_rng(seed), dataset_id=str(seed))
+            g = ds.truth.global_params.beta + np.random.default_rng(9).normal(0, 0.1, (50, 2))
+            draws = PosteriorDraws(global_std=g, log_q_global=np.zeros(50), d=2, q=0,
+                                   infer_noise=False, rec=StandardizationRecord.identity(2))
+            evals.append(metrics.evaluate_dataset(ds, draws))
+        assert list(evals[0].truths) == list(evals[0].means) == ["fixed"]
+        assert {role for role, _ in evals[0].hits} == {"fixed"}
+        assert list(metrics.aggregate(evals).per_role) == ["fixed"]
+
+    def test_split_keys_are_exact(self):
+        evals = [self._eval(30), self._eval(31)]
+        with pytest.raises(ConfigError, match="split key"):
+            metrics.split_report(evals, "SNR")
 
     def test_order_invariance(self):
         evals = [self._eval(s) for s in range(40, 46)]

@@ -22,7 +22,8 @@ def test_every_command_writes_the_same_bytes_twice():
     paths = {line.split("  ", 1)[1] for line in first}
     for path in ("toy.jsonl", "full.jsonl.gz", "conj.jsonl", "m21/best.ckpt", "m32/last.ckpt",
                  "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",
-                 "eval-conformal/report.csv", "report/report.txt"):
+                 "eval-conformal/report.csv", "eval-m32/coverage.csv", "report/report.txt",
+                 "report-chains/report.csv"):
         assert path in paths
     checkpoints = {p for p in paths if p.endswith(".ckpt")}
     assert len(checkpoints) == 6

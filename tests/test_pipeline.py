@@ -118,13 +118,13 @@ class TestRefinement:
         model = PosteriorModel(ModelConfig(d=2, q=1, **cfg, **SMALL), np.random.default_rng(23))
         ds = sim.simulate_dataset(2, 1, np.random.default_rng(24), sim.SimConfig(toy=True))
         seen = []
-        scores = refine.conformal_scores
+        scores = refine.border_scores
 
         def record(draws, *args):
             seen.append(draws)
             return scores(draws, *args)
 
-        monkeypatch.setattr(refine, "conformal_scores", record)
+        monkeypatch.setattr(refine, "border_scores", record)
         refine.calibrate(model, [ds], k=64, seed=25, refine="is")
         draws, _ = infer_one(model, ds, k=64, rng=substream(25, "calibrate", 0), refine="is")
         np.testing.assert_array_equal(seen[0].weights, draws.weights)

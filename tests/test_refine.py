@@ -441,8 +441,9 @@ class TestConformal:
         inside = sim.GlobalParams(np.array([(lo + hi) / 2, 0.0]), np.array([1.0]), 1.0)
         border = sim.GlobalParams(np.array([hi, 0.0]), np.array([1.0]), 1.0)
         lp = sim.LocalParams(np.zeros((3, 1)))
-        s_inside = refine.conformal_scores(draws, inside, lp, (0.2,))
-        s_border = refine.conformal_scores(draws, border, lp, (0.2,))
+        borders = refine.apply_calibration(draws, None, (0.2,))
+        s_inside = refine.border_scores(draws, borders, inside, lp)
+        s_border = refine.border_scores(draws, borders, border, lp)
         assert s_inside["fixed"][0, 0] < 0
         assert s_border["fixed"][0, 0] == pytest.approx(0.0, abs=1e-12)
 

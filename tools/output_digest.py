@@ -18,7 +18,10 @@ d=2/q=1, d=3/q=2 and the conjugate family, each followed by `train
 --resume` with a larger budget (the d=3/q=2 run stops on patience, so its
 resume runs nothing); `calibrate --refine none|is`; `infer` in all four
 refine modes and on an observation CSV; `evaluate` in all four refine
-modes; `report`.
+modes, and of the d=3/q=2 model with `--refine is` and its own `--alphas`;
+`report` of two draw files, and of an external chain CSV named after a
+simulated set (two chains, one with an outlier, and a Stan-style `lp__`
+column that is ignored) beside a draw file, with its own `--alphas`.
 """
 
 import os
@@ -55,6 +58,16 @@ def _inputs():
         rows += [f"{group},{(7 * g + 3 * i) % 11 / 5 - 1:.2f},{(5 * i + g) % 7 / 3 - 1:.3f}"
                  for i in range(6 + g)]
     Path("obs.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    params = ["lp__", "beta[0]", "beta[1]", "sigma[0]", "sigma_eps"]
+    params += [f"alpha[{i},0]" for i in range(6)]
+    rows = ["chain,draw,parameter,value"]
+    for c in range(2):
+        for i in range(20):
+            for j, p in enumerate(params):
+                v = (7 * c + 3 * i + 5 * j) % 13 / 6 - 1
+                v = 50.0 if (c, i, p) == (0, 7, "beta[0]") else abs(v) if p.startswith("sigma") else v
+                rows.append(f'{c},{i},"{p}",{v:.3f}')
+    Path("sim-1-0.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def _commands() -> list[list[str]]:
@@ -93,6 +106,10 @@ def _commands() -> list[list[str]]:
          "--refine", "is", "--out", "infer-conj.jsonl"],
         ["report", "--draws", "none=infer-none.jsonl", "is=infer-is.jsonl",
          "--data", "toy.jsonl", "--out", "report"],
+        ["evaluate", "--checkpoint", "m32/best.ckpt", "--data", "full.jsonl.gz", "--k", "40",
+         "--seed", "9", "--refine", "is", "--alphas", "0.1,0.3,0.7", "--out", "eval-m32"],
+        ["report", "--draws", "hmc=sim-1-0.csv", "both=infer-both.jsonl", "--data", "toy.jsonl",
+         "--alphas", "0.1,0.5", "--out", "report-chains"],
     ]
     return cmds
 
