@@ -200,6 +200,9 @@ def cmd_report(args) -> int:
             if ds is None:
                 skipped.append(draws.dataset_id)
                 continue
+            if draws.local_std is not None and draws.m != ds.m:
+                raise DataFormatError(f"{path}: draws for {draws.dataset_id} have {draws.m} "
+                                      f"groups, the dataset has {ds.m}")
             evals.append(evaluate_dataset(ds, draws, None, args.alphas))
         if skipped:
             print(f"warning: {name}: no matching dataset for ids {skipped[:5]}"

@@ -10,9 +10,10 @@ condition-only transforms of their single coordinate, which keeps every
 block invertible and still conditioning-aware.
 
 Sampling is one inverse pass of (g, k, dim) base draws, for k draws per
-condition row (`sample`, g = 1) or per group (`sample_grouped`). A
-one-dimensional flow's conditioners see one row per group, since its
-transform never reads the draw; wider flows see one row per draw.
+condition row (`sample`, g = 1) or per group (`sample_grouped`). The
+condition is projected once per condition row, the passive half once per
+draw; a one-dimensional flow has no passive half, so its conditioners run
+once per condition row.
 
 Conditioner scale heads are squashed to the band (-SCALE_BOUND,
 SCALE_BOUND) on the log scale and zero-initialized, so an untrained flow is
@@ -69,7 +70,9 @@ class StudentTBase(Module):
 
 class _Conditioner(Module):
     """Three hidden feedforward layers with relu, skip connections and
-    dropout, plus zero-initialized shift and bounded-scale heads."""
+    dropout, plus zero-initialized shift and bounded-scale heads. The
+    first layer takes the passive half and the condition as two parts of
+    one `linear`, so a condition shared by many draws is projected once."""
 
     def __init__(self, n_in: int, n_out: int, hidden: int, rng: np.random.Generator,
                  dropout_rate: float, dtype=np.float32):
@@ -81,10 +84,11 @@ class _Conditioner(Module):
         self.shift = self.register("shift", Linear(hidden, n_out, rng, dtype, zero_init=True))
         self.scale = self.register("scale", Linear(hidden, n_out, rng, dtype, zero_init=True))
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
+    def __call__(self, passive: Tensor, cond: Tensor,
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         if not self.training:
             rng = None
-        h = dropout(self.l1(x).relu(), self.dropout_rate, rng)
+        h = dropout(self.l1((passive, cond)).relu(), self.dropout_rate, rng)
         h = dropout(self.l2(h).relu(), self.dropout_rate, rng) + h
         h = dropout(self.l3(h).relu(), self.dropout_rate, rng) + h
         t = self.shift(h)
@@ -122,11 +126,6 @@ class CouplingFlow(Module):
             self.conditioners.append(cond_net)
             self._plans.append((passive, active))
 
-    def _block_params(self, i: int, passive: Tensor, cond: Tensor,
-                      rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
-        inputs = cat([passive, cond], axis=-1) if passive.shape[-1] else cond
-        return self.conditioners[i](inputs, rng)
-
     def forward(self, theta: Tensor, cond: Tensor,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """Map parameters to base space; returns (z, logdet) with logdet
@@ -135,7 +134,7 @@ class CouplingFlow(Module):
         logdet = None
         for i, (psl, asl) in enumerate(self._plans):
             passive, active = z[..., psl], z[..., asl]
-            s, t = self._block_params(i, passive, cond, rng)
+            s, t = self.conditioners[i](passive, cond, rng)
             new_active = active * s.exp() + t
             z = cat([passive, new_active] if psl.start == 0 else [new_active, passive], axis=-1)
             contrib = s.sum(axis=-1)
@@ -152,7 +151,7 @@ class CouplingFlow(Module):
         for i in reversed(range(len(self._plans))):
             psl, asl = self._plans[i]
             passive, active = theta[..., psl], theta[..., asl]
-            s, t = self._block_params(i, passive, cond, None)
+            s, t = self.conditioners[i](passive, cond)
             new_active = (active - t) * (-s).exp()
             theta = cat([passive, new_active] if psl.start == 0 else [new_active, passive], axis=-1)
             contrib = (-s).sum(axis=-1)
@@ -172,7 +171,7 @@ class CouplingFlow(Module):
         (k, cond_dim); returns (draws (k, dim), log density (k,))."""
         cond = np.asarray(cond, dtype=self.base.loc.data.dtype)
         if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (k, cond.shape[0]))
+            cond = cond[None]
         elif cond.shape[0] != k:
             raise ConfigError(f"need one condition row per draw, got {cond.shape[0]} for k={k}")
         theta, log_q = self._sample(cond[None], k, rng)
@@ -188,11 +187,8 @@ class CouplingFlow(Module):
     def _sample(self, cond: np.ndarray, k: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The inverse pass of (g, k, dim) base draws under cond (g, 1 or k,
-        cond_dim); wider flows `cat` the condition to the passive half of
-        each draw, so only they need a condition row per draw."""
+        cond_dim), which broadcasts over the draws."""
         g = cond.shape[0]
-        if self.dim > 1:
-            cond = np.broadcast_to(cond, (g, k, cond.shape[-1]))
         z = Tensor(self.base.sample(g * k, rng).reshape(g, k, self.dim).astype(cond.dtype))
         theta, logdet_inv = self.inverse(z, Tensor(cond))
         log_q = self.base.log_prob(z).data - logdet_inv.data

@@ -180,7 +180,8 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
     wrap it as uniform-weighted draws.
 
     Parameter names follow the draw-file convention: beta[j], sigma[j],
-    sigma_eps, alpha[i,j]. The dataset id is the file stem, as for an
+    sigma_eps, alpha[i,j]; a gap in any index range is a DataFormatError,
+    and the largest group index i sets the group count. The dataset id is the file stem, as for an
     observation CSV. Returns (draws, info) where info records the
     per-chain outlier counts and the selected chain.
     """
@@ -238,14 +239,16 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
         if name not in values:
             raise DataFormatError(f"{path}: parameter {name} missing")
     local = None
-    alpha_keys = [p for p in index if p.startswith("alpha[")]
-    if alpha_keys:
-        local = np.zeros((k, size("alpha["), q))
-        for p in alpha_keys:
-            i, j = index[p]
+    alpha = {index[p]: p for p in index if p.startswith("alpha[")}
+    if alpha:
+        for (_, j), p in alpha.items():
             if j >= q:
                 raise DataFormatError(f"{path}: parameter {p} has no sigma[{j}]")
-            local[:, i, j] = values[p]
+        local = np.empty((k, size("alpha["), q))
+        for i, j in np.ndindex(local.shape[1:]):
+            if (i, j) not in alpha:
+                raise DataFormatError(f"{path}: parameter alpha[{i},{j}] missing")
+            local[:, i, j] = values[alpha[i, j]]
     draws = PosteriorDraws(
         global_std=np.column_stack([values[name] for name in names]), log_q_global=np.zeros(k),
         d=d, q=q, infer_noise=infer_noise,

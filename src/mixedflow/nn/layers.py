@@ -10,14 +10,19 @@ Three ops are fused into single tape nodes with hand-written backward
 passes, so an encoder block is a short chain of nodes instead of dozens of
 small elementwise ones. Each saves for its backward only what is listed:
 
-- `linear`: x @ W + b as one flat gemm plus the bias; the backward
-  reuses the inputs it was given (g @ W', x' @ g, g summed).
+- `linear`: x @ W + b as one flat gemm per input part with the bias added
+  in place; the parts meet their own rows of W, and a part may broadcast
+  over the first one's leading axes, so a condition shared by many rows
+  is projected once. The backward reuses the inputs it was given (g @ W',
+  x' @ g, g summed), a broadcast part's adjoint summed over its broadcast
+  axes first.
 - `layer_norm`: normalization over the last axis; saves the normalized
   input x_hat and 1/sigma per row.
-- `masked_attention`: per head, scaled scores, the key mask, a softmax done
-  in place on the node's own score buffer and the weighted sum of values;
-  saves the probabilities (its output and the q, k, v inputs are held
-  anyway).
+- `masked_attention`: per head, key-major scores with the key mask, shifted
+  and exponentiated in place on the node's own buffer, the weighted sum of
+  values, then one normalization of the output; saves the exp scores in
+  key-major layout and 1/(key sum) per query (its output and the q, k, v
+  inputs are held anyway).
 
 Training and inference run the same nodes; under `no_grad` the backward
 closures, and with them the saved arrays, are dropped at once.
@@ -30,7 +35,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from .tensor import Tensor, assert_finite
+from .tensor import Tensor, _unbroadcast, assert_finite
 
 __all__ = [
     "Module",
@@ -93,24 +98,44 @@ def _param(rng: np.random.Generator, shape, scale: float, dtype) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x, as one node: a single flat gemm
-    for any number of leading axes, plus the bias."""
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis, as one node. x is a tensor or a
+    sequence of parts whose widths add up to the rows of w; part i meets
+    its own block of rows, and later parts may broadcast over the leading
+    axes of the first, so a (g, 1, n) condition beside (g, k, n') draws is
+    projected once per row, not once per draw. A zero-width part adds
+    nothing. Each part is one flat gemm; the bias joins the last part's
+    product, and the sum is x_0 w_0 + (x_1 w_1 + (... + b))."""
     n_in, n_out = w.data.shape
-    lead = x.data.shape[:-1]
-    x2, wd = x.data.reshape(-1, n_in), w.data
-    out = x2 @ wd + b.data
+    terms, lo = [], 0  # (part, its first and last-plus-one row of w)
+    for p in (x,) if isinstance(x, Tensor) else x:
+        hi = lo + p.data.shape[-1]
+        if hi > lo:
+            terms.append((p, lo, hi))
+        lo = hi
+    if lo != n_in:
+        raise DimensionError(f"linear expects last dim {n_in}, got {lo}")
+    wd = w.data
+    out = None
+    for p, lo, hi in reversed(terms):
+        y = (p.data.reshape(-1, hi - lo) @ wd[lo:hi]).reshape(p.data.shape[:-1] + (n_out,))
+        y += b.data if out is None else out
+        out = y
 
     def backward(g):
-        g2 = g.reshape(-1, n_out)
-        if x.requires_grad:
-            x._accumulate((g2 @ wd.T).reshape(lead + (n_in,)), owned=True)
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2, owned=True)
+        g_w = np.empty_like(wd) if w.requires_grad else None
+        for p, lo, hi in terms:
+            gp = _unbroadcast(g, p.data.shape[:-1] + (n_out,))[0].reshape(-1, n_out)
+            if p.requires_grad:
+                p._accumulate((gp @ wd[lo:hi].T).reshape(p.data.shape), owned=True)
+            if g_w is not None:
+                np.matmul(p.data.reshape(-1, hi - lo).T, gp, out=g_w[lo:hi])
+        if g_w is not None:
+            w._accumulate(g_w, owned=True)
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0), owned=True)
+            b._accumulate(g.reshape(-1, n_out).sum(axis=0), owned=True)
 
-    return Tensor._make(out.reshape(lead + (n_out,)), (x, w, b), backward)
+    return Tensor._make(out, (*(p for p, _, _ in terms), w, b), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -151,10 +176,14 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
     """softmax(q k' / sqrt(head_dim) + key mask) v for each head, as one
     node over (b, n, width) inputs; the output is in the same layout.
 
-    Keys where mask (b, n) is false get a -1e30 score (the add is skipped
-    when every key is valid), so a row with no valid key softmaxes to
-    uniform. The softmax runs in place on the node's own score buffer,
-    whose probabilities are all that backward keeps.
+    The scores are built key-major, k (q / sqrt(head_dim))' of shape
+    (b, heads, n_keys, n_queries), so the max, the shift and the exp run
+    row-wise over the queries and the key sums are one BLAS call. Keys
+    where mask (b, n) is false get a -1e30 score (the add is skipped when
+    every key is valid), so a row with no valid key softmaxes to uniform.
+    The output is normalized after the value product. Backward keeps the
+    exp scores and 1/(key sum) and folds the latter into its smaller
+    factors, so the probabilities are never formed.
     """
     b, n, width = q.data.shape
     dh = width // heads
@@ -164,38 +193,47 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
         # (b, n, width) -> (b, heads, n, head_dim) view
         return a.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
 
+    def transposed(a: np.ndarray) -> np.ndarray:
+        # (b, n, width) -> a contiguous (b, heads, head_dim, n) copy; as the
+        # second matmul operand it is about twice as fast as a transposed view
+        return np.ascontiguousarray(split(a).swapaxes(-1, -2))
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
+    qt = transposed(q.data)
+    qt *= scale
+    e = kh @ qt
     if not mask.all():
-        p += np.where(mask, 0.0, -1e30).astype(p.dtype)[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+        e += np.where(mask, 0.0, -1e30).astype(e.dtype)[:, None, :, None]
+    e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    inv_sum = np.ones(n, dtype=e.dtype) @ e
+    np.reciprocal(inv_sum, out=inv_sum)
+    out = qt.reshape(b, n, width)  # the scaled queries' buffer, free once e is built
+    np.matmul(e.swapaxes(-1, -2), vh, out=split(out))
+    out.reshape(b, n, heads, dh)[...] *= inv_sum.transpose((0, 2, 1))[..., None]
 
     def merged(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         # a @ c per head, written straight into a fresh (b, n, width) array
-        out = np.empty((b, n, width), dtype=p.dtype)
-        np.matmul(a, c, out=split(out))
-        return out
-
-    out = merged(p, vh)
+        res = np.empty((b, n, width), dtype=e.dtype)
+        np.matmul(a, c, out=split(res))
+        return res
 
     def backward(g):
         gh = split(g)
         if v.requires_grad:
-            v._accumulate(merged(p.swapaxes(-1, -2), gh), owned=True)
+            # pT g, the 1/(key sum) of pT = e / (key sum) folded into g
+            v._accumulate(merged(e, gh * inv_sum[..., None]), owned=True)
         if q.requires_grad or k.requires_grad:
-            # score adjoint p * (dp - rowsum(p * dp)) with dp = g v'; the
-            # row sum equals g . out row by row
-            ds = gh @ vh.swapaxes(-1, -2)
-            ds -= np.einsum("bhnd,bhnd->bhn", gh, split(out))[..., None]
-            ds *= p
-            ds *= scale
+            # transposed score adjoint pT * (v g' - (g . out)), the row sum
+            # of p * dp being g . out query by query
+            ds = vh @ transposed(g)
+            ds -= np.einsum("bhnd,bhnd->bhn", gh, split(out))[..., None, :]
+            ds *= e
+            ds *= (inv_sum * scale)[..., None, :]
             if q.requires_grad:
-                q._accumulate(merged(ds, kh), owned=True)
+                q._accumulate(merged(ds.swapaxes(-1, -2), kh), owned=True)
             if k.requires_grad:
-                k._accumulate(merged(ds.swapaxes(-1, -2), qh), owned=True)
+                k._accumulate(merged(ds, qh), owned=True)
 
     return Tensor._make(out, (q, k, v), backward)
 
@@ -216,9 +254,8 @@ class Linear(Module):
         self.w = self.register("w", _param(rng, (n_in, n_out), scale, dtype))
         self.b = self.register("b", Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.n_in:
-            raise DimensionError(f"linear expects last dim {self.n_in}, got {x.shape}")
+    def __call__(self, x) -> Tensor:
+        """x is a tensor or a sequence of parts, as for `linear`."""
         return linear(x, self.w, self.b)
 
 

@@ -9,8 +9,8 @@ compiler and no in-place mutation of tracked values. Under `no_grad`,
 The ops here are the generic ones. The hot layer ops (linear maps, layer
 norm and masked attention) are fused single nodes in layers.py, each with a
 hand-written backward that saves no more than the forward already holds
-(the inputs, plus x_hat and 1/sigma for layer norm and the attention
-probabilities for attention). `softmax` stays as the generic fused
+(the inputs, plus x_hat and 1/sigma for layer norm and the exp scores
+and 1/(key sum) for attention). `softmax` stays as the generic fused
 primitive.
 """
 
@@ -392,12 +392,12 @@ class Tensor:
         return Tensor._make(_gammaln(self.data), (self,), backward)
 
     def relu(self):
-        keep = self.data > 0
+        out_data = np.maximum(self.data, 0)
 
         def backward(g):
-            self._accumulate(g * keep, owned=True)
+            self._accumulate(g * (out_data > 0), owned=True)
 
-        return Tensor._make(self.data * keep, (self,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def gelu(self):
         """The erf gelu of Hendrycks & Gimpel (2016); float32 within 5e-7·max(1, |x|)."""

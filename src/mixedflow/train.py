@@ -14,6 +14,7 @@ negative log density, averaged over the batch.
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 import time
 from dataclasses import dataclass, asdict
@@ -33,7 +34,12 @@ from .simulate import (HierDataset, SimConfig, permute_columns, simulate_conjuga
 
 log = logging.getLogger(__name__)
 
-__all__ = ["TrainConfig", "TrainResult", "train", "make_training_dataset"]
+__all__ = ["TrainConfig", "TrainResult", "train", "make_training_dataset", "train_code"]
+
+# the package sources whose bytes decide what a training run computes;
+# `train_code` in every checkpoint manifest train writes is their sha256
+TRAIN_SOURCES = ("train.py", "model.py", "summary.py", "flow.py", "simulate.py",
+                 "standardize.py", "seeding.py", "nn/tensor.py", "nn/layers.py", "nn/optim.py")
 
 # divergence guard: stop once the loss stays above DIVERGENCE_FACTOR times
 # the first step's (at least 1) for DIVERGENCE_STEPS steps in a row
@@ -120,6 +126,16 @@ def make_training_dataset(cfg: TrainConfig, index: int, purpose: str = "data") -
     return ds
 
 
+def train_code(root=Path(__file__).parent) -> str:
+    """sha256 over the TRAIN_SOURCES under the package directory `root`,
+    each as its name, a NUL and its bytes."""
+    h = hashlib.sha256()
+    for name in TRAIN_SOURCES:
+        h.update(name.encode() + b"\0")
+        h.update((Path(root) / name).read_bytes())
+    return h.hexdigest()
+
+
 def _validation_loss(model: PosteriorModel, val_batches: list[Batch]) -> float:
     """Mean per-dataset loss at the parameters the model holds."""
     total, count = 0.0, 0
@@ -136,6 +152,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     (step, global loss, local loss, validation loss) into out_dir. Each
     evaluation logs one progress line to `mixedflow.train` at INFO.
 
+    Both manifests record the hash of the training code (`train_code`).
     Every evaluation records in both manifests whether the run stopped on
     patience (`stopped_early`) and whether it is over (`complete`: budget
     used or patience reached); `last.ckpt` holds the record of the run.
@@ -147,6 +164,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     curve_path = out / "curve.csv"
 
     mcfg = cfg.model_config()
+    code = train_code()
     start_step, best_val, stale_evals = 0, float("inf"), 0
     curve: list[tuple[int, float, float, float]] = []
     if resume:
@@ -238,7 +256,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             meta = {"step": step + 1, "seed": cfg.seed, "best_val": best_val,
                     "stale_evals": stale_evals, "stopped_early": stopped_early,
                     "complete": stopped_early or step + 1 == cfg.steps,
-                    "train_config": asdict(cfg)}
+                    "train_config": asdict(cfg), "train_code": code}
             if improved:
                 save_model(best_path, model, meta)
             save_model(last_path, model, meta, opt_arrays=opt.state_arrays())
@@ -254,7 +272,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     if not best_path.exists():  # budget smaller than one eval interval
         opt.eval_mode()
         save_model(best_path, model, {"step": step + 1, "seed": cfg.seed,
-                                      "best_val": best_val, "train_config": asdict(cfg)})
+                                      "best_val": best_val, "train_config": asdict(cfg),
+                                      "train_code": code})
     from .nn.checkpoint import checkpoint_id
     return TrainResult(
         best_path=str(best_path), last_path=str(last_path), curve_path=str(curve_path),

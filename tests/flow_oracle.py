@@ -4,6 +4,11 @@ inverse pass: `sample` ran `CouplingFlow.inverse` on k flat rows, and
 `sample` or, for one-dimensional flows, ran the inverse couplings again in
 numpy on one condition row per group. Kept as the oracle that the package's
 samplers must reproduce byte for byte.
+
+A shared condition row stays one (1, cond_dim) row that the inverse pass
+broadcasts over the k draws, as the package's conditioners project a
+condition once per condition row: a one-row projection and the same row
+repeated k times differ in the last bit (gemv against gemm).
 """
 
 import numpy as np
@@ -16,7 +21,7 @@ def sample(flow, cond, k, rng):
     dt = flow.base.loc.data.dtype
     cond = np.asarray(cond, dtype=dt)
     if cond.ndim == 1:
-        cond = np.broadcast_to(cond, (k, cond.shape[0]))
+        cond = cond[None]
     elif cond.shape[0] != k:
         raise ConfigError(f"need one condition row per draw, got {cond.shape[0]} for k={k}")
     z = Tensor(flow.base.sample(k, rng).astype(dt))
@@ -36,9 +41,9 @@ def sample_grouped(flow, cond, k, rng):
     z = flow.base.sample(g * k, rng).reshape(g, k).astype(dt)
     theta = z.copy()
     logdet_inv = np.zeros((g, 1), dtype=dt)
-    cond_t = Tensor(cond)
+    cond_t, passive = Tensor(cond), Tensor(np.zeros((g, 0), dtype=dt))
     for i in reversed(range(len(flow._plans))):
-        s, t = flow.conditioners[i](cond_t)
+        s, t = flow.conditioners[i](passive, cond_t)
         theta = (theta - t.data) * np.exp(-s.data)
         logdet_inv = logdet_inv - s.data
         if not np.all(np.isfinite(theta)):

@@ -38,22 +38,28 @@ def layer_norm(self, x):
     return self.gamma * (centered / (var + self.eps).sqrt()) + self.beta
 
 
+def attention_node(q, k, v, mask, heads):
+    """softmax(q k' / sqrt(head_dim) + key mask) v per head over (b, n,
+    width) tensors, query-major, with the generic softmax."""
+    b, n, width = q.shape
+    dh = width // heads
+
+    def split(t):
+        return t.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
+
+    scores = (split(q) @ split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+    bias = np.where(mask[:, None, None, :], 0.0, -1e30).astype(q.dtype)
+    weights = (scores + Tensor(bias)).softmax(axis=-1)
+    return (weights @ split(v)).transpose((0, 2, 1, 3)).reshape(b, n, width)
+
+
 def attention(self, x, mask):
     squeeze = x.ndim == 2
     if squeeze:
         x = x.reshape((1,) + x.shape)
         mask = np.asarray(mask)[None, :]
-    b, n, _ = x.shape
     mask = np.asarray(mask, dtype=bool)
-
-    def split(t):
-        return t.reshape(b, n, self.heads, self.head_dim).transpose((0, 2, 1, 3))
-
-    q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-    bias = np.where(mask[:, None, None, :], 0.0, -1e30).astype(x.dtype)
-    weights = (scores + Tensor(bias)).softmax(axis=-1)
-    out = (weights @ v).transpose((0, 2, 1, 3)).reshape(b, n, self.width)
+    out = attention_node(self.wq(x), self.wk(x), self.wv(x), mask, self.heads)
     out = self.wo(out) * Tensor(mask[:, :, None].astype(x.dtype))
     return out.reshape(out.shape[1:]) if squeeze else out
 

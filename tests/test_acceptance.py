@@ -65,6 +65,8 @@ def _cached_model(cfg: TrainConfig, tag: str):
         train(cfg, out, resume=last.exists())
     assert load_model(last)[1]["complete"], f"{last}: training did not complete"
     model, manifest, _ = load_model(out / "best.ckpt")
+    print(f"{tag} checkpoint {out.name}: step {manifest['step']}, "
+          f"train_code {manifest.get('train_code', 'unrecorded')[:12]}")
     return model, manifest
 
 

@@ -321,6 +321,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("format error: ") and chains in err and "beta[1]" in err
 
+    def test_chain_csv_alpha_gap_names_file_and_entry(self, workdir, tmp_path, capsys):
+        ds = mfio.load_datasets(workdir / "sets.jsonl")[0]
+        chains = _write(tmp_path / f"{ds.dataset_id}.csv", _chains(
+            "beta[0]", "beta[1]", "sigma[0]", "sigma_eps", "alpha[0,0]", "alpha[2,0]"))
+        assert main(_report(workdir, tmp_path, chains)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and chains in err and "alpha[1,0]" in err
+
+    def test_draws_with_fewer_groups_than_their_set_are_4(self, workdir, tmp_path, capsys):
+        ds = mfio.load_datasets(workdir / "sets.jsonl")[0]
+        assert ds.m > 3
+        chains = _write(tmp_path / f"{ds.dataset_id}.csv", _chains(
+            "beta[0]", "beta[1]", "sigma[0]", "sigma_eps", "alpha[0,0]", "alpha[1,0]", "alpha[2,0]"))
+        assert main(_report(workdir, tmp_path, chains)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and chains in err
+        assert f"have 3 groups, the dataset has {ds.m}" in err
+
     @pytest.mark.parametrize("command, argv", [
         ("infer", ["--checkpoint", "missing.ckpt", "--data", "missing.jsonl"]),
         ("calibrate", ["--checkpoint", "missing.ckpt", "--sets", "missing.jsonl"]),

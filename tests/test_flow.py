@@ -144,13 +144,15 @@ class TestSampling:
 
 
 def _counting_conditioner_rows(monkeypatch):
-    """Patch every conditioner to log the number of input rows it runs on."""
+    """Patch every conditioner to log the rows it projects: (condition
+    rows, passive rows), a zero-width passive half counting none."""
     rows = []
     call = _Conditioner.__call__
 
-    def counted(self, x, rng=None):
-        rows.append(int(np.prod(x.shape[:-1])))
-        return call(self, x, rng)
+    def counted(self, passive, cond, rng=None):
+        n_passive = int(np.prod(passive.shape[:-1])) if passive.shape[-1] else 0
+        rows.append((int(np.prod(cond.shape[:-1])), n_passive))
+        return call(self, passive, cond, rng)
 
     monkeypatch.setattr(_Conditioner, "__call__", counted)
     return rows
@@ -160,18 +162,20 @@ def _counting_conditioner_rows(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_samplers_match_reference_bytes_and_conditioner_rows(dim, dtype, monkeypatch):
     # the shapes inference uses: one shared row, one row per draw, and g
-    # groups; a one-dimensional flow must run one conditioner row per group
+    # groups; each condition row is projected once, the passive half once
+    # per draw, and a one-dimensional flow has no passive half
     flow = make_flow(dim, 3, seed=20 + dim, dtype=dtype)
-    k = 7
+    k, g = 7, 5
     cond = np.random.default_rng(21).normal(size=(k, 3))
-    cases = [("sample", cond[0]), ("sample", cond), ("sample_grouped", cond[:5])]
+    cases = [("sample", cond[0], 1, k), ("sample", cond, k, k),
+             ("sample_grouped", cond[:g], g, g * k)]
     rows = _counting_conditioner_rows(monkeypatch)
-    for method, c in cases:
+    for method, c, cond_rows, draws in cases:
         got = getattr(flow, method)(c, k, np.random.default_rng(22))
-        got_rows = rows[:]
+        assert rows == [(cond_rows, draws if dim > 1 else 0)] * len(flow.conditioners), \
+            (method, c.shape)
         rows.clear()
         want = getattr(flow_oracle, method)(flow, c, k, np.random.default_rng(22))
-        assert rows == got_rows, (method, c.shape)
         rows.clear()
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape, method

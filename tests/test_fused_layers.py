@@ -49,6 +49,18 @@ class TestNodeGradients:
         _gradcheck(lambda x, w, b: (linear(x, w, b) * Tensor(r)).sum(),
                    [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)])
 
+    def test_linear_with_a_broadcast_part(self):
+        # a flow conditioner's first layer: the passive half per draw
+        # (2, 3, 4) and the condition per row (2, 1, 5), broadcast over the
+        # draws; the forward is the linear map of the concatenated input
+        x, c = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(2, 1, 5))
+        w, b = RNG.normal(size=(9, 6)), RNG.normal(size=6)
+        joined = np.concatenate([x, np.broadcast_to(c, (2, 3, 5))], axis=-1)
+        np.testing.assert_allclose(linear((Tensor(x), Tensor(c)), Tensor(w), Tensor(b)).data,
+                                   joined @ w + b, atol=1e-12)
+        r = RNG.normal(size=(2, 3, 6))
+        _gradcheck(lambda x, c, w, b: (linear((x, c), w, b) * Tensor(r)).sum(), [x, c, w, b])
+
     def test_layer_norm(self):
         r = RNG.normal(size=(3, 4, 6))
         _gradcheck(lambda x, g, b: (layer_norm(x, g, b, 1e-5) * Tensor(r)).sum(),
@@ -71,6 +83,28 @@ class TestNodeGradients:
         v2[~MASK] = 1e3
         out2 = masked_attention(Tensor(q), Tensor(k), Tensor(v2), MASK, heads=2).data
         np.testing.assert_allclose(out2[:3], out[:3], atol=1e-12)
+
+
+def test_attention_is_stable_at_large_logits():
+    # float32 scores near +-1e3, where an unshifted exp overflows; a row with
+    # every key masked and rows with a single valid key; against the
+    # composed oracle in float64, then a gradcheck on the same mask
+    rng = np.random.default_rng(17)
+    mask = np.array([[True] * 6, [False] * 6, [False, False, True, False, False, False],
+                     [True, False, False, False, False, False]])
+    q, k = (rng.normal(0.0, 30.0, size=(4, 6, 8)).astype(np.float32) for _ in range(2))
+    v = rng.normal(size=(4, 6, 8)).astype(np.float32)
+    scores = np.einsum("bqhd,bkhd->bhqk", q.reshape(4, 6, 2, 4), k.reshape(4, 6, 2, 4)) / 2
+    assert np.abs(scores).max() > 1e3 and np.median(np.abs(scores)) > 100
+    got = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, heads=2).data
+    want = oracle.attention_node(*(Tensor(a.astype(np.float64)) for a in (q, k, v)),
+                                 mask, heads=2).data
+    assert np.isfinite(got).all()
+    assert rel_err(got, want) < 1e-5
+    np.testing.assert_array_equal(got[2], np.broadcast_to(v[2, 2], (6, 8)))
+    r = rng.normal(size=(4, 6, 8)) * mask.any(axis=1)[:, None, None]
+    _gradcheck(lambda q, k, v: (masked_attention(q, k, v, mask, heads=2) * Tensor(r)).sum(),
+               [rng.normal(size=(4, 6, 8)) for _ in range(3)])
 
 
 def _ragged_rows(b, n, rng):

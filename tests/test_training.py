@@ -2,7 +2,9 @@
 phantom-group neutrality, initialization oracle, gradient reach, smoke
 descent, and exact resume."""
 
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,23 @@ class TestTrainingLoop:
         assert len(curve) >= 3
         first_val = float(curve[1].split(",")[-1])
         assert res.best_val < first_val  # training moved the needle
+
+    def test_manifests_record_the_training_code(self, tmp_path):
+        cfg = TrainConfig(d=2, q=1, budget=16, batch_size=8, seed=23, toy=True,
+                          eval_every=2, val_sets=8, warmup_steps=5, **SMALL)
+        train(cfg, tmp_path / "run")
+        code = mftrain.train_code()
+        for name in ("best.ckpt", "last.ckpt"):
+            assert load_checkpoint(tmp_path / "run" / name)[0]["train_code"] == code
+        src = tmp_path / "src"
+        shutil.copytree(Path(mftrain.__file__).parent, src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert mftrain.train_code(src) == code
+        for name in mftrain.TRAIN_SOURCES:
+            text = (src / name).read_bytes()
+            (src / name).write_bytes(text + b"\n")
+            assert mftrain.train_code(src) != code, name
+            (src / name).write_bytes(text)
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         common = dict(d=2, q=1, batch_size=8, seed=13, toy=True,
