@@ -38,6 +38,13 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _alpha_list(text: str) -> tuple[float, ...]:
     alphas = tuple(float(a) for a in text.split(","))
     if not all(0.0 < a < 1.0 for a in alphas):
@@ -269,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, k_default=1000):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--k", type=int, default=k_default, help="posterior draws per dataset")
+        p.add_argument("--k", type=_positive_int, default=k_default,
+                       help="posterior draws per dataset")
         p.add_argument("--alphas", type=_alpha_list, default=ALPHA_GRID)
 
     p = sub.add_parser("simulate", help="generate hierarchical regression datasets")
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m-range", type=_int_pair, default=(5, 30))
     p.add_argument("--n-range", type=_int_pair, default=(5, 70))
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--toy", action="store_true")
     p.add_argument("--family", choices=("full", "conjugate"), default="full")

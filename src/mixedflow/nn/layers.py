@@ -89,9 +89,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def _param(rng: np.random.Generator, shape, scale: float, dtype) -> Tensor:
     data = rng.uniform(-scale, scale, size=shape).astype(dtype)
@@ -249,7 +246,6 @@ class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  dtype=np.float32, zero_init: bool = False):
         super().__init__()
-        self.n_in, self.n_out = n_in, n_out
         scale = 0.0 if zero_init else math.sqrt(6.0 / (n_in + n_out))
         self.w = self.register("w", _param(rng, (n_in, n_out), scale, dtype))
         self.b = self.register("b", Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True))
@@ -304,7 +300,6 @@ class MultiheadAttention(Module):
         if width % heads != 0:
             raise ConfigError(f"width {width} not divisible by heads {heads}")
         self.width, self.heads = width, heads
-        self.head_dim = width // heads
         self.wq = self.register("wq", Linear(width, width, rng, dtype))
         self.wk = self.register("wk", Linear(width, width, rng, dtype))
         self.wv = self.register("wv", Linear(width, width, rng, dtype))

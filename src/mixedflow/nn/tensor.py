@@ -1,17 +1,18 @@
 """Dense arrays with reverse-mode gradients.
 
 A small tape: every differentiable op builds a result Tensor holding a
-closure that scatters the incoming adjoint back to its parents. The op set
-is fixed to what the layers in this package need; there is no graph
-compiler and no in-place mutation of tracked values. Under `no_grad`,
-`Tensor._make` keeps no closure, so nothing is saved for a backward pass.
+closure that scatters the incoming adjoint back to its parents. There is
+no graph compiler and no in-place mutation of tracked values. Under
+`no_grad`, `Tensor._make` keeps no closure, so nothing is saved for a
+backward pass.
 
-The ops here are the generic ones. The hot layer ops (linear maps, layer
-norm and masked attention) are fused single nodes in layers.py, each with a
-hand-written backward that saves no more than the forward already holds
-(the inputs, plus x_hat and 1/sigma for layer norm and the exp scores
-and 1/(key sum) for attention). `softmax` stays as the generic fused
-primitive.
+The op set is what the layers, flows and losses of this package run, plus
+`**` for the gradient checks: arithmetic, a few elementwise maps, sum and
+mean, reshape, indexing, row scatter and `cat`. The layer ops (linear maps, layer norm and masked
+attention) are fused single nodes in layers.py, each with a hand-written
+backward that saves no more than the forward already holds (the inputs,
+plus x_hat and 1/sigma for layer norm and the exp scores and 1/(key sum)
+for attention). A new op comes in with its first caller.
 """
 
 from __future__ import annotations
@@ -192,10 +193,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -280,9 +277,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other, self.dtype))
 
-    def __rsub__(self, other):
-        return as_tensor(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other, self.dtype)
         out_data = self.data * other.data
@@ -311,9 +305,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return as_tensor(other, self.dtype) / self
-
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise DimensionError("power supports scalar exponents only")
@@ -323,29 +314,6 @@ class Tensor:
             self._accumulate(g * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
-
-    def __matmul__(self, other):
-        other = as_tensor(other, self.dtype)
-        a, b = self.data, other.data
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-        out_data = a @ b
-
-        def backward(g):
-            if self.requires_grad:
-                if b.ndim == 1:
-                    ga = np.multiply.outer(g, b) if g.ndim else g * b
-                else:
-                    ga = g @ b.swapaxes(-1, -2)
-                self._accumulate(_unbroadcast(ga, a.shape)[0], owned=True)
-            if other.requires_grad:
-                if a.ndim == 1:
-                    gb = np.multiply.outer(a, g) if g.ndim else a * g
-                else:
-                    gb = a.swapaxes(-1, -2) @ g
-                other._accumulate(_unbroadcast(gb, b.shape)[0], owned=True)
-
-        return Tensor._make(out_data, (self, other), backward)
 
     # -- elementwise -------------------------------------------------------
 
@@ -357,25 +325,11 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.data, owned=True)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
-
     def log1p(self):
         def backward(g):
             self._accumulate(g / (1.0 + self.data), owned=True)
 
         return Tensor._make(np.log1p(self.data), (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / out_data, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self):
         out_data = np.tanh(self.data)
@@ -424,9 +378,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
+        count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def reshape(self, *shape):
@@ -442,20 +394,6 @@ class Tensor:
 
         return Tensor._make(self.data.reshape(shape), (self,), backward)
 
-    def transpose(self, axes: tuple[int, ...]):
-        inverse = np.argsort(axes)
-
-        def backward(g):
-            self._accumulate(g.transpose(inverse), owned=True)
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
-
-    def swapaxes(self, a: int, b: int):
-        def backward(g):
-            self._accumulate(g.swapaxes(a, b), owned=True)
-
-        return Tensor._make(self.data.swapaxes(a, b), (self,), backward)
-
     def __getitem__(self, idx):
         out_data = self.data[idx]
         parts = idx if isinstance(idx, tuple) else (idx,)
@@ -469,18 +407,6 @@ class Tensor:
             else:
                 np.add.at(full, idx, g)
             self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def softmax(self, axis: int = -1):
-        """Numerically stable softmax as a fused primitive."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward(g):
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            self._accumulate(out_data * (g - inner))
 
         return Tensor._make(out_data, (self,), backward)
 

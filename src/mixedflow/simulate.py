@@ -187,6 +187,13 @@ class SimConfig:
     n_range: tuple[int, int] = (5, 70)
     toy: bool = False
 
+    def __post_init__(self):
+        for name in ("m_range", "n_range"):
+            lo_hi = getattr(self, name)
+            if not (len(lo_hi) == 2 and all(isinstance(v, (int, np.integer)) for v in lo_hi)
+                    and 1 <= lo_hi[0] <= lo_hi[1]):
+                raise ConfigError(f"{name} must be two integers 1 <= lo <= hi, got {lo_hi!r}")
+
 
 LKJ_ETA = 10.0           # concentration of the slope-column correlation
 VARIANCE_CAP = 1e3       # bound on column variance times SLOPE_SCALE_BOUND

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import logging
 import time
 from dataclasses import dataclass, asdict
@@ -76,12 +77,19 @@ class TrainConfig:
     patience: int = 20             # evaluations without improvement
 
     def __post_init__(self):
+        for name in ("budget", "batch_size", "eval_every", "val_sets", "patience"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.budget < self.batch_size:
             raise ConfigError("dataset budget is smaller than one batch")
         if self.family not in ("full", "conjugate"):
             raise ConfigError(f"unknown training family {self.family!r}")
         if self.family == "conjugate":
             self.q = 0  # a single group without random effects
+        # the model's and the simulator's own checks run here, before any run starts
+        self.model_config()
+        self.sim_config()
 
     @property
     def steps(self) -> int:
@@ -157,7 +165,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
     patience (`stopped_early`) and whether it is over (`complete`: budget
     used or patience reached); `last.ckpt` holds the record of the run.
     `resume` continues from `last.ckpt` with the budget and patience cfg
-    leaves, so resuming a complete run runs nothing."""
+    leaves, so resuming a complete run runs nothing; a cfg that differs from
+    the run's recorded one in anything but budget is a ConfigError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     best_path, last_path = out / "best.ckpt", out / "last.ckpt"
@@ -173,6 +182,12 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
         model, manifest, opt_arrays = load_model(last_path)
         if not opt_arrays:
             raise ConfigError("resume checkpoint carries no optimizer state")
+        recorded, current = manifest.get("train_config", {}), json.loads(json.dumps(asdict(cfg)))
+        changed = sorted(k for k in recorded.keys() | current.keys()
+                         if k != "budget" and recorded.get(k) != current.get(k))
+        if changed:
+            raise ConfigError(f"cannot resume {last_path}: its run was trained with other "
+                              f"{', '.join(changed)} (only budget may change)")
         start_step = int(manifest["step"])
         best_val = float(manifest.get("best_val", float("inf")))
         stale_evals = int(manifest.get("stale_evals", 0))

@@ -28,6 +28,21 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def gradcheck(build, arrays, tol: float = 1e-6, h: float = 1e-5):
+    """build(*tensors) -> scalar Tensor; reverse mode against central
+    differences for every input array."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    build(*tensors).backward()
+    for i, (a, t) in enumerate(zip(arrays, tensors)):
+        def f(x, i=i):
+            args = [Tensor(arr) for arr in arrays]
+            args[i] = Tensor(x)
+            return build(*args).item()
+
+        err = rel_err(t.grad, fd_grad(f, a.copy(), h=h))
+        assert err < tol, f"input {i}: relative error {err:.2e}"
+
+
 def check_param_grads(loss_fn, params: list[tuple[str, Tensor]], tol: float = 1e-3,
                       h: float = 1e-4, floor: float = 1e-6):
     """Compare reverse-mode gradients of loss_fn() against central finite

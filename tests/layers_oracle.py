@@ -2,12 +2,16 @@
 unpadded per-group reference for the local summaries.
 
 Linear, LayerNorm, multi-head attention and the encoder block as they were
-built from generic tape ops (matmul, bias add, mean, sqrt, softmax, mask
+built from generic tape ops (matmul, bias add, mean, square root, softmax, mask
 multiplies) before those ops became single fused nodes. It is slower and
 kept only as the oracle the fused code must reproduce: `composed_layers()`
 swaps these bodies in for the fused ones, so any module built on the
 layers (encoder stacks, the summary network) runs both ways with the same
 parameters.
+
+No package layer runs matmul, transpose or softmax, so this module owns
+them: matmul and transpose as nodes on `Tensor._make`, softmax composed
+from the tape's exp, sum and divide.
 
 `per_group_local` encodes each real group of a batch on its own, from its
 real rows only: no padding, no size buckets, no gathering. It is what
@@ -23,19 +27,44 @@ from mixedflow.nn import layers
 from mixedflow.nn.tensor import Tensor, assert_finite, cat
 
 
+def matmul(a, b):
+    """a @ b for stacks of matrices with the same leading shape."""
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.swapaxes(-1, -2), owned=True)
+        if b.requires_grad:
+            b._accumulate(a.data.swapaxes(-1, -2) @ g, owned=True)
+
+    return Tensor._make(a.data @ b.data, (a, b), backward)
+
+
+def transpose(x, axes):
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        x._accumulate(g.transpose(inverse), owned=True)
+
+    return Tensor._make(x.data.transpose(axes), (x,), backward)
+
+
+def softmax(x, axis=-1):
+    """Softmax along `axis` from exp, sum and divide; the maximum it is
+    shifted by is a constant, as softmax is shift-invariant."""
+    e = (x - Tensor(x.data.max(axis=axis, keepdims=True))).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def linear(self, x):
-    if x.ndim <= 2:
-        return x @ self.w + self.b
-    lead = x.shape[:-1]
-    out = x.reshape(-1, self.n_in) @ self.w + self.b
-    return out.reshape(*lead, self.n_out)
+    n_in, n_out = self.w.shape
+    out = matmul(x.reshape(-1, n_in), self.w) + self.b
+    return out.reshape(*x.shape[:-1], n_out)
 
 
 def layer_norm(self, x):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return self.gamma * (centered / (var + self.eps).sqrt()) + self.beta
+    return self.gamma * (centered / (var + self.eps) ** 0.5) + self.beta
 
 
 def attention_node(q, k, v, mask, heads):
@@ -45,12 +74,12 @@ def attention_node(q, k, v, mask, heads):
     dh = width // heads
 
     def split(t):
-        return t.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
+        return transpose(t.reshape(b, n, heads, dh), (0, 2, 1, 3))
 
-    scores = (split(q) @ split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+    scores = matmul(split(q), transpose(split(k), (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     bias = np.where(mask[:, None, None, :], 0.0, -1e30).astype(q.dtype)
-    weights = (scores + Tensor(bias)).softmax(axis=-1)
-    return (weights @ split(v)).transpose((0, 2, 1, 3)).reshape(b, n, width)
+    weights = softmax(scores + Tensor(bias), axis=-1)
+    return transpose(matmul(weights, split(v)), (0, 2, 1, 3)).reshape(b, n, width)
 
 
 def attention(self, x, mask):

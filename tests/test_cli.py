@@ -207,6 +207,19 @@ def _train(tmp_path, config, *extra):
             "--seed", "5", "--toy", "--config", config, "--out", str(tmp_path / "run"), *extra]
 
 
+def _simulate(tmp_path, *extra):
+    return ["simulate", "--d", "2", "--q", "1", "--count", "2", "--toy",
+            "--out", str(tmp_path / "s.jsonl"), *extra]
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with on a bad argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _report(workdir, tmp_path, draws: str):
     return ["report", "--draws", draws, "--data", str(workdir / "sets.jsonl"),
             "--out", str(tmp_path / "rep")]
@@ -300,6 +313,17 @@ MALFORMED = [
         k.replace("opt.z.", "opt.m.", 1): v for k, v in arrays.items()}), 4),
     ("resume-optimizer-reshaped", _resume_with_optimizer(_reshape_one_v), 4),
     ("resume-bad-curve", _resume_with_curve, 4),
+    ("simulate-m-range-reversed", lambda w, t: _simulate(t, "--m-range", "30,5"), 2),
+    ("simulate-count-zero", lambda w, t: _simulate(t, "--count", "0"), 2),
+    ("infer-k-negative", lambda w, t: _infer(w, t, None, "--k", "-3"), 2),
+    ("infer-k-zero", lambda w, t: _infer(w, t, None, "--k", "0"), 2),
+    *((f"train-config-{name}", lambda w, t, fields=fields: _train(
+        t, _write(t / "c.json", json.dumps({**TINY_TRAIN, **fields}))), 2)
+      for name, fields in [("batch-size-0", {"batch_size": 0}), ("eval-every-0", {"eval_every": 0}),
+                           ("val-sets-0", {"val_sets": 0}), ("patience-0", {"patience": 0}),
+                           ("m-range-reversed", {"m_range": [30, 5]}),
+                           ("m-range-one-number", {"m_range": [5]}),
+                           ("width-not-a-number", {"width": "abc"})]),
 ]
 
 
@@ -307,7 +331,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("make_argv, code", [m[1:] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
     def test_malformed_input(self, workdir, tmp_path, make_argv, code):
-        assert main(make_argv(workdir, tmp_path)) == code
+        assert _exit_code(make_argv(workdir, tmp_path)) == code
+
+    def test_k_zero_names_k(self, workdir, tmp_path, capsys):
+        assert _exit_code(_infer(workdir, tmp_path, None, "--k", "0")) == 2
+        assert "argument --k: expected a positive integer, got '0'" in capsys.readouterr().err
 
     def test_format_error_names_file_and_line(self, workdir, tmp_path, capsys):
         draws = _write(tmp_path / "x.jsonl", _draw_record(**{"global": "AAAA!"}))

@@ -1,8 +1,8 @@
 """Fused tape nodes (linear, layer_norm, masked_attention): float64
-finite-difference gradients of each node, and agreement with the composed
-oracle in layers_oracle.py for encoder blocks (outputs and gradients, in
-training mode with dropout) and summary networks (eval mode), on ragged
-desk-shaped and full paper-shaped inputs."""
+finite-difference gradients of each node and of the oracle's own nodes, and
+agreement with the composed oracle in layers_oracle.py for encoder blocks
+(outputs and gradients, in training mode with dropout) and summary networks
+(eval mode), on ragged desk-shaped and full paper-shaped inputs."""
 
 import contextlib
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import layers_oracle as oracle
-from helpers import fd_grad, rel_err
+from helpers import gradcheck, rel_err
 
 from mixedflow import simulate as sim
 from mixedflow.model import ModelConfig, PosteriorModel, make_batch
@@ -28,26 +28,11 @@ MASK = np.array([[True] * 5,
                  [False] * 5])
 
 
-def _gradcheck(build, arrays, tol=1e-6, h=1e-5):
-    """build(*tensors) -> scalar Tensor; reverse mode against central
-    differences for every input, in float64."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    build(*tensors).backward()
-    for i, (a, t) in enumerate(zip(arrays, tensors)):
-        def f(x, i=i):
-            args = [Tensor(arr) for arr in arrays]
-            args[i] = Tensor(x)
-            return build(*args).item()
-
-        err = rel_err(t.grad, fd_grad(f, a.copy(), h=h))
-        assert err < tol, f"input {i}: relative error {err:.2e}"
-
-
 class TestNodeGradients:
     def test_linear(self):
         r = RNG.normal(size=(2, 3, 5))
-        _gradcheck(lambda x, w, b: (linear(x, w, b) * Tensor(r)).sum(),
-                   [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)])
+        gradcheck(lambda x, w, b: (linear(x, w, b) * Tensor(r)).sum(),
+                  [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)])
 
     def test_linear_with_a_broadcast_part(self):
         # a flow conditioner's first layer: the passive half per draw
@@ -59,20 +44,20 @@ class TestNodeGradients:
         np.testing.assert_allclose(linear((Tensor(x), Tensor(c)), Tensor(w), Tensor(b)).data,
                                    joined @ w + b, atol=1e-12)
         r = RNG.normal(size=(2, 3, 6))
-        _gradcheck(lambda x, c, w, b: (linear((x, c), w, b) * Tensor(r)).sum(), [x, c, w, b])
+        gradcheck(lambda x, c, w, b: (linear((x, c), w, b) * Tensor(r)).sum(), [x, c, w, b])
 
     def test_layer_norm(self):
         r = RNG.normal(size=(3, 4, 6))
-        _gradcheck(lambda x, g, b: (layer_norm(x, g, b, 1e-5) * Tensor(r)).sum(),
-                   [RNG.normal(size=(3, 4, 6)) * 2 + 1, RNG.normal(size=6), RNG.normal(size=6)])
+        gradcheck(lambda x, g, b: (layer_norm(x, g, b, 1e-5) * Tensor(r)).sum(),
+                  [RNG.normal(size=(3, 4, 6)) * 2 + 1, RNG.normal(size=6), RNG.normal(size=6)])
 
     def test_masked_attention(self):
         # the all-masked row's scores sit at -1e30, where a finite step on q
         # or k is absorbed; its output is zeroed in use, so its adjoint is
         # zero here too (its forward is checked below)
         r = RNG.normal(size=(4, 5, 8)) * MASK.any(axis=1)[:, None, None]
-        _gradcheck(lambda q, k, v: (masked_attention(q, k, v, MASK, heads=2) * Tensor(r)).sum(),
-                   [RNG.normal(size=(4, 5, 8)) for _ in range(3)])
+        gradcheck(lambda q, k, v: (masked_attention(q, k, v, MASK, heads=2) * Tensor(r)).sum(),
+                  [RNG.normal(size=(4, 5, 8)) for _ in range(3)])
 
     def test_attention_masks_keys_and_all_masked_row_is_uniform(self):
         q, k, v = (RNG.normal(size=(4, 5, 8)) for _ in range(3))
@@ -83,6 +68,18 @@ class TestNodeGradients:
         v2[~MASK] = 1e3
         out2 = masked_attention(Tensor(q), Tensor(k), Tensor(v2), MASK, heads=2).data
         np.testing.assert_allclose(out2[:3], out[:3], atol=1e-12)
+
+
+def test_oracle_nodes():
+    # matmul, transpose and softmax, which only the composed oracle runs
+    r = RNG.normal(size=(3, 2, 4))
+    gradcheck(lambda a, b: (oracle.matmul(a, b) * Tensor(r)).sum(),
+              [RNG.normal(size=(3, 2, 5)), RNG.normal(size=(3, 5, 4))])
+    gradcheck(lambda a: (oracle.transpose(a, (1, 0, 2)) * Tensor(r)).sum(),
+              [RNG.normal(size=(2, 3, 4))])
+    s = oracle.softmax(Tensor(RNG.normal(size=(5, 7))), axis=-1)
+    np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
+    gradcheck(lambda a: (oracle.softmax(a, axis=-1) * a).sum(), [RNG.normal(size=(4, 5))])
 
 
 def test_attention_is_stable_at_large_logits():
@@ -103,8 +100,8 @@ def test_attention_is_stable_at_large_logits():
     assert rel_err(got, want) < 1e-5
     np.testing.assert_array_equal(got[2], np.broadcast_to(v[2, 2], (6, 8)))
     r = rng.normal(size=(4, 6, 8)) * mask.any(axis=1)[:, None, None]
-    _gradcheck(lambda q, k, v: (masked_attention(q, k, v, mask, heads=2) * Tensor(r)).sum(),
-               [rng.normal(size=(4, 6, 8)) for _ in range(3)])
+    gradcheck(lambda q, k, v: (masked_attention(q, k, v, mask, heads=2) * Tensor(r)).sum(),
+              [rng.normal(size=(4, 6, 8)) for _ in range(3)])
 
 
 def _ragged_rows(b, n, rng):
@@ -180,4 +177,4 @@ def test_parameter_names_and_shapes_unchanged():
         ("norm2.gamma", (8,)), ("norm2.beta", (8,))]
     model = PosteriorModel(ModelConfig(d=5, q=1), np.random.default_rng(0))
     assert len(list(model.named_parameters())) == 216
-    assert model.num_parameters() == 1210684
+    assert sum(p.data.size for p in model.parameters()) == 1210684

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from mixedflow import simulate as sim, train as mftrain
+from mixedflow.errors import ConfigError
 from mixedflow.model import ModelConfig, PosteriorModel, load_model, make_batch
 from mixedflow.nn.checkpoint import load_checkpoint
 from mixedflow.nn.tensor import Tensor, no_grad
@@ -220,6 +221,10 @@ class TestTrainingLoop:
         assert _record(tmp_path) == (10, True, False)
         res = train(cfg, tmp_path, resume=True)
         assert res.steps_run == 0
+        # a larger budget under another config is refused before any step
+        with pytest.raises(ConfigError, match="other seed, toy, width "):
+            train(replace(cfg, budget=160, width=32, seed=7, toy=False), tmp_path, resume=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
         assert {n: (tmp_path / n).read_bytes() for n in names} == before
 
     @pytest.mark.parametrize("cut", ["make_batch", "save_model"])
