@@ -32,6 +32,7 @@ __all__ = ["ModelConfig", "PosteriorModel", "Batch", "make_batch",
            "theta_unconstrained", "save_model", "load_model"]
 
 LOG_SIGMA_CLIP = 12.0  # training targets: log std devs clipped to +-12
+DTYPE = np.float32     # the model's parameters, activations and batches
 
 
 def _safe_log(x) -> np.ndarray:
@@ -59,15 +60,20 @@ class ModelConfig:
     flow_hidden: int = 128
     dropout: float = 0.01
     infer_noise: bool = True
-    standardize: bool = True
-    dtype: str = "float32"
 
     def __post_init__(self):
+        for name, low in (("width", 1), ("heads", 1), ("flow_hidden", 1),
+                          ("summary_blocks", 0), ("flow_blocks", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.dropout, (int, float)) or not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
         if self.d < 1:
             raise ConfigError("need at least one predictor column")
         if self.q < 0 or self.q > self.d:
             raise ConfigError(f"q={self.q} must lie in [0, d={self.d}]")
-        if self.heads < 1 or self.width % self.heads != 0:
+        if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
 
     @property
@@ -79,8 +85,9 @@ class ModelConfig:
         return 2 * self.d + self.q + 1
 
     @property
-    def np_dtype(self):
-        return np.dtype(self.dtype).type
+    def standardize(self) -> bool:
+        """A known-noise (conjugate-family) model sees raw data."""
+        return self.infer_noise
 
 
 @dataclass
@@ -106,17 +113,16 @@ class PosteriorModel(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        dt = cfg.np_dtype
         self.summary = self.register("summary", SummaryNetwork(
-            cfg.d, cfg.width, cfg.summary_blocks, cfg.heads, cfg.dropout, rng, dt))
+            cfg.d, cfg.width, cfg.summary_blocks, cfg.heads, cfg.dropout, rng))
         self.global_flow = self.register("global_flow", CouplingFlow(
             cfg.p_global, cfg.width + cfg.prior_dim, rng, cfg.flow_blocks,
-            cfg.flow_hidden, cfg.dropout, dtype=dt, name="global-flow"))
+            cfg.flow_hidden, cfg.dropout, name="global-flow"))
         self.local_flow = None
         if cfg.q >= 1:
             self.local_flow = self.register("local_flow", CouplingFlow(
                 cfg.q, cfg.width + cfg.p_global, rng, cfg.flow_blocks,
-                cfg.flow_hidden, cfg.dropout, dtype=dt, name="local-flow"))
+                cfg.flow_hidden, cfg.dropout, name="local-flow"))
 
     # -- parameter-space plumbing ---------------------------------------------
 
@@ -137,7 +143,7 @@ class PosteriorModel(Module):
         return self.summary(batch.X, batch.Z, batch.y, batch.mask, batch.group_mask, rng)
 
     def _global_cond(self, s_global: Tensor, prior_feats: np.ndarray) -> Tensor:
-        return cat([s_global, Tensor(prior_feats.astype(self.cfg.np_dtype))], axis=-1)
+        return cat([s_global, Tensor(prior_feats.astype(DTYPE))], axis=-1)
 
     def global_nll(self, batch: Batch, s_global: Tensor,
                    rng: np.random.Generator | None = None) -> Tensor:
@@ -146,9 +152,9 @@ class PosteriorModel(Module):
         if batch.theta_u is None:
             raise ConfigError("batch carries no global truth")
         cond = self._global_cond(s_global, batch.prior_feats)
-        u = Tensor(batch.theta_u.astype(self.cfg.np_dtype))
+        u = Tensor(batch.theta_u.astype(DTYPE))
         log_prob_u = self.global_flow.log_prob(u, cond, rng)
-        jac = Tensor(self.log_jacobian_to_constrained(batch.theta_u).astype(self.cfg.np_dtype))
+        jac = Tensor(self.log_jacobian_to_constrained(batch.theta_u).astype(DTYPE))
         return -(log_prob_u + jac)
 
     def local_nll(self, batch: Batch, s_local: Tensor,
@@ -160,13 +166,12 @@ class PosteriorModel(Module):
         if batch.alpha_std is None or batch.theta_u is None:
             raise ConfigError("batch carries no local truth")
         b, m = batch.group_mask.shape
-        dt = self.cfg.np_dtype
         theta_rep = np.repeat(batch.theta_u[:, None, :], m, axis=1).reshape(b * m, -1)
         cond = cat([s_local.reshape(b * m, self.cfg.width),
-                    Tensor(theta_rep.astype(dt))], axis=-1)
-        alpha = Tensor(batch.alpha_std.reshape(b * m, self.cfg.q).astype(dt))
+                    Tensor(theta_rep.astype(DTYPE))], axis=-1)
+        alpha = Tensor(batch.alpha_std.reshape(b * m, self.cfg.q).astype(DTYPE))
         log_prob = self.local_flow.log_prob(alpha, cond, rng)
-        keep = Tensor(batch.group_mask.reshape(b * m).astype(dt))
+        keep = Tensor(batch.group_mask.reshape(b * m).astype(DTYPE))
         per_group = (-log_prob) * keep
         return per_group.reshape(b, m).sum(axis=1)
 
@@ -177,7 +182,7 @@ class PosteriorModel(Module):
         if self.local_flow is not None:
             l = self.local_nll(batch, s_local, rng)
         else:
-            l = Tensor(np.zeros(batch.size, dtype=self.cfg.np_dtype))
+            l = Tensor(np.zeros(batch.size, dtype=DTYPE))
         return g, l
 
     def loss(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
@@ -235,11 +240,11 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
     when every dataset carries them."""
     if not datasets:
         raise ConfigError("empty batch")
-    b, dt = len(datasets), cfg.np_dtype
+    b = len(datasets)
     m_max = max(ds.m for ds in datasets)
     n_max = max(ds.X.shape[1] for ds in datasets)
-    X = np.zeros((b, m_max, n_max, cfg.d), dtype=dt)
-    y = np.zeros((b, m_max, n_max), dtype=dt)
+    X = np.zeros((b, m_max, n_max, cfg.d), dtype=DTYPE)
+    y = np.zeros((b, m_max, n_max), dtype=DTYPE)
     mask = np.zeros((b, m_max, n_max), dtype=bool)
     group_mask = np.zeros((b, m_max), dtype=bool)
     theta_u = np.zeros((b, cfg.p_global))
@@ -312,6 +317,13 @@ def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
         model = PosteriorModel(cfg, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: manifest does not describe a model ({exc!r})") from None
+    # older manifests record the dtype and standardize switches the model now fixes
+    if (manifest.get("dtype", "float32") != "float32"
+            or manifest.get("standardize", cfg.standardize) != cfg.standardize):
+        raise DataFormatError(f"{path}: a float32 model that standardizes exactly when it "
+                              f"infers the noise was expected, the manifest records dtype "
+                              f"{manifest.get('dtype')!r} and standardize "
+                              f"{manifest.get('standardize')!r}")
     named = dict(model.named_parameters())
     stored = {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")}
     check_arrays(f"{path}: parameters", stored, {n: p.data.shape for n, p in named.items()})

@@ -77,10 +77,13 @@ class TrainConfig:
     patience: int = 20             # evaluations without improvement
 
     def __post_init__(self):
-        for name in ("budget", "batch_size", "eval_every", "val_sets", "patience"):
+        for name, low in (("budget", 1), ("batch_size", 1), ("eval_every", 1), ("val_sets", 1),
+                          ("patience", 1), ("warmup_steps", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.lr, (int, float)) or not 0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
         if self.budget < self.batch_size:
             raise ConfigError("dataset budget is smaller than one batch")
         if self.family not in ("full", "conjugate"):
@@ -96,11 +99,10 @@ class TrainConfig:
         return self.budget // self.batch_size
 
     def model_config(self) -> ModelConfig:
-        full = self.family != "conjugate"  # conjugate: known noise, raw scale
         return ModelConfig(
             d=self.d, q=self.q, width=self.width, summary_blocks=self.summary_blocks,
             heads=self.heads, flow_blocks=self.flow_blocks, flow_hidden=self.flow_hidden,
-            dropout=self.dropout, infer_noise=full, standardize=full)
+            dropout=self.dropout, infer_noise=self.family != "conjugate")
 
     def sim_config(self) -> SimConfig:
         return SimConfig(m_range=self.m_range, n_range=self.n_range, toy=self.toy)
@@ -236,22 +238,22 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             log.warning("step %d: non-finite loss, batch skipped", step)
-            continue
-        loss.backward()
-        opt.step()
-
-        if initial_loss is None:
-            initial_loss = loss_val
-        if loss_val > DIVERGENCE_FACTOR * max(abs(initial_loss), 1.0):
-            divergent_streak += 1
-            if divergent_streak >= DIVERGENCE_STEPS:
-                raise NumericError(
-                    f"training diverged: loss {loss_val:.3g} stayed above "
-                    f"{DIVERGENCE_FACTOR} x initial ({initial_loss:.3g}) for "
-                    f"{divergent_streak} steps")
         else:
-            divergent_streak = 0
+            loss.backward()
+            opt.step()
+            if initial_loss is None:
+                initial_loss = loss_val
+            if loss_val > DIVERGENCE_FACTOR * max(abs(initial_loss), 1.0):
+                divergent_streak += 1
+                if divergent_streak >= DIVERGENCE_STEPS:
+                    raise NumericError(
+                        f"training diverged: loss {loss_val:.3g} stayed above "
+                        f"{DIVERGENCE_FACTOR} x initial ({initial_loss:.3g}) for "
+                        f"{divergent_streak} steps")
+            else:
+                divergent_streak = 0
 
+        # a skipped batch still evaluates on schedule, so the last step is recorded
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:
             # validation and both checkpoints read the averaged iterate x, so
             # one window holds x in the parameters for all three; the next
@@ -272,7 +274,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                     "stale_evals": stale_evals, "stopped_early": stopped_early,
                     "complete": stopped_early or step + 1 == cfg.steps,
                     "train_config": asdict(cfg), "train_code": code}
-            if improved:
+            if improved or best_val == float("inf"):  # no finite validation loss yet
                 save_model(best_path, model, meta)
             save_model(last_path, model, meta, opt_arrays=opt.state_arrays())
             opt.train_mode()
@@ -284,11 +286,6 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                 log.info("no validation improvement in %d evaluations, stopping", stale_evals)
                 break
 
-    if not best_path.exists():  # budget smaller than one eval interval
-        opt.eval_mode()
-        save_model(best_path, model, {"step": step + 1, "seed": cfg.seed,
-                                      "best_val": best_val, "train_config": asdict(cfg),
-                                      "train_code": code})
     from .nn.checkpoint import checkpoint_id
     return TrainResult(
         best_path=str(best_path), last_path=str(last_path), curve_path=str(curve_path),

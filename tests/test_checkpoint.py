@@ -7,6 +7,7 @@ import functools
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,29 @@ def test_every_truncation_is_a_format_error(tmp_path):
 
 def test_version1_checkpoint_still_loads():
     assert _same_load(_load(_model_blob(1)), _load(_model_blob()))
+
+
+@pytest.mark.parametrize("infer_noise", [True, False])
+def test_legacy_dtype_and_standardize_keys(tmp_path, infer_noise):
+    """Older manifests also record `dtype` and `standardize`. Where they
+    name the float32 model that standardizes exactly when it infers the
+    noise, the checkpoint loads to the same parameters; otherwise it is a
+    format error."""
+    path = tmp_path / "m.ckpt"
+    save_model(path, PosteriorModel(replace(TINY, infer_noise=infer_noise),
+                                    np.random.default_rng(0)))
+    manifest, arrays, _ = load_checkpoint(path)
+    current = _load(path.read_bytes())
+
+    def load_with(**keys):
+        save_checkpoint(path, {**manifest, **keys}, arrays)
+        return _load(path.read_bytes())
+
+    legacy = {"dtype": "float32", "standardize": infer_noise}
+    assert _same_load(load_with(**legacy), ({**current[0], **legacy}, current[1]))
+    for bad in ({"dtype": "float64"}, {"standardize": not infer_noise}):
+        got = load_with(**{**legacy, **bad})
+        assert isinstance(got, DataFormatError) and "standardize" in str(got), bad
 
 
 @pytest.mark.parametrize("change", ["missing", "extra", "reshaped"])

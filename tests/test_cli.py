@@ -263,7 +263,20 @@ def _resume_with_curve(workdir, tmp_path):
     return _train(tmp_path, _write(tmp_path / "c.json", json.dumps(TINY_TRAIN)), "--resume")
 
 
-# malformed inputs, one per reader: (id, argv from (workdir, tmp_path), exit code)
+def _tree(root) -> dict:
+    """Every path under root, with its bytes if it is a file."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+def _legacy_checkpoint(workdir, tmp_path, **keys) -> str:
+    """The run's best.ckpt with `keys` added to its manifest."""
+    manifest, arrays, _ = load_checkpoint(workdir / "run" / "best.ckpt")
+    save_checkpoint(tmp_path / "legacy.ckpt", {**manifest, **keys}, arrays)
+    return str(tmp_path / "legacy.ckpt")
+
+
+# malformed inputs, one per reader: (id, argv from (workdir, tmp_path), exit code);
+# each is refused before anything is written
 MALFORMED = [
     ("table-not-json", lambda w, t: _infer(w, t, None, "--refine", "conformal",
                                            "--conformal-table", _write(t / "t.json", "{")), 4),
@@ -317,13 +330,23 @@ MALFORMED = [
     ("simulate-count-zero", lambda w, t: _simulate(t, "--count", "0"), 2),
     ("infer-k-negative", lambda w, t: _infer(w, t, None, "--k", "-3"), 2),
     ("infer-k-zero", lambda w, t: _infer(w, t, None, "--k", "0"), 2),
+    ("checkpoint-float64", lambda w, t: _infer(
+        w, t, None, "--checkpoint", _legacy_checkpoint(w, t, dtype="float64")), 4),
+    ("checkpoint-unstandardized", lambda w, t: _infer(
+        w, t, None, "--checkpoint", _legacy_checkpoint(w, t, standardize=False)), 4),
     *((f"train-config-{name}", lambda w, t, fields=fields: _train(
         t, _write(t / "c.json", json.dumps({**TINY_TRAIN, **fields}))), 2)
       for name, fields in [("batch-size-0", {"batch_size": 0}), ("eval-every-0", {"eval_every": 0}),
                            ("val-sets-0", {"val_sets": 0}), ("patience-0", {"patience": 0}),
                            ("m-range-reversed", {"m_range": [30, 5]}),
                            ("m-range-one-number", {"m_range": [5]}),
-                           ("width-not-a-number", {"width": "abc"})]),
+                           ("width-not-a-number", {"width": "abc"}),
+                           ("width-0", {"width": 0, "heads": 1}),
+                           ("dropout-2", {"dropout": 2.0}), ("dropout-1", {"dropout": 1.0}),
+                           ("dropout-negative", {"dropout": -0.1}),
+                           ("lr-not-a-number", {"lr": "x"}), ("lr-negative", {"lr": -1.0}),
+                           ("lr-0", {"lr": 0}), ("lr-infinite", {"lr": float("inf")}),
+                           ("warmup-negative", {"warmup_steps": -5})]),
 ]
 
 
@@ -331,7 +354,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("make_argv, code", [m[1:] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
     def test_malformed_input(self, workdir, tmp_path, make_argv, code):
-        assert _exit_code(make_argv(workdir, tmp_path)) == code
+        argv = make_argv(workdir, tmp_path)
+        before = _tree(tmp_path)
+        assert _exit_code(argv) == code
+        assert _tree(tmp_path) == before
 
     def test_k_zero_names_k(self, workdir, tmp_path, capsys):
         assert _exit_code(_infer(workdir, tmp_path, None, "--k", "0")) == 2

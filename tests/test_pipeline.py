@@ -112,8 +112,7 @@ class TestRefinement:
         ref = oracle.gaussian_loglik(ds_s, beta, raw.local_std, eps)
         assert np.abs(ll - ref).max() < 1e-8 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("cfg", [{}, {"infer_noise": False}, {"standardize": False}],
-                             ids=["default", "known-noise", "unstandardized"])
+    @pytest.mark.parametrize("cfg", [{}, {"infer_noise": False}], ids=["default", "known-noise"])
     def test_calibration_and_inference_share_weights(self, cfg, monkeypatch):
         model = PosteriorModel(ModelConfig(d=2, q=1, **cfg, **SMALL), np.random.default_rng(23))
         ds = sim.simulate_dataset(2, 1, np.random.default_rng(24), sim.SimConfig(toy=True))

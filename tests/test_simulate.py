@@ -193,12 +193,10 @@ class TestAssembly:
             for ds in sets:
                 assert ds.Z.shape == ds.X.shape[:2] + (q,)
                 np.testing.assert_array_equal(ds.Z, ds.X[:, :, :q])
-            for dtype in ("float32", "float64"):
-                b = make_batch(sets, ModelConfig(d=d, q=q, dtype=dtype),
-                               priors=[sets[0].truth.prior] * 2)
-                assert b.Z.shape == b.X.shape and b.Z.dtype == b.X.dtype
-                np.testing.assert_array_equal(b.Z[..., :q], b.X[..., :q])
-                assert np.all(b.Z[..., q:] == 0)
+            b = make_batch(sets, ModelConfig(d=d, q=q), priors=[sets[0].truth.prior] * 2)
+            assert b.Z.shape == b.X.shape and b.Z.dtype == b.X.dtype
+            np.testing.assert_array_equal(b.Z[..., :q], b.X[..., :q])
+            assert np.all(b.Z[..., q:] == 0)
 
     def test_marginal_covariance_matches_formula(self):
         # redraw (alpha, eps) many times for one fixed group design

@@ -255,6 +255,34 @@ class TestTrainingLoop:
             assert cut_bytes == (tmp_path / "full" / name).read_bytes(), name
         assert resumed.checkpoint_id == full.checkpoint_id
 
+    @pytest.mark.parametrize("poisoned", ["last-step", "every-batch"])
+    def test_a_skipped_last_step_is_still_recorded(self, tmp_path, monkeypatch, poisoned):
+        """A batch with a non-finite loss is skipped, but its step still
+        evaluates on schedule: the last step closes the run, and best.ckpt
+        is written even when no validation loss is finite."""
+        cfg = TrainConfig(d=2, q=1, budget=24, batch_size=8, seed=31, toy=True,
+                          eval_every=2, val_sets=8, warmup_steps=5, **SMALL)
+        real, calls = PosteriorModel.loss_components, []
+
+        def poison(self, batch, rng=None):
+            g, l = real(self, batch, rng)
+            calls.append(rng is not None)   # a training step; validation passes no rng
+            if poisoned == "every-batch" or calls[-1] and sum(calls) == cfg.steps:
+                g = g * float("nan")
+            return g, l
+
+        monkeypatch.setattr(PosteriorModel, "loss_components", poison)
+        res = train(cfg, tmp_path)
+        assert res.steps_run == 3 and _record(tmp_path) == (3, True, False)
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "3"]
+        assert rows[-1].split(",")[1] == "nan"       # the skipped batch's loss
+        best = load_checkpoint(tmp_path / "best.ckpt")[0]   # written in both cases
+        if poisoned == "every-batch":
+            assert res.best_val == best["best_val"] == float("inf")
+            assert rows[0].split(",")[-1] == "nan"
+        assert train(cfg, tmp_path, resume=True).steps_run == 0
+
     def test_patience_stop_is_complete_and_resume_runs_nothing(self, tmp_path):
         cfg = TrainConfig(d=2, q=1, budget=800, batch_size=8, seed=29, toy=True,
                           eval_every=2, val_sets=8, warmup_steps=5, lr=0.05, patience=1,
@@ -301,7 +329,7 @@ class TestConjugateFamily:
         assert np.all(np.diag(cov) < prior_var)
 
     def test_model_without_local_flow(self):
-        model, cfg = small_model(d=2, q=0, infer_noise=False, standardize=False)
+        model, cfg = small_model(d=2, q=0, infer_noise=False)
         assert model.local_flow is None
         dsets = [sim.simulate_conjugate_dataset(2, substream(29, i)) for i in range(4)]
         batch = make_batch(dsets, cfg)
