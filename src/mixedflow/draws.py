@@ -96,29 +96,19 @@ class PosteriorDraws:
             out["random"] = local.reshape(*local.shape[:-2], -1)
         return out
 
-    # -- data-scale views ---------------------------------------------------
+    # -- weighted statistics on the data scale --------------------------------
 
-    def global_data(self) -> np.ndarray:
-        return unstandardize_global_draws(self.global_std, self.d, self.q,
-                                          self.rec, self.infer_noise)
-
-    def local_data(self) -> np.ndarray:
-        if self.local_std is None:
-            raise ConfigError("no local draws present")
-        return unstandardize_local_draws(self.local_std, self.q, self.rec)
-
-    # -- weighted statistics --------------------------------------------------
-
-    def global_mean(self, data_scale: bool = True) -> np.ndarray:
+    def global_mean(self) -> np.ndarray:
         w = self.weights if self.weights is not None else np.ones(self.k)
-        draws = self.global_data() if data_scale else self.global_std
+        draws = unstandardize_global_draws(self.global_std, self.d, self.q, self.rec,
+                                           self.infer_noise)
         return (draws * w[:, None]).sum(axis=0) / w.sum()
 
-    def local_mean(self, data_scale: bool = True) -> np.ndarray:
+    def local_mean(self) -> np.ndarray:
         if self.local_std is None:
             raise ConfigError("no local draws present")
         w = self.local_weights if self.local_weights is not None else np.ones((self.k, self.m))
-        draws = self.local_data() if data_scale else self.local_std
+        draws = unstandardize_local_draws(self.local_std, self.q, self.rec)
         return np.einsum("kmq,km->mq", draws, w) / w.sum(axis=0)[:, None]
 
     def interval_borders(self, alphas) -> tuple[np.ndarray, np.ndarray | None]:

@@ -127,6 +127,8 @@ def dataset_from_record(rec: dict) -> HierDataset:
     if rec.get("schema") != DATASET_SCHEMA:
         raise DataFormatError(f"not a {DATASET_SCHEMA} record: schema={rec.get('schema')!r}")
     d, q, m = int(rec["d"]), int(rec["q"]), int(rec["m"])
+    if not 0 <= q <= d or d < 1:
+        raise DataFormatError(f"d={d}, q={q}: need d >= 1 and q in [0, d]")
     sizes = np.asarray(rec["group_sizes"], dtype=np.int64)
     if sizes.shape[0] != m:
         raise DataFormatError("group_sizes length disagrees with m")
@@ -143,14 +145,20 @@ def dataset_from_record(rec: dict) -> HierDataset:
     y[mask] = y_flat
     truth = None
     if rec.get("truth") is not None:
-        t = rec["truth"]
+        t, prior = rec["truth"], PriorSpec.from_json(rec["prior"])
+        keys = ("beta", "sigma_alpha", "alpha", "noise")
+        beta, sigma_alpha, alpha, noise_flat = (np.asarray(t[k], dtype=np.float64) for k in keys)
+        for name, values, count in (
+                ("truth.beta", beta, d), ("truth.sigma_alpha", sigma_alpha, q),
+                ("truth.alpha", alpha, m * q), ("truth.noise", noise_flat, n_total),
+                ("prior.nu_beta", prior.nu_beta, d), ("prior.tau_sigma", prior.tau_sigma, q)):
+            if values.shape != (count,):
+                raise DataFormatError(f"{name} has shape {values.shape}, expected ({count},) "
+                                      f"for d={d}, q={q}, m={m} and {n_total} observations")
         noise = np.zeros((m, n_max))
-        noise[mask] = np.asarray(t["noise"], dtype=np.float64)
-        truth = Truth(PriorSpec.from_json(rec["prior"]),
-                      GlobalParams(np.asarray(t["beta"]), np.asarray(t["sigma_alpha"]),
-                                   float(t["sigma_eps"])),
-                      LocalParams(np.asarray(t["alpha"], dtype=np.float64).reshape(m, q)),
-                      noise)
+        noise[mask] = noise_flat
+        truth = Truth(prior, GlobalParams(beta, sigma_alpha, float(t["sigma_eps"])),
+                      LocalParams(alpha.reshape(m, q)), noise)
     return HierDataset(X=X, y=y, mask=mask, q=q, truth=truth,
                        dataset_id=str(rec.get("id", "")))
 

@@ -5,8 +5,9 @@ data-scale truths. Coverage error CE(alpha) is the empirical hit rate of
 the (1 - alpha) credible interval minus its nominal mass; hits are scored
 on standardized components, where the interval construction (and any
 conformal adjustment, `refine.apply_calibration`) lives, by the border
-distance that conformal calibration scores (`refine.border_scores`; a hit
-is a distance of at most zero). Reports aggregate per parameter role
+distance that conformal calibration scores (`refine.border_scores`, which
+standardizes the data-scale truth with the draws' record; a hit is a
+distance of at most zero). Reports aggregate per parameter role
 (`PosteriorDraws.by_role`): fixed effects, variance parameters, random
 effects.
 """
@@ -23,13 +24,15 @@ from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError, DimensionError
 from .refine import ALPHA_GRID, ROLES, ConformalTable, apply_calibration, border_scores
 from .simulate import GlobalParams, HierDataset, snr
-from .standardize import StandardizationRecord, standardize_params
+from .standardize import StandardizationRecord
 
 __all__ = [
     "recovery", "coverage_error", "mad_outliers", "DatasetEval",
     "evaluate_dataset", "MetricReport", "aggregate", "split_report",
     "ingest_external_samples",
 ]
+
+MAD_THRESHOLD = 3.0  # robust z-score above which a chain's draw is an outlier
 
 
 def recovery(truths: np.ndarray, means: np.ndarray) -> tuple[float, float, float]:
@@ -57,8 +60,8 @@ def coverage_error(hits: np.ndarray, alpha: float) -> float:
     return float(hits.mean() - (1.0 - alpha))
 
 
-def mad_outliers(x: np.ndarray, threshold: float = 3.0) -> np.ndarray:
-    """Flag |x - median| / (1.4826 * MAD) > threshold.
+def mad_outliers(x: np.ndarray) -> np.ndarray:
+    """Flag |x - median| / (1.4826 * MAD) > MAD_THRESHOLD.
 
     MAD of zero makes the robust z-score infinite for any deviation, so
     values off the median are flagged then; a fully constant sample has no
@@ -72,7 +75,7 @@ def mad_outliers(x: np.ndarray, threshold: float = 3.0) -> np.ndarray:
     mad = np.median(dev)
     if mad == 0.0:
         return dev > 0.0
-    return dev / (1.4826 * mad) > threshold
+    return dev / (1.4826 * mad) > MAD_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +101,8 @@ def evaluate_dataset(ds: HierDataset, draws: PosteriorDraws,
     gp, lp = ds.truth.global_params, ds.truth.local_params
     local = draws.local_std is not None
     truths = draws.by_role(gp.vector(draws.infer_noise), lp.alpha if local else None)
-    means = draws.by_role(draws.global_mean(data_scale=True),
-                          draws.local_mean(data_scale=True)[:ds.m] if local else None)
-    scores = border_scores(draws, apply_calibration(draws, table, alphas),
-                           *standardize_params(gp, lp, draws.rec))
+    means = draws.by_role(draws.global_mean(), draws.local_mean()[:ds.m] if local else None)
+    scores = border_scores(draws, apply_calibration(draws, table, alphas), gp, lp)
     hits = {(role, alpha): s[a] <= 0 for role, s in scores.items()
             for a, alpha in enumerate(alphas)}
     return DatasetEval(
@@ -174,7 +175,7 @@ def split_report(evals: list[DatasetEval], key: str,
 # external samples
 
 
-def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[PosteriorDraws, dict]:
+def ingest_external_samples(path) -> tuple[PosteriorDraws, dict]:
     """Read externally produced posterior samples (CSV: chain, draw,
     parameter, value), pick the chain with the fewest MAD outliers, and
     wrap it as uniform-weighted draws.
@@ -217,7 +218,7 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
                 continue
             arr = np.array([v for _, v in sorted(vals)])
             if arr.size >= 3:
-                count += int(mad_outliers(arr, mad_threshold).sum())
+                count += int(mad_outliers(arr).sum())
         outlier_counts[chain] = count
     selected = min(chains, key=lambda c: (outlier_counts[c], c))
 
@@ -256,7 +257,7 @@ def ingest_external_samples(path, mad_threshold: float = 3.0) -> tuple[Posterior
         local_std=local, log_q_local=np.zeros((k, local.shape[1])) if local is not None else None,
         dataset_id=Path(path).stem)
     info = {"selected_chain": selected, "outlier_counts": outlier_counts,
-            "k": k, "mad_threshold": mad_threshold}
+            "k": k, "mad_threshold": MAD_THRESHOLD}
     return draws, info
 
 

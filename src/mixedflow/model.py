@@ -258,7 +258,7 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
                                  f"model expects (d={cfg.d}, q={cfg.q})")
         if cfg.standardize:
             ds, rec = standardize_data(ds)
-        else:
+        else:  # the identity record would copy `ds` unchanged
             rec = StandardizationRecord.identity(ds.d)
         rec_list.append(rec)
         mi, ni = ds.m, ds.X.shape[1]
@@ -275,7 +275,7 @@ def make_batch(datasets: list[HierDataset], cfg: ModelConfig,
         # in the right space (standardize_data records standardize_prior of the
         # data-scale one); passed priors get rescaled against each record
         if priors is not None:
-            p = standardize_prior(priors[i], rec) if cfg.standardize else priors[i]
+            p = standardize_prior(priors[i], rec)
         elif ds.truth is not None:
             p = ds.truth.prior
         else:

@@ -5,8 +5,8 @@ Layout (all integers little-endian):
     magic   4 bytes  b"MXFL"
     version u32      format version (currently 2)
     mlen    u64      manifest length in bytes
-    manifest         UTF-8 JSON object (architecture dims, widths, block
-                     counts, training metadata)
+    manifest         UTF-8 strict JSON object (architecture dims, widths,
+                     block counts, training metadata; no NaN or infinity)
     count   u64      number of named arrays
     per array:
         nlen  u32, name UTF-8
@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from ..errors import DataFormatError
+from ..errors import DataFormatError, NumericError
 from ..io import write_file
 
 MAGIC = b"MXFL"
@@ -44,7 +44,10 @@ __all__ = ["save_checkpoint", "load_checkpoint", "check_arrays", "checkpoint_id"
 
 def _encode(manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
     chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    try:  # strict JSON: NaN and infinities have no JSON token
+        mbytes = json.dumps(manifest, sort_keys=True, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise NumericError(f"checkpoint manifest holds a non-finite number ({exc})") from None
     chunks.append(struct.pack("<Q", len(mbytes)))
     chunks.append(mbytes)
     chunks.append(struct.pack("<Q", len(arrays)))

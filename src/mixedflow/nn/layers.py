@@ -52,6 +52,8 @@ __all__ = [
     "masked_attention",
 ]
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in LayerNorm
+
 
 class Module:
     """Minimal parameter container with train/eval mode propagation."""
@@ -256,14 +258,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, width: int, dtype=np.float32, eps: float = 1e-5):
+    def __init__(self, width: int, dtype=np.float32):
         super().__init__()
-        self.eps = eps
         self.gamma = self.register("gamma", Tensor(np.ones(width, dtype=dtype), requires_grad=True))
         self.beta = self.register("beta", Tensor(np.zeros(width, dtype=dtype), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -21,24 +21,23 @@ from .tensor import Tensor
 
 __all__ = ["ScheduleFreeAdamW"]
 
+BETA1, BETA2 = 0.9, 0.999   # interpolation / averaging weight and second-moment decay
+EPS = 1e-8                  # added to the root second moment
+WEIGHT_DECAY = 1e-2         # decoupled, on matrix-shaped weights only
+CLIP_NORM = 10.0            # global gradient norm cap (math.inf: no clipping)
+
 
 class ScheduleFreeAdamW:
-    """Schedule-free variant: gradient at y = beta1*x + (1-beta1)*z,
+    """Schedule-free variant: gradient at y = BETA1*x + (1-BETA1)*z,
     fast iterate z gets the Adam-style step, x is the weighted average of
     the z trajectory and is what evaluation should use."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 1e-2, warmup_steps: int = 0,
-                 clip_norm: float | None = 10.0):
+                 warmup_steps: int = 0):
         if not named_params:
             raise ConfigError("optimizer needs at least one parameter")
         self.named_params = list(named_params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self.clip_norm = clip_norm
         self.t = 0
         self.rejected = 0
         # decay only matrix-shaped weights; biases, norm scales and
@@ -59,17 +58,15 @@ class ScheduleFreeAdamW:
                 self.rejected += 1
                 return None
             grads.append(g)
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = [g * scale for g in grads]
+        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+        if total > CLIP_NORM:
+            grads = [g * (CLIP_NORM / total) for g in grads]
         return grads
 
     def train_mode(self):
         """Write the gradient-evaluation point y into the parameters."""
         for (name, p), z, x in zip(self.named_params, self.z, self.x):
-            p.data = self.beta1 * x + (1.0 - self.beta1) * z
+            p.data = BETA1 * x + (1.0 - BETA1) * z
         self._in_train_mode = True
 
     def eval_mode(self):
@@ -87,20 +84,20 @@ class ScheduleFreeAdamW:
         self.t += 1
         warm = min(1.0, self.t / self.warmup_steps) if self.warmup_steps > 0 else 1.0
         # second-moment bias correction folded into the step size
-        lr_t = self.lr * warm * math.sqrt(1.0 - self.beta2 ** self.t)
+        lr_t = self.lr * warm * math.sqrt(1.0 - BETA2 ** self.t)
         for i, ((name, p), g) in enumerate(zip(self.named_params, grads)):
             y = p.data
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            denom = np.sqrt(self.v[i]) + self.eps
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
+            denom = np.sqrt(self.v[i]) + EPS
             self.z[i] -= lr_t * g / denom
-            if self.weight_decay > 0.0 and self.decay_mask[name]:
-                self.z[i] -= lr_t * self.weight_decay * y
+            if WEIGHT_DECAY > 0.0 and self.decay_mask[name]:
+                self.z[i] -= lr_t * WEIGHT_DECAY * y
         weight = lr_t ** 2
         self.weight_sum += weight
         c = weight / self.weight_sum
         for i, (name, p) in enumerate(self.named_params):
             self.x[i] = (1.0 - c) * self.x[i] + c * self.z[i]
-            p.data = self.beta1 * self.x[i] + (1.0 - self.beta1) * self.z[i]
+            p.data = BETA1 * self.x[i] + (1.0 - BETA1) * self.z[i]
         for name, p in self.named_params:
             if not np.all(np.isfinite(p.data)):
                 raise NumericError(f"parameter {name} became non-finite after optimizer step")

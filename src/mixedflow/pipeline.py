@@ -7,6 +7,10 @@ There is one inference path: `infer_one`, `mixedflow evaluate` and
 runs the posterior and importance sampling (IS) and checks the refinement
 mode, so a conformal table is fit on the draws it is applied to.
 
+The draws carry the standardization record `make_batch` chose
+(`PosteriorDraws.rec`, the identity for a known-noise model); IS and the
+data-scale maps use it, so no step derives the moments again.
+
 Interval borders stay (alpha, component, 2) arrays until `infer_one`
 returns them as a dict per alpha with the keys "global_std", "global",
 "local_std" and "local": one [lo, hi] pair per global component, and per
@@ -67,22 +71,18 @@ def posterior_draws(model: PosteriorModel, ds: HierDataset, k: int,
                     prior: PriorSpec | None = None) -> PosteriorDraws:
     """The model's k draws for `ds`, importance-reweighted for the "is" and
     "both" modes under the data-scale `prior` (the dataset's recorded one
-    when None). IS works in the space the draws live in: standardizing
-    models use the exact joint prior of the standardized fixed effects,
-    the others the independent normal one; models with known noise fix it
-    at the prior's noise scale."""
+    when None). IS works in the space the draws live in: the data, the
+    prior and the exact joint prior of the fixed effects all go through
+    the draws' own standardization record (the identity for a known-noise
+    model, whose noise IS fixes at the prior's noise scale)."""
     if refine not in REFINE_MODES:
         raise ConfigError(f"unknown refinement mode {refine!r}")
     draws = model.posterior(ds, k, rng, prior=prior)
     if refine not in ("is", "both"):
         return draws
-    prior = prior if prior is not None else ds.truth.prior
-    ds_s, prior_std, beta_mean_cov = ds, prior, None
-    if model.cfg.standardize:
-        ds_s, rec = standardize_data(ds)
-        prior_std = standardize_prior(prior, rec)
-        beta_mean_cov = standardized_beta_prior(prior, rec)
-    return alternating_refine(ds_s, prior_std, draws, beta_mean_cov)
+    prior, rec = prior if prior is not None else ds.truth.prior, draws.rec
+    return alternating_refine(standardize_data(ds, rec)[0], standardize_prior(prior, rec),
+                              draws, standardized_beta_prior(prior, rec))
 
 
 def intervals_to_data_scale(draws: PosteriorDraws, borders
@@ -93,7 +93,7 @@ def intervals_to_data_scale(draws: PosteriorDraws, borders
     mixes components)."""
     b_global, b_local = borders
     rec, d, q = draws.rec, draws.d, draws.q
-    g_mean = draws.global_mean(data_scale=True)
+    g_mean = draws.global_mean()
     slope = (rec.sigma_y / rec.sigma_x[1:])[:, None]
 
     out = np.empty_like(b_global)
@@ -110,7 +110,7 @@ def intervals_to_data_scale(draws: PosteriorDraws, borders
     if b_local is None:
         return out, None
 
-    a_mean = draws.local_mean(data_scale=True)
+    a_mean = draws.local_mean()
     out_local = b_local * np.concatenate([[rec.sigma_y], slope[:q - 1, 0]])[:, None]
     # one dot product per group: a matrix-vector product sums in another
     # order and moves the intercepts in the last bits for q >= 3

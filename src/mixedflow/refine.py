@@ -13,17 +13,19 @@ O(k m (d + q)^2) whatever the group sizes; the marginal likelihood
 matrix determinant lemma).
 
 Conformal calibration: on held-out calibration sets, the signed distance
-from the true parameter to the nearest border of the proposed credible
-interval (`border_scores`, which also scores evaluation hits) is collected
-per parameter role; its conformal quantile is an additive border
-adjustment (positive widens, negative narrows) that `apply_calibration`
-applies to every later interval at that level.
+from the true parameter, standardized with the draws' record, to the
+nearest border of the proposed credible interval (`border_scores`, which
+also scores evaluation hits) is collected per parameter role; its
+conformal quantile is an additive border adjustment (positive widens,
+negative narrows) that `apply_calibration` applies to every later
+interval at that level.
 
-All densities here live in standardized space: the standardized data
-follow the same mixed-effects story exactly, and the standardized prior is
-the pushforward of the sampled one (exact for the fixed effects via the
-full covariance; the random-intercept aggregation is exact for a single
-random effect and a documented diagonal approximation otherwise).
+All densities here live in the draws' space, entered with the draws'
+standardization record: the standardized data follow the same
+mixed-effects story exactly, and the standardized prior is the
+pushforward of the sampled one (exact for the fixed effects via the full
+covariance; the random-intercept aggregation is exact for a single random
+effect and a documented diagonal approximation otherwise).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError
 from .simulate import GlobalParams, HierDataset, LocalParams, PriorSpec
+from .standardize import standardize_params
 
 log = logging.getLogger(__name__)
 
@@ -218,15 +221,14 @@ def importance_weights(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 
 
 def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
-                       beta_mean_cov=None) -> PosteriorDraws:
+                       beta_mean_cov: tuple[np.ndarray, np.ndarray]) -> PosteriorDraws:
     """Alternating importance reweighting of local and global draws,
     starting with the locals; deterministic given the draws.
 
-    `ds` and `prior` must live in the same (standardized) space as the
-    draws. Pass beta_mean_cov = (mean, cov) for the exact pushforward
-    fixed-effect prior; otherwise the independent-normal form of `prior`
-    is used. Each level's conditional likelihood plugs in posterior means
-    of the other level.
+    `ds`, `prior` and beta_mean_cov = (mean, cov), the joint normal prior
+    of the fixed effects (`standardize.standardized_beta_prior`), must live
+    in the same space as the draws. Each level's conditional likelihood
+    plugs in posterior means of the other level.
     """
     k, q, m = draws.k, draws.q, ds.m
     beta, sigma_alpha, sigma_eps = _split_global(draws, prior)
@@ -309,14 +311,16 @@ class ConformalTable:
         return table
 
 
-def border_scores(draws: PosteriorDraws, borders, gp_true_std: GlobalParams,
-                  lp_true_std: LocalParams) -> dict[str, np.ndarray]:
-    """Signed distance max(lo - t, t - hi) from each true standardized
-    parameter t to the nearest border of its interval in the border arrays
-    (global, local) of `apply_calibration`, (len(alphas), count) per role:
-    positive outside (needs widening), at most 0 exactly when
-    lo <= t <= hi (IEEE subtraction has the sign of the exact difference)."""
+def border_scores(draws: PosteriorDraws, borders, gp_true: GlobalParams,
+                  lp_true: LocalParams) -> dict[str, np.ndarray]:
+    """Signed distance max(lo - t, t - hi) from each true data-scale
+    parameter, standardized with `draws.rec` to t, to the nearest border of
+    its interval in the border arrays (global, local) of `apply_calibration`,
+    (len(alphas), count) per role: positive outside (needs widening), at
+    most 0 exactly when lo <= t <= hi (IEEE subtraction has the sign of the
+    exact difference)."""
     b_global, b_local = borders
+    gp_true_std, lp_true_std = standardize_params(gp_true, lp_true, draws.rec)
 
     def outside(b, t):
         return np.maximum(b[..., 0] - t, t - b[..., 1])
@@ -361,7 +365,6 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
     must carry their generating truth and be disjoint from training data."""
     from .pipeline import posterior_draws
     from .seeding import substream
-    from .standardize import standardize_params
 
     if refine not in ("none", "is"):
         raise ConfigError(f"calibration refines with 'none' or 'is', not {refine!r}")
@@ -370,10 +373,9 @@ def calibrate(model, datasets: list[HierDataset], k: int, seed: int,
         if ds.truth is None:
             raise ConfigError("calibration datasets need recorded truth")
         draws = posterior_draws(model, ds, k, substream(seed, "calibrate", idx), refine)
-        gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params,
-                                        draws.rec)
-        borders = apply_calibration(draws, None, alphas)
-        for role, vals in border_scores(draws, borders, gp_s, lp_s).items():
+        scores = border_scores(draws, apply_calibration(draws, None, alphas),
+                               ds.truth.global_params, ds.truth.local_params)
+        for role, vals in scores.items():
             for a_idx, row in enumerate(vals):
                 score_lists[role][a_idx].extend(row.tolist())
     score_lists = {r: v for r, v in score_lists.items() if any(len(x) for x in v)}

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# the prior scales whose squares are normal floats (2**-1022 to 2**1022)
+PRIOR_SCALE_RANGE = (2.0 ** -511, 2.0 ** 511)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -67,8 +71,11 @@ class PriorSpec:
         self.tau_eps = float(self.tau_eps)
         if self.nu_beta.shape != self.tau_beta.shape:
             raise DimensionError("nu_beta and tau_beta lengths differ")
-        if np.any(self.tau_beta <= 0) or np.any(self.tau_sigma <= 0) or self.tau_eps <= 0:
-            raise ConfigError("prior scales must be strictly positive")
+        scales = np.concatenate([self.tau_beta, self.tau_sigma, [self.tau_eps]])
+        # standardize_prior sums squared scales; a square that overflows or
+        # leaves the normal floats would make the moved prior inf or 0
+        if not np.all((scales >= PRIOR_SCALE_RANGE[0]) & (scales <= PRIOR_SCALE_RANGE[1])):
+            raise ConfigError("prior scales must be positive and lie in [2**-511, 2**511]")
 
     def to_json(self) -> dict:
         return {"nu_beta": self.nu_beta.tolist(), "tau_beta": self.tau_beta.tolist(),

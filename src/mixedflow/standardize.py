@@ -68,43 +68,46 @@ class StandardizationRecord:
                    np.ones(d), 0.0, 1.0, np.zeros(d, dtype=bool))
 
 
-def standardize_data(ds: HierDataset) -> tuple[HierDataset, StandardizationRecord]:
-    """Z-score the slope columns and the outcome over unmasked cells.
+def standardize_data(ds: HierDataset, rec: StandardizationRecord | None = None
+                     ) -> tuple[HierDataset, StandardizationRecord]:
+    """Z-score the slope columns and the outcome with `rec`, or without it
+    with the moments of `ds` over unmasked cells.
 
     Returns a new dataset (masks untouched, padding still zero) whose truth
     slot, when present, holds the correspondingly standardized parameters
-    and noise.
+    and noise, and the record. The identity record changes no bit of
+    values whose squares are normal floats.
     """
     mask = ds.mask
-    if int(mask.sum()) < 2:
-        raise ConfigError("standardization needs at least two observations")
-    rows = ds.X[mask]  # (n_total, d)
-    mu_x = rows.mean(axis=0)
-    sigma_x = rows.std(axis=0)
-    degenerate = sigma_x < 1e-12
-    sigma_x = np.where(degenerate, 1.0, sigma_x)
-    # intercept column: exempt, recorded with its true mean 1
-    mu_x[0], sigma_x[0] = 1.0, 1.0
-    degenerate[0] = False
-
-    yvals = ds.y[mask]
-    mu_y = float(yvals.mean())
-    sigma_y = float(yvals.std())
-    degenerate_y = sigma_y < 1e-12
-    if degenerate_y:
-        sigma_y = 1.0
-    rec = StandardizationRecord(mu_x, sigma_x, mu_y, sigma_y, degenerate, degenerate_y)
+    if rec is None:
+        if int(mask.sum()) < 2:
+            raise ConfigError("standardization needs at least two observations")
+        rows = ds.X[mask]  # (n_total, d)
+        mu_x = rows.mean(axis=0)
+        sigma_x = rows.std(axis=0)
+        degenerate = sigma_x < 1e-12
+        sigma_x = np.where(degenerate, 1.0, sigma_x)
+        # intercept column: exempt, recorded with its true mean 1
+        mu_x[0], sigma_x[0] = 1.0, 1.0
+        degenerate[0] = False
+        yvals = ds.y[mask]
+        mu_y = float(yvals.mean())
+        sigma_y = float(yvals.std())
+        degenerate_y = sigma_y < 1e-12
+        if degenerate_y:
+            sigma_y = 1.0
+        rec = StandardizationRecord(mu_x, sigma_x, mu_y, sigma_y, degenerate, degenerate_y)
 
     X = ds.X.copy()
     for k in range(1, ds.d):
-        X[:, :, k] = (ds.X[:, :, k] - mu_x[k]) / sigma_x[k] * mask
-    y = (ds.y - mu_y) / sigma_y * mask
+        X[:, :, k] = (ds.X[:, :, k] - rec.mu_x[k]) / rec.sigma_x[k] * mask
+    y = (ds.y - rec.mu_y) / rec.sigma_y * mask
 
     truth = None
     if ds.truth is not None:
         gp_s, lp_s = standardize_params(ds.truth.global_params, ds.truth.local_params, rec)
         truth = Truth(standardize_prior(ds.truth.prior, rec), gp_s, lp_s,
-                      ds.truth.noise / sigma_y)
+                      ds.truth.noise / rec.sigma_y)
     return HierDataset(X=X, y=y, mask=mask, q=ds.q, truth=truth,
                        dataset_id=ds.dataset_id), rec
 

@@ -68,7 +68,7 @@ class TrainConfig:
     m_range: tuple[int, int] = (5, 30)
     n_range: tuple[int, int] = (5, 70)
     # optimization (conventional choices, nothing prescribes them); the other
-    # hyperparameters are ScheduleFreeAdamW's defaults
+    # hyperparameters are the module constants of nn/optim.py
     lr: float = 1e-3
     warmup_steps: int = 200
     # evaluation / stopping
@@ -191,7 +191,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             raise ConfigError(f"cannot resume {last_path}: its run was trained with other "
                               f"{', '.join(changed)} (only budget may change)")
         start_step = int(manifest["step"])
-        best_val = float(manifest.get("best_val", float("inf")))
+        best = manifest.get("best_val")   # null: no finite validation loss yet
+        best_val = float("inf") if best is None else float(best)
         stale_evals = int(manifest.get("stale_evals", 0))
         if curve_path.exists():
             try:
@@ -270,7 +271,8 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             else:
                 stale_evals += 1
             stopped_early = stale_evals >= cfg.patience
-            meta = {"step": step + 1, "seed": cfg.seed, "best_val": best_val,
+            meta = {"step": step + 1, "seed": cfg.seed,
+                    "best_val": best_val if np.isfinite(best_val) else None,
                     "stale_evals": stale_evals, "stopped_early": stopped_early,
                     "complete": stopped_early or step + 1 == cfg.steps,
                     "train_config": asdict(cfg), "train_code": code}

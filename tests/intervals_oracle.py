@@ -44,7 +44,7 @@ def intervals_to_data_scale(draws, std_intervals: dict) -> dict:
     """One alpha's borders; recomputes the data-scale means on every call."""
     rec = draws.rec
     d, q = draws.d, draws.q
-    g_mean = draws.global_mean(data_scale=True)
+    g_mean = draws.global_mean()
     beta_hat = g_mean[:d]
     sigma_hat = g_mean[d:d + q]
 
@@ -68,7 +68,7 @@ def intervals_to_data_scale(draws, std_intervals: dict) -> dict:
                   for j, (lo, hi) in enumerate(std_intervals["global"])]
     out_local = None
     if std_intervals["local"] is not None:
-        a_mean = draws.local_mean(data_scale=True)
+        a_mean = draws.local_mean()
         out_local = []
         for i, per_group in enumerate(std_intervals["local"]):
             row = []

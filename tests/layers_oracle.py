@@ -64,7 +64,7 @@ def layer_norm(self, x):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return self.gamma * (centered / (var + self.eps) ** 0.5) + self.beta
+    return self.gamma * (centered / (var + layers.LAYER_NORM_EPS) ** 0.5) + self.beta
 
 
 def attention_node(q, k, v, mask, heads):

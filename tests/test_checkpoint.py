@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixedflow.errors import ConfigError, DataFormatError
+from mixedflow.errors import ConfigError, DataFormatError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel, load_model, save_model
 from mixedflow.nn import load_checkpoint, save_checkpoint
 
@@ -55,6 +55,13 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(DataFormatError, match="magic"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_manifest_is_strict_json(tmp_path, value):
+    with pytest.raises(NumericError, match="non-finite"):
+        save_checkpoint(tmp_path / "model.ckpt", {"best_val": value}, {})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -237,6 +237,11 @@ def _draw_record(**changes) -> str:
     return json.dumps({**mfio.draws_to_record(draws), **changes}) + "\n"
 
 
+def _changed_set(workdir, tmp_path, change) -> str:
+    """A dataset file holding the first simulated set's record after `change`."""
+    return _write(tmp_path / "d.jsonl", json.dumps(change(_first_record(workdir))) + "\n")
+
+
 def _changed_global(change) -> str:
     """A draw record whose global block text went through `change`."""
     return _draw_record(**{"global": change(json.loads(_draw_record())["global"])})
@@ -290,6 +295,9 @@ MALFORMED = [
     ("prior-not-json", lambda w, t: _infer(w, t, None, "--prior", _write(t / "p.json", "nu")), 4),
     ("prior-bad-number", lambda w, t: _infer(w, t, None, "--prior", _write(t / "p.json", json.dumps(
         {"nu_beta": [0, 0], "tau_beta": [1, 1], "tau_sigma": [1], "tau_eps": "x"}))), 4),
+    ("prior-scale-square-overflows", lambda w, t: _infer(w, t, None, "--prior", _write(
+        t / "p.json", json.dumps({"nu_beta": [0, 0], "tau_beta": [1, 1e300], "tau_sigma": [1],
+                                  "tau_eps": 1}))), 2),
     ("train-config-not-json", lambda w, t: _train(t, _write(t / "c.json", "{width")), 4),
     ("train-config-unknown-field", lambda w, t: _train(
         t, _write(t / "c.json", json.dumps({"widht": 16}))), 2),
@@ -299,6 +307,19 @@ MALFORMED = [
         t, _write(t / "c.json", json.dumps({**TINY_TRAIN, "heads": 3}))), 2),
     ("dataset-bad-dim", lambda w, t: _infer(w, t, _write(t / "d.jsonl", json.dumps(
         {**_first_record(w), "d": "two"}) + "\n")), 4),
+    ("dataset-q-negative", lambda w, t: _infer(w, t, _changed_set(
+        w, t, lambda rec: {**rec, "q": -1})), 4),
+    ("report-truth-beta-extra", lambda w, t: [
+        "report", "--draws", _write(t / "x.jsonl", _draw_record(
+            dataset_id=_first_record(w)["id"])),
+        "--data", _changed_set(w, t, lambda rec: {
+            **rec, "truth": {**rec["truth"], "beta": rec["truth"]["beta"] + [0.5]}}),
+        "--out", str(t / "rep")], 4),
+    ("evaluate-truth-sigma-alpha-empty", lambda w, t: [
+        "evaluate", "--checkpoint", str(w / "run" / "best.ckpt"), "--k", "8",
+        "--data", _changed_set(w, t, lambda rec: {
+            **rec, "truth": {**rec["truth"], "sigma_alpha": []}}),
+        "--out", str(t / "eval")], 4),
     ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),
     ("calibrate-dataset-not-utf8", lambda w, t: [
         "calibrate", "--checkpoint", str(w / "run" / "best.ckpt"),

@@ -1,17 +1,25 @@
 """Optimizer contracts: no-op on zero gradients, decoupled decay, 1-D
 convergence, rejection of non-finite gradients, and exact state resume."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mixedflow.nn import Tensor
+from mixedflow.nn import Tensor, optim
 from mixedflow.nn.optim import ScheduleFreeAdamW
+
+
+@pytest.fixture
+def no_decay_or_clip(monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
+    monkeypatch.setattr(optim, "CLIP_NORM", math.inf)
 
 
 def quadratic_min(opt_cls, steps, lr):
     """Minimize (x - 3)^2 / 2 and return the final evaluation point."""
     p = Tensor(np.array([[10.0]]), requires_grad=True)
-    opt = opt_cls([("p", p)], lr=lr, weight_decay=0.0, clip_norm=None)
+    opt = opt_cls([("p", p)], lr=lr)
     for _ in range(steps):
         opt.train_mode()
         p.grad = p.data - 3.0
@@ -21,10 +29,11 @@ def quadratic_min(opt_cls, steps, lr):
 
 
 @pytest.mark.parametrize("opt_cls", [ScheduleFreeAdamW])
-def test_zero_grad_zero_decay_is_noop(opt_cls):
+def test_zero_grad_zero_decay_is_noop(opt_cls, monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
     p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     start = p.data.copy()
-    opt = opt_cls([("p", p)], weight_decay=0.0)
+    opt = opt_cls([("p", p)])
     for _ in range(5):
         p.grad = np.zeros_like(p.data)
         assert opt.step()
@@ -36,14 +45,15 @@ def test_zero_grad_zero_decay_is_noop(opt_cls):
 @pytest.mark.parametrize("opt_cls,steps,lr,tol", [
     (ScheduleFreeAdamW, 8000, 0.1, 0.05),
 ])
-def test_quadratic_convergence(opt_cls, steps, lr, tol):
+def test_quadratic_convergence(opt_cls, steps, lr, tol, no_decay_or_clip):
     assert abs(quadratic_min(opt_cls, steps, lr) - 3.0) < tol
 
 
 @pytest.mark.parametrize("opt_cls", [ScheduleFreeAdamW])
-def test_decay_shrinks_parameters_without_gradient(opt_cls):
+def test_decay_shrinks_parameters_without_gradient(opt_cls, monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.1)
     p = Tensor(np.full((2, 2), 4.0), requires_grad=True)
-    opt = opt_cls([("p", p)], lr=1e-2, weight_decay=0.1)
+    opt = opt_cls([("p", p)], lr=1e-2)
     norms = [np.linalg.norm(p.data)]
     for _ in range(5):
         p.grad = np.zeros_like(p.data)
@@ -65,11 +75,12 @@ def test_nonfinite_gradient_rejected(opt_cls):
     np.testing.assert_array_equal(p.data, start)
 
 
-def test_steps_keep_the_parameter_dtype():
+def test_steps_keep_the_parameter_dtype(monkeypatch):
     # step sizes are Python floats: a numpy float64 scalar would promote
     # float32 parameters and moments to float64 (NumPy 2 promotion rules)
+    monkeypatch.setattr(optim, "CLIP_NORM", 1.0)
     p = Tensor(np.full((2, 3), 5.0, dtype=np.float32), requires_grad=True)
-    opt = ScheduleFreeAdamW([("p", p)], clip_norm=1.0)
+    opt = ScheduleFreeAdamW([("p", p)])
     for _ in range(3):
         opt.train_mode()
         p.grad = np.full((2, 3), 4.0, dtype=np.float32)   # norm 9.8: clipped
@@ -95,9 +106,9 @@ def test_resume_from_float64_state_keeps_float32():
     assert {a.dtype for k, a in opt.state_arrays().items() if "." in k} == {np.dtype(np.float32)}
 
 
-def test_schedule_free_eval_uses_average():
+def test_schedule_free_eval_uses_average(no_decay_or_clip):
     p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = ScheduleFreeAdamW([("p", p)], lr=0.1, weight_decay=0.0, clip_norm=None)
+    opt = ScheduleFreeAdamW([("p", p)], lr=0.1)
     for _ in range(10):
         opt.train_mode()
         p.grad = np.array([1.0])

@@ -1,6 +1,7 @@
 """Every command's output is reproducible: the digest matrix of
 tools/output_digest.py, run twice from fresh working directories, writes
-the same bytes. Each checkpoint also has an array-only digest line."""
+the same bytes. Each checkpoint also has an array-only digest line, and
+`--pin-train-code` changes the checkpoint manifests but no array."""
 
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _digest() -> list[str]:
+def _digest(*extra) -> list[str]:
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"),
-                           "--checkout", str(ROOT)],
+                           "--checkout", str(ROOT), *extra],
                           capture_output=True, text=True, check=True, timeout=120)
     return done.stdout.splitlines()
 
@@ -23,8 +24,17 @@ def test_every_command_writes_the_same_bytes_twice():
     for path in ("toy.jsonl", "full.jsonl.gz", "conj.jsonl", "m21/best.ckpt", "m32/last.ckpt",
                  "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",
                  "eval-conformal/report.csv", "eval-m32/coverage.csv", "report/report.txt",
-                 "report-chains/report.csv"):
+                 "report-chains/report.csv", "cal-conj-is.json", "eval-conj-both/report.csv"):
         assert path in paths
     checkpoints = {p for p in paths if p.endswith(".ckpt")}
     assert len(checkpoints) == 6
     assert {p + " arrays" for p in checkpoints} <= paths
+
+
+def test_pinned_train_code_moves_manifests_not_arrays():
+    plain, pinned = ({path: digest for digest, path in (line.split("  ", 1) for line in run)}
+                     for run in (_digest(), _digest("--pin-train-code")))
+    assert plain.keys() == pinned.keys()
+    checkpoints = [p for p in plain if p.endswith(".ckpt")]
+    assert all(plain[p] != pinned[p] for p in checkpoints)
+    assert all(plain[p + " arrays"] == pinned[p + " arrays"] for p in checkpoints)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import refine_oracle as oracle
-from mixedflow import refine, simulate as sim, train as mftrain
+from mixedflow import model as mfmodel, pipeline, refine, simulate as sim, train as mftrain
 from mixedflow.errors import ConfigError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel
 from mixedflow.pipeline import infer_one, posterior_draws
@@ -129,6 +129,25 @@ class TestRefinement:
         np.testing.assert_array_equal(seen[0].weights, draws.weights)
         np.testing.assert_array_equal(seen[0].local_weights, draws.local_weights)
 
+    @pytest.mark.parametrize("cfg", [{}, {"infer_noise": False}], ids=["default", "known-noise"])
+    def test_is_derives_the_moments_once(self, cfg, monkeypatch):
+        """IS enters model space through the draws' record: a standardizing
+        model computes a dataset's moments once (in make_batch), a
+        known-noise model never, and the refined draws are the model's."""
+        model = PosteriorModel(ModelConfig(d=2, q=1, **cfg, **SMALL), np.random.default_rng(27))
+        ds = sim.simulate_dataset(2, 1, np.random.default_rng(28), sim.SimConfig(toy=True))
+        derived, real = [], standardize_data
+
+        def spy(ds, rec=None):
+            derived.append(rec is None)
+            return real(ds, rec)
+
+        for module in (mfmodel, pipeline):
+            monkeypatch.setattr(module, "standardize_data", spy)
+        draws, _ = infer_one(model, ds, k=64, rng=substream(29, "moments"), refine="is")
+        assert sum(derived) == (1 if model.cfg.standardize else 0)
+        raw = model.posterior(ds, 64, substream(29, "moments"))
+        assert draws.global_std.tobytes() == raw.global_std.tobytes()
 
     @pytest.mark.parametrize("mode", ["both", "conformal", "IS"])
     def test_calibrate_rejects_other_modes(self, model, dataset, mode):

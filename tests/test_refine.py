@@ -15,7 +15,7 @@ import refine_oracle as oracle
 from mixedflow import refine, simulate as sim
 from mixedflow.draws import PosteriorDraws, weighted_quantile
 from mixedflow.errors import ConfigError
-from mixedflow.standardize import StandardizationRecord
+from mixedflow.standardize import StandardizationRecord, standardized_beta_prior
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -28,6 +28,13 @@ def _toy_dataset(seed=0, d=2, q=1, m=3, n=4):
     sizes = np.full(m, n)
     X = sim.sample_predictors(m, sizes, d, rng, sim.SimConfig(toy=True))
     return sim.assemble_dataset(prior, gp, lp, X, sizes, rng), prior
+
+
+def _refine(ds, prior, draws):
+    """alternating_refine under the independent-normal fixed-effect prior
+    of `prior`, which lives in the draws' space already."""
+    return refine.alternating_refine(
+        ds, prior, draws, standardized_beta_prior(prior, StandardizationRecord.identity(ds.d)))
 
 
 def _ragged_dataset(seed, d, q, m=6, sigma_eps=None, sigma_alpha=None):
@@ -243,7 +250,7 @@ class TestDenseOracle:
             w = refine.importance_weights(ll + log_prior, draws.log_q_global)
             assert np.abs(w - oracle.importance_weights(ref + log_prior, draws.log_q_global)).max() < 1e-8
             return
-        out = refine.alternating_refine(ds, prior, draws)
+        out = _refine(ds, prior, draws)
         w_global, w_local = oracle.alternating_refine(ds, prior, draws)
         assert np.abs(out.weights - w_global).max() < 1e-8
         if ds.q:
@@ -303,7 +310,7 @@ class TestAlternatingRefine:
                                d=ds.d, q=ds.q, infer_noise=True, rec=rec,
                                local_std=local, log_q_local=log_q_local)
         monkeypatch.setattr(refine, "IS_ROUNDS", 1)
-        out = refine.alternating_refine(ds, prior, draws)
+        out = _refine(ds, prior, draws)
         np.testing.assert_allclose(out.weights, 1.0, atol=1e-10)
         np.testing.assert_allclose(out.local_weights, 1.0, atol=1e-10)
 
@@ -320,7 +327,7 @@ class TestAlternatingRefine:
         draws = PosteriorDraws(global_std=global_std, log_q_global=np.zeros(k),
                                d=ds.d, q=ds.q, infer_noise=True, rec=rec,
                                local_std=local, log_q_local=np.zeros((k, ds.m)))
-        out = refine.alternating_refine(ds, prior, draws)
+        out = _refine(ds, prior, draws)
         naive_mean = global_std[:, 0].mean()
         weighted_mean = (global_std[:, 0] * out.weights).sum() / out.weights.sum()
         assert abs(weighted_mean - gp.beta[0]) < abs(naive_mean - gp.beta[0])
@@ -337,8 +344,8 @@ class TestAlternatingRefine:
         draws = PosteriorDraws(global_std=global_std, log_q_global=rng.normal(size=k),
                                d=ds.d, q=ds.q, infer_noise=True, rec=rec,
                                local_std=local, log_q_local=rng.normal(size=(k, ds.m)))
-        out1 = refine.alternating_refine(ds, prior, draws)
-        out2 = refine.alternating_refine(ds, prior, draws)
+        out1 = _refine(ds, prior, draws)
+        out2 = _refine(ds, prior, draws)
         np.testing.assert_array_equal(out1.weights, out2.weights)
         np.testing.assert_array_equal(out1.local_weights, out2.local_weights)
 
@@ -374,7 +381,7 @@ class TestAlternatingRefine:
                                local_std=np.tile(lp.alpha, (k, 1, 1)),
                                log_q_local=np.zeros((k, ds.m)))
         monkeypatch.setattr(refine, "IS_ROUNDS", 1)
-        out = refine.alternating_refine(ds, prior, draws)
+        out = _refine(ds, prior, draws)
         np.testing.assert_allclose(out.weights, 1.0, atol=1e-10)
 
     def test_huge_noise_draws_do_not_raise(self, caplog):
@@ -390,7 +397,7 @@ class TestAlternatingRefine:
                                    d=ds.d, q=ds.q, infer_noise=True,
                                    rec=StandardizationRecord.identity(ds.d),
                                    local_std=local, log_q_local=np.zeros((k, ds.m)))
-            out = refine.alternating_refine(ds, prior, draws)
+            out = _refine(ds, prior, draws)
             assert np.all(np.isfinite(out.weights)) and np.all(np.isfinite(out.local_weights))
             assert out.weights.mean() == pytest.approx(1.0, abs=1e-10)
             np.testing.assert_allclose(out.local_weights.mean(axis=0), 1.0, atol=1e-10)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import standardize_oracle as oracle
 from mixedflow import simulate as sim
 from mixedflow import standardize as stz
+from mixedflow.errors import ConfigError
 
 
 def _dataset(seed, d=3, q=2, toy=False):
@@ -51,6 +52,56 @@ class TestDataSide:
         assert rec.degenerate_x[2]
         assert rec.sigma_x[2] == 1.0
         assert np.all(np.abs(ds.X[:, :, 2][ds.mask]) < 1e-12)
+
+    def test_a_given_record_is_applied_as_derived(self):
+        raw = _dataset(6)
+        derived, rec = stz.standardize_data(raw)
+        applied, same = stz.standardize_data(raw, rec)
+        assert same is rec
+        for a, b in ((applied.X, derived.X), (applied.y, derived.y),
+                     (applied.truth.global_params.vector(), derived.truth.global_params.vector()),
+                     (applied.truth.local_params.alpha, derived.truth.local_params.alpha),
+                     (applied.truth.noise, derived.truth.noise)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d, q, scale", [
+        (1, 0, None), (3, 0, None), (1, 1, None), (2, 1, None), (4, 2, None), (3, 3, None),
+        (3, 2, sim.PRIOR_SCALE_RANGE[0]), (3, 2, sim.PRIOR_SCALE_RANGE[1])])
+    def test_identity_record_changes_no_bit(self, d, q, scale):
+        """What a known-noise model's identity record gives back is its
+        input, bit for bit: the data and truth, the prior and the joint
+        fixed-effect prior (nu_beta, diag(tau_beta^2)). So model space is
+        entered the same way whether or not a model standardizes. A given
+        `scale` replaces every prior scale: at either end of PriorSpec's
+        range the squares summed in standardize_prior are normal floats."""
+        rng = np.random.default_rng(7 + d + q)
+        raw = (sim.simulate_dataset(d, q, rng, sim.SimConfig()) if q
+               else sim.simulate_conjugate_dataset(d, rng))   # the known-noise family
+        rec = stz.StandardizationRecord.identity(d)
+        out, _ = stz.standardize_data(raw, rec)
+        truth, prior = raw.truth, raw.truth.prior
+        if scale is not None:
+            prior = sim.PriorSpec(prior.nu_beta, np.full(d, scale), np.full(q, scale), scale)
+        for a, b in ((out.X, raw.X), (out.y, raw.y), (out.mask, raw.mask),
+                     (out.truth.global_params.vector(), truth.global_params.vector()),
+                     (out.truth.local_params.alpha, truth.local_params.alpha),
+                     (out.truth.noise, truth.noise)):
+            assert a.tobytes() == b.tobytes()
+        moved = stz.standardize_prior(prior, rec)
+        for a, b in ((moved.nu_beta, prior.nu_beta), (moved.tau_beta, prior.tau_beta),
+                     (moved.tau_sigma, prior.tau_sigma), (out.truth.prior.nu_beta, prior.nu_beta)):
+            assert a.tobytes() == b.tobytes()
+        assert moved.tau_eps == prior.tau_eps
+        mean, cov = stz.standardized_beta_prior(prior, rec)
+        assert mean.tobytes() == prior.nu_beta.tobytes()
+        assert cov.tobytes() == np.diag(prior.tau_beta ** 2).tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0 ** -512, 2.0 ** 512, np.inf, np.nan, 0.0, -1.0])
+    def test_prior_scales_whose_square_is_not_normal_are_refused(self, scale):
+        for args in (([0.0], [scale], [], 1.0), ([0.0], [1.0], [scale], 1.0),
+                     ([0.0], [1.0], [], scale)):
+            with pytest.raises(ConfigError):
+                sim.PriorSpec(*args)
 
 
 class TestParamTransforms:

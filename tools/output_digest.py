@@ -1,7 +1,7 @@
 """Digest every file the command line writes, to compare two checkouts byte
 for byte.
 
-    python3 tools/output_digest.py --checkout DIR
+    python3 tools/output_digest.py --checkout DIR [--pin-train-code]
 
 Runs a fixed matrix of `mixedflow` commands in-process, with the package
 imported from DIR/src, inside a fresh temporary working directory and with
@@ -13,6 +13,12 @@ its arrays alone (names, dtypes, shapes, bytes), so a change that edits
 only manifests shows up as one. One BLAS thread is set before numpy loads,
 so reductions do not depend on the thread count.
 
+`--pin-train-code` replaces `mixedflow.train.train_code` with a fixed
+string, so the checkpoint manifests no longer record the hash of the
+training sources: two checkouts that differ only in those sources' bytes
+(comments, refactors) then print the same lines whenever they train the
+same arrays.
+
 The matrix: `simulate` toy, non-toy and conjugate; a tiny `train` on
 d=2/q=1, d=3/q=2 and the conjugate family, each followed by `train
 --resume` with a larger budget (the d=3/q=2 run stops on patience, so its
@@ -21,7 +27,9 @@ refine modes and on an observation CSV; `evaluate` in all four refine
 modes, and of the d=3/q=2 model with `--refine is` and its own `--alphas`;
 `report` of two draw files, and of an external chain CSV named after a
 simulated set (two chains, one with an outlier, and a Stan-style `lp__`
-column that is ignored) beside a draw file, with its own `--alphas`.
+column that is ignored) beside a draw file, with its own `--alphas`;
+and, for the known-noise conjugate model, `calibrate --refine is` and
+`evaluate --refine both` with that table.
 """
 
 import os
@@ -40,6 +48,7 @@ from pathlib import Path
 TINY = {"width": 16, "summary_blocks": 1, "heads": 2, "flow_blocks": 2,
         "flow_hidden": 16, "eval_every": 5, "val_sets": 8, "warmup_steps": 5}
 REFINES = ("none", "is", "conformal", "both")
+PINNED_TRAIN_CODE = "pinned"
 
 
 def _inputs():
@@ -110,6 +119,11 @@ def _commands() -> list[list[str]]:
          "--seed", "9", "--refine", "is", "--alphas", "0.1,0.3,0.7", "--out", "eval-m32"],
         ["report", "--draws", "hmc=sim-1-0.csv", "both=infer-both.jsonl", "--data", "toy.jsonl",
          "--alphas", "0.1,0.5", "--out", "report-chains"],
+        ["calibrate", "--checkpoint", "mconj/best.ckpt", "--sets", "conj.jsonl", "--k", "40",
+         "--seed", "10", "--refine", "is", "--out", "cal-conj-is.json"],
+        ["evaluate", "--checkpoint", "mconj/best.ckpt", "--data", "conj.jsonl", "--k", "40",
+         "--seed", "11", "--refine", "both", "--conformal-table", "cal-conj-is.json",
+         "--out", "eval-conj-both"],
     ]
     return cmds
 
@@ -125,11 +139,14 @@ def _array_digest(path) -> str:
     return h.hexdigest()
 
 
-def run_matrix(checkout) -> list[tuple[str, str]]:
+def run_matrix(checkout, pin_train_code: bool = False) -> list[tuple[str, str]]:
     """(sha256, relative path) for every file the matrix writes, plus
     (array digest, "path arrays") for every checkpoint."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from mixedflow.cli import main
+    if pin_train_code:
+        import mixedflow.train
+        mixedflow.train.train_code = lambda root=None: PINNED_TRAIN_CODE
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="mixedflow-digest-") as work:
@@ -156,8 +173,10 @@ def run_matrix(checkout) -> list[tuple[str, str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", required=True, help="repository root to run")
+    parser.add_argument("--pin-train-code", action="store_true",
+                        help=f"record train_code {PINNED_TRAIN_CODE!r} in every checkpoint")
     args = parser.parse_args(argv)
-    for digest, path in run_matrix(args.checkout):
+    for digest, path in run_matrix(args.checkout, args.pin_train_code):
         print(f"{digest}  {path}")
     return 0
 
