@@ -132,6 +132,8 @@ def dataset_from_record(rec: dict) -> HierDataset:
     sizes = np.asarray(rec["group_sizes"], dtype=np.int64)
     if sizes.shape[0] != m:
         raise DataFormatError("group_sizes length disagrees with m")
+    if m < 1 or sizes.min() < 1:
+        raise DataFormatError("group_sizes needs m >= 1 groups of at least one observation")
     n_total = int(sizes.sum())
     x = np.asarray(rec["x"], dtype=np.float64)
     y_flat = np.asarray(rec["y"], dtype=np.float64)
@@ -155,9 +157,14 @@ def dataset_from_record(rec: dict) -> HierDataset:
             if values.shape != (count,):
                 raise DataFormatError(f"{name} has shape {values.shape}, expected ({count},) "
                                       f"for d={d}, q={q}, m={m} and {n_total} observations")
+        sigma_eps = float(t["sigma_eps"])
+        for name, values in (("truth.sigma_eps", np.array([sigma_eps])),
+                             ("truth.sigma_alpha", sigma_alpha)):
+            if not ((values >= 0) & (values < np.inf)).all():
+                raise DataFormatError(f"{name} {values.tolist()}: std devs must be finite and >= 0")
         noise = np.zeros((m, n_max))
         noise[mask] = noise_flat
-        truth = Truth(prior, GlobalParams(beta, sigma_alpha, float(t["sigma_eps"])),
+        truth = Truth(prior, GlobalParams(beta, sigma_alpha, sigma_eps),
                       LocalParams(alpha.reshape(m, q)), noise)
     return HierDataset(X=X, y=y, mask=mask, q=q, truth=truth,
                        dataset_id=str(rec.get("id", "")))

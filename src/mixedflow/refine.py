@@ -7,10 +7,14 @@ posterior conditions on the globals, the two levels are reweighted
 alternately, local first, plugging posterior means of the other level into
 the likelihood; IS_ROUNDS rounds, any number q of random effects.
 Likelihoods come from per-group sufficient statistics (Gram blocks of
-[X_i, Z_i, y_i], computed once per dataset), so a round costs
-O(k m (d + q)^2) whatever the group sizes; the marginal likelihood
+[X_i, Z_i, y_i], computed once per dataset). With the other level held at
+its plug-in mean, each step's residual sums are a quadratic form in its own
+draws: per group for the local draws, summed over groups for the global
+ones, so a round costs O(k (d^2 + m q^2)) whatever the group sizes. A
+joint draw of both levels costs O(k m (d + q)^2); the marginal likelihood
 (`marginal_log_likelihood`) solves one q x q system per group (Woodbury,
-matrix determinant lemma).
+matrix determinant lemma). The weight clip's percentile comes from one
+partition of the draws, bit for bit `np.percentile`.
 
 Conformal calibration: on held-out calibration sets, the signed distance
 from the true parameter, standardized with the draws' record, to the
@@ -112,6 +116,28 @@ class _GroupGrams:
         ee = self.s[:, None] - (delta * (self.c[:, :, None] + We)).sum(axis=1)
         return ee.T, np.moveaxis(We[:, self.d:], -1, 0)
 
+    def local_sums(self, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """e_i'e_i (k, m) for one beta (d,) shared by the draws alpha
+        (k, m, q): A_i + a'(B_i + C_i a) with a = alpha_i - alpha0_i and
+        per-group constants A_i, B_i and C_i = G_zz,i."""
+        d, db = self.d, beta - self.beta0
+        Gxx, Gxz, Gzz = self.G[:, :d, :d], self.G[:, :d, d:], self.G[:, d:, d:]
+        A = self.s - np.einsum("mp,p->m", 2.0 * self.c[:, :d] - Gxx @ db, db)
+        B = 2.0 * (db @ Gxz - self.c[:, d:])
+        da = alpha - self.alpha0
+        return A + (da * (B + np.einsum("mpr,kmr->kmp", Gzz, da))).sum(axis=2)
+
+    def global_sums(self, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """sum_i e_i'e_i (k,) for the draws beta (k, d) and one alpha (m, q)
+        shared by them: S0 + L'b + b'(sum_i G_xx,i) b with b = beta - beta0."""
+        d, da = self.d, alpha - self.alpha0
+        Gxx, Gxz, Gzz = self.G[:, :d, :d], self.G[:, :d, d:], self.G[:, d:, d:]
+        S0 = (self.s - np.einsum("mp,mp->m", 2.0 * self.c[:, d:]
+                                 - np.einsum("mpr,mr->mp", Gzz, da), da)).sum()
+        L = 2.0 * (np.einsum("mpr,mr->p", Gxz, da) - self.c[:, :d].sum(axis=0))
+        db = beta - self.beta0
+        return S0 + (db * (L + db @ Gxx.sum(axis=0))).sum(axis=1)
+
     def marginal(self, beta: np.ndarray, sigma_alpha: np.ndarray,
                  sigma_eps: np.ndarray) -> np.ndarray:
         """Log-likelihood (k,) of y_i ~ N(X_i beta, sigma_eps^2 I + Z_i S^2 Z_i'),
@@ -212,12 +238,35 @@ def importance_weights(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     dead = ~good.any(axis=0)
     for _ in range(int(dead.sum())):
         log.warning("all importance weights degenerate, falling back to uniform")
-    cols = np.where(good, cols, np.nan)
-    cols[:, dead] = 0.0
-    cap = (np.percentile if good.all() else np.nanpercentile)(cols, CLIP_PERCENTILE, axis=0)
+    cap = _clip_cap(cols, good)
     # the clipped maximum is the cap itself; non-finite ratios get weight 0
-    w = np.nan_to_num(np.exp(np.minimum(cols, cap) - cap))
+    w = np.exp(np.minimum(cols, cap) - cap, out=np.zeros_like(cols), where=good)
+    w[:, dead] = 1.0
     return (w / w.mean(axis=0)).reshape(log_w.shape)
+
+
+def _clip_cap(cols: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """The CLIP_PERCENTILE-th percentile of the finite entries (`good`) of
+    each column of cols (k, m), 0 for a column without one: bit for bit
+    np.percentile for the all-finite columns, taken from one partition, and
+    np.nanpercentile for the rest."""
+    k, cap = cols.shape[0], np.zeros(cols.shape[1])
+    finite = good.all(axis=0)
+    mixed = good.any(axis=0) & ~finite
+    if mixed.any():
+        cap[mixed] = np.nanpercentile(np.where(good[:, mixed], cols[:, mixed], np.nan),
+                                      CLIP_PERCENTILE, axis=0)
+    # numpy's linear method: the virtual index h = (k - 1) p falls between
+    # the order statistics lo and lo + 1, and their lerp is taken from the
+    # upper one when the fraction t is at least one half
+    h = (k - 1) * (CLIP_PERCENTILE / 100.0)
+    lo = math.floor(h)
+    t = h - lo
+    part = np.partition((cols if finite.all() else cols[:, finite]).T, lo, axis=1)
+    a = part[:, lo]
+    b = part[:, lo + 1:].min(axis=1) if lo + 1 < k else a
+    cap[finite] = a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+    return cap
 
 
 def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
@@ -247,15 +296,14 @@ def alternating_refine(ds: HierDataset, prior: PriorSpec, draws: PosteriorDraws,
             # otherwise make a 0 * inf NaN plug-in)
             live = w_global > 0
             p = w_global[live] / w_global[live].sum()
-            ee, _ = grams.residuals(p @ beta[live], alpha)
+            ee = grams.local_sums(p @ beta[live], alpha)
             log_p = (_normal_logpdf(grams.n, ee, p @ sigma_eps[live])
                      + _normal_logpdf(1, alpha ** 2, p @ sigma_alpha[live]).sum(axis=2))
             w_local = importance_weights(log_p, draws.log_q_local)
             alpha_bar = np.einsum("kmq,km->mq", alpha, w_local) / w_local.sum(axis=0)[:, None]
 
         # global step: plug in the local posterior means
-        ee, _ = grams.residuals(beta, alpha_bar)
-        ll = (_normal_logpdf(grams.n.sum(), ee.sum(axis=1), sigma_eps)
+        ll = (_normal_logpdf(grams.n.sum(), grams.global_sums(beta, alpha_bar), sigma_eps)
               + _log_prior_random(alpha_bar, sigma_alpha))
         w_global = importance_weights(ll + log_prior, draws.log_q_global)
 

@@ -242,6 +242,14 @@ def _changed_set(workdir, tmp_path, change) -> str:
     return _write(tmp_path / "d.jsonl", json.dumps(change(_first_record(workdir))) + "\n")
 
 
+def _empty_first_group(rec: dict) -> dict:
+    """The record with its first group's observations removed and its size
+    set to 0, every other length consistent."""
+    n0, d = rec["group_sizes"][0], rec["d"]
+    return {**rec, "group_sizes": [0] + rec["group_sizes"][1:], "x": rec["x"][n0 * d:],
+            "y": rec["y"][n0:], "truth": {**rec["truth"], "noise": rec["truth"]["noise"][n0:]}}
+
+
 def _changed_global(change) -> str:
     """A draw record whose global block text went through `change`."""
     return _draw_record(**{"global": change(json.loads(_draw_record())["global"])})
@@ -320,6 +328,17 @@ MALFORMED = [
         "--data", _changed_set(w, t, lambda rec: {
             **rec, "truth": {**rec["truth"], "sigma_alpha": []}}),
         "--out", str(t / "eval")], 4),
+    ("evaluate-truth-sigma-eps-negative", lambda w, t: [
+        "evaluate", "--checkpoint", str(w / "run" / "best.ckpt"), "--k", "8",
+        "--data", _changed_set(w, t, lambda rec: {
+            **rec, "truth": {**rec["truth"], "sigma_eps": -1.0}}),
+        "--out", str(t / "eval")], 4),
+    ("evaluate-truth-sigma-alpha-infinite", lambda w, t: [
+        "evaluate", "--checkpoint", str(w / "run" / "best.ckpt"), "--k", "8",
+        "--data", _changed_set(w, t, lambda rec: {
+            **rec, "truth": {**rec["truth"], "sigma_alpha": [float("inf")]}}),
+        "--out", str(t / "eval")], 4),
+    ("dataset-empty-group", lambda w, t: _infer(w, t, _changed_set(w, t, _empty_first_group)), 4),
     ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),
     ("calibrate-dataset-not-utf8", lambda w, t: [
         "calibrate", "--checkpoint", str(w / "run" / "best.ckpt"),

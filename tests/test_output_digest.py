@@ -1,8 +1,10 @@
 """Every command's output is reproducible: the digest matrix of
 tools/output_digest.py, run twice from fresh working directories, writes
 the same bytes. Each checkpoint also has an array-only digest line, and
-`--pin-train-code` changes the checkpoint manifests but no array."""
+`--pin-train-code` changes the checkpoint manifests but no array, and
+`--keep` keeps the files that were digested."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +19,13 @@ def _digest(*extra) -> list[str]:
     return done.stdout.splitlines()
 
 
-def test_every_command_writes_the_same_bytes_twice():
-    first, second = _digest(), _digest()
+def test_every_command_writes_the_same_bytes_twice(tmp_path):
+    first, second = _digest("--keep", str(tmp_path / "out")), _digest()
     assert first == second
+    out = tmp_path / "out"
+    kept = {f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
+            for p in out.rglob("*") if p.is_file()}
+    assert kept == {line for line in first if not line.endswith(" arrays")}
     paths = {line.split("  ", 1)[1] for line in first}
     for path in ("toy.jsonl", "full.jsonl.gz", "conj.jsonl", "m21/best.ckpt", "m32/last.ckpt",
                  "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",

@@ -97,6 +97,37 @@ class TestImportanceWeights:
         w = refine.importance_weights(np.full(10, -np.inf), np.zeros(10))
         np.testing.assert_array_equal(w, 1.0)
 
+    @pytest.mark.parametrize("k", [37, 50, 76, 500, 1000, 1001, 2000])
+    def test_cap_is_numpy_percentile_bit_for_bit(self, k):
+        # k = 76 puts the virtual index at exactly .5, where numpy's lerp
+        # switches from the lower to the upper order statistic
+        h = (k - 1) * (refine.CLIP_PERCENTILE / 100.0)
+        assert k != 76 or h - math.floor(h) == 0.5
+        rng = np.random.default_rng(k)
+        cols = rng.normal(size=(k, 10)) * np.array([1, 1e-3, 1e3, 50, 1, 1, 1, 1, 1, 1])
+        cols[:, 4] = np.round(cols[:, 4])                   # ties
+        # order statistics 0.1 and 0.7 around the virtual index: the two
+        # forms of the lerp round differently there
+        lo = math.floor(h)
+        col = np.arange(k) - 2.0 * k
+        col[lo:lo + 2], col[lo + 2:] = [0.1, 0.7][:k - lo], 10.0 + np.arange(k - lo - 2)
+        cols[:, 9] = rng.permutation(col)
+        cols[:3, 5] = -np.inf
+        cols[k // 2, 6] = np.nan
+        cols[:, 7] = np.inf
+        cols[: k - 2, 8] = np.nan                           # two finite ratios left
+        good = np.isfinite(cols)
+        cap = refine._clip_cap(np.where(good, cols, np.nan), good)
+        for i in range(cols.shape[1]):
+            col = cols[:, i]
+            if good[:, i].all():
+                ref = np.percentile(col, refine.CLIP_PERCENTILE)
+            elif good[:, i].any():
+                ref = np.nanpercentile(np.where(good[:, i], col, np.nan), refine.CLIP_PERCENTILE)
+            else:
+                ref = 0.0
+            assert cap[i] == ref, (i, cap[i], ref)
+
 
 class TestConditionalLikelihood:
     def test_perfect_fit_unit_noise(self):
@@ -257,7 +288,47 @@ class TestDenseOracle:
             assert np.abs(out.local_weights - w_local).max() < 1e-8
 
 
+    def test_level_sums_match_residuals(self, case):
+        ds, prior = _ragged_dataset(**case)
+        draws = oracle.random_draws(ds, 50, np.random.default_rng(case["seed"] + 2))
+        beta = draws.global_std[:, :ds.d]
+        alpha = draws.local_std if ds.q else np.zeros((50, ds.m, 0))
+        grams = refine._GroupGrams(ds, beta.mean(axis=0), alpha.mean(axis=0))
+        # the second cloud sits about 10 sds from the reference point, a
+        # cancellation probe for the expanded quadratic forms
+        shift = 10.0 * np.maximum(beta.std(axis=0), 1e-12), 10.0 * alpha.std(axis=0)
+        for b, a in ((beta, alpha), (beta + shift[0], alpha + shift[1])):
+            b_bar, a_bar = b.mean(axis=0) + 0.1 * b.std(axis=0), a.mean(axis=0)
+            assert _rel(grams.local_sums(b_bar, a), grams.residuals(b_bar, a)[0]) < 1e-10
+            assert _rel(grams.global_sums(b, a_bar),
+                        grams.residuals(b, a_bar)[0].sum(axis=1)) < 1e-10
+
+
 class TestAlternatingRefine:
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_importance_weights_called_once_per_level_and_round(self, q, monkeypatch):
+        # perfbench's trace counts calls through the module attribute
+        ds, prior = _ragged_dataset(30 + q, d=2, q=q)
+        draws = oracle.random_draws(ds, 40, np.random.default_rng(q))
+        calls = []
+        weights = refine.importance_weights
+        monkeypatch.setattr(refine, "importance_weights",
+                            lambda *a: calls.append(1) or weights(*a))
+        _refine(ds, prior, draws)
+        assert len(calls) == (2 if q else 1) * refine.IS_ROUNDS
+
+    def test_paper_size_refine_matches_oracle_without_warnings(self):
+        rng = np.random.default_rng(50)
+        ds = sim.simulate_dataset(5, 1, rng, sim.SimConfig(m_range=(30, 30), n_range=(70, 70)))
+        prior = ds.truth.prior
+        draws = oracle.random_draws(ds, 1000, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _refine(ds, prior, draws)
+        w_global, w_local = oracle.alternating_refine(ds, prior, draws)
+        assert np.abs(out.weights - w_global).max() < 1e-8
+        assert np.abs(out.local_weights - w_local).max() < 1e-8
+
     def _draws_from_flow_truth(self, ds, prior, k=400, seed=10):
         """Build synthetic draw sets whose proposal density is exactly the
         numerator, so the refinement must be a fixed point."""

@@ -1,7 +1,7 @@
 """Digest every file the command line writes, to compare two checkouts byte
 for byte.
 
-    python3 tools/output_digest.py --checkout DIR [--pin-train-code]
+    python3 tools/output_digest.py --checkout DIR [--pin-train-code] [--keep OUT]
 
 Runs a fixed matrix of `mixedflow` commands in-process, with the package
 imported from DIR/src, inside a fresh temporary working directory and with
@@ -18,6 +18,10 @@ string, so the checkpoint manifests no longer record the hash of the
 training sources: two checkouts that differ only in those sources' bytes
 (comments, refactors) then print the same lines whenever they train the
 same arrays.
+
+`--keep OUT` copies the working directory, every digested file, to OUT
+(which must not exist), so that the outputs of two checkouts can be
+loaded and compared numerically where their bytes differ.
 
 The matrix: `simulate` toy, non-toy and conjugate; a tiny `train` on
 d=2/q=1, d=3/q=2 and the conjugate family, each followed by `train
@@ -41,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -139,9 +144,10 @@ def _array_digest(path) -> str:
     return h.hexdigest()
 
 
-def run_matrix(checkout, pin_train_code: bool = False) -> list[tuple[str, str]]:
+def run_matrix(checkout, pin_train_code: bool = False, keep=None) -> list[tuple[str, str]]:
     """(sha256, relative path) for every file the matrix writes, plus
-    (array digest, "path arrays") for every checkpoint."""
+    (array digest, "path arrays") for every checkpoint; the files are
+    copied to `keep` when it is given."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from mixedflow.cli import main
     if pin_train_code:
@@ -149,6 +155,7 @@ def run_matrix(checkout, pin_train_code: bool = False) -> list[tuple[str, str]]:
         mixedflow.train.train_code = lambda root=None: PINNED_TRAIN_CODE
 
     home = os.getcwd()
+    keep = keep and Path(keep).resolve()
     with tempfile.TemporaryDirectory(prefix="mixedflow-digest-") as work:
         os.chdir(work)
         try:
@@ -165,6 +172,8 @@ def run_matrix(checkout, pin_train_code: bool = False) -> list[tuple[str, str]]:
             lines = [(hashlib.sha256(p.read_bytes()).hexdigest(), p.as_posix()) for p in files]
             lines += [(_array_digest(p), f"{p.as_posix()} arrays")
                       for p in files if p.suffix == ".ckpt"]
+            if keep:
+                shutil.copytree(".", keep)
             return sorted(lines, key=lambda line: line[1])
         finally:
             os.chdir(home)
@@ -175,8 +184,9 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", required=True, help="repository root to run")
     parser.add_argument("--pin-train-code", action="store_true",
                         help=f"record train_code {PINNED_TRAIN_CODE!r} in every checkpoint")
+    parser.add_argument("--keep", metavar="OUT", help="copy the output tree to OUT (new)")
     args = parser.parse_args(argv)
-    for digest, path in run_matrix(args.checkout, args.pin_train_code):
+    for digest, path in run_matrix(args.checkout, args.pin_train_code, args.keep):
         print(f"{digest}  {path}")
     return 0
 
