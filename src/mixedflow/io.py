@@ -1,18 +1,24 @@
 """File formats.
 
-Dataset files: line-delimited JSON, one dataset per record, gzip-compressed
-when the path ends in .gz. Record field order: schema, id, d, q, m,
-group_sizes, x (row-major over unmasked observations), y, prior, truth.
-The random-effect design is not stored: a dataset derives it as the first
-q columns of x.
+Dataset files (hier-dataset/2): line-delimited JSON, one dataset per
+record, gzip-compressed when the path ends in .gz. Record field order:
+schema, id, d, q, m, group_sizes, x, y, prior, truth. The arrays x (the
+unmasked observations' rows, (n_total, d)), y and truth.noise ((n_total,))
+and truth.alpha ((m, q)) are numeric blocks; counts, the prior and the
+other truth fields are plain JSON. The random-effect design is not stored:
+a dataset derives it as the first q columns of x.
 
 Posterior draw files (posterior-draws/2): same container style, one record
 per dataset with the k-by-parameter draw blocks, flow log densities, the
 standardization record, optional importance weights and optional interval
-tables. Each numeric block is one ASCII string, the base64 of the array's
+tables.
+
+A numeric block is one ASCII string, the base64 of the array's
 little-endian float64 bytes in C order (null when absent): exact for every
 value, strict JSON, and without the cost of float-to-text conversion.
-Version 1 records, with number lists in the same order, still load.
+Version 1 records of either kind, with number lists in place of blocks,
+still load. Counts must be JSON integers, and observations and truth
+values must be finite.
 
 Observation CSV: one row per observation with columns
 group_id, y, x_1..x_p; the intercept column is synthesized, so the model
@@ -36,6 +42,7 @@ import csv
 import gzip
 import hashlib
 import json
+import math
 import os
 import sys
 import zlib
@@ -54,7 +61,7 @@ __all__ = [
     "read_observations_csv", "write_manifest", "write_json", "write_file", "config_hash",
 ]
 
-DATASET_SCHEMA = "hier-dataset/1"
+DATASET_SCHEMA = "hier-dataset/2"
 DRAWS_SCHEMA = "posterior-draws/2"
 
 
@@ -98,6 +105,34 @@ def _save_records(path, records):
 
 
 # ---------------------------------------------------------------------------
+# numeric blocks
+
+
+def _block(a) -> str | None:
+    """A numeric block as base64 of its little-endian float64 bytes, C order."""
+    return None if a is None else base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
+
+
+def _block_array(rec: dict, key: str, count: int) -> np.ndarray:
+    """The `count` float64 values of block `key` (dotted for a nested field,
+    as in "truth.noise"): base64 text in a version 2 record, a number list
+    in a version 1 record."""
+    raw = rec
+    for part in key.split("."):
+        raw = raw[part]
+    if rec["schema"].endswith("/1"):
+        values = np.asarray(raw, dtype=np.float64).reshape(-1)
+    else:
+        try:  # not text, a non-base64 character, or not whole float64 values
+            values = np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8")
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"block {key!r} is not base64 float64 ({exc})") from None
+    if values.size != count:
+        raise DataFormatError(f"block {key!r} holds {values.size} values, expected {count}")
+    return values.astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
 # datasets
 
 
@@ -107,8 +142,8 @@ def dataset_to_record(ds: HierDataset) -> dict:
         "id": ds.dataset_id,
         "d": ds.d, "q": ds.q, "m": ds.m,
         "group_sizes": ds.group_sizes.tolist(),
-        "x": ds.X[ds.mask].reshape(-1).tolist(),
-        "y": ds.y[ds.mask].tolist(),
+        "x": _block(ds.X[ds.mask]),
+        "y": _block(ds.y[ds.mask]),
         "prior": None,
         "truth": None,
     }
@@ -118,27 +153,38 @@ def dataset_to_record(ds: HierDataset) -> dict:
         rec["truth"] = {"beta": gp.beta.tolist(),
                         "sigma_alpha": gp.sigma_alpha.tolist(),
                         "sigma_eps": gp.sigma_eps,
-                        "alpha": lp.alpha.reshape(-1).tolist(),
-                        "noise": ds.truth.noise[ds.mask].tolist()}
+                        "alpha": _block(lp.alpha),
+                        "noise": _block(ds.truth.noise[ds.mask])}
     return rec
 
 
+def _count(value, name: str) -> int:
+    """A JSON integer (not a bool, not a float with an integral value)."""
+    if type(value) is not int:
+        raise DataFormatError(f"{name}: {value!r} is not an integer")
+    return value
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{name} holds a non-finite value")
+    return values
+
+
 def dataset_from_record(rec: dict) -> HierDataset:
-    if rec.get("schema") != DATASET_SCHEMA:
+    if rec.get("schema") not in (DATASET_SCHEMA, "hier-dataset/1"):
         raise DataFormatError(f"not a {DATASET_SCHEMA} record: schema={rec.get('schema')!r}")
-    d, q, m = int(rec["d"]), int(rec["q"]), int(rec["m"])
+    d, q, m = (_count(rec[key], key) for key in ("d", "q", "m"))
     if not 0 <= q <= d or d < 1:
         raise DataFormatError(f"d={d}, q={q}: need d >= 1 and q in [0, d]")
-    sizes = np.asarray(rec["group_sizes"], dtype=np.int64)
+    sizes = np.array([_count(n, "group_sizes") for n in rec["group_sizes"]], dtype=np.int64)
     if sizes.shape[0] != m:
         raise DataFormatError("group_sizes length disagrees with m")
     if m < 1 or sizes.min() < 1:
         raise DataFormatError("group_sizes needs m >= 1 groups of at least one observation")
     n_total = int(sizes.sum())
-    x = np.asarray(rec["x"], dtype=np.float64)
-    y_flat = np.asarray(rec["y"], dtype=np.float64)
-    if x.size != n_total * d or y_flat.size != n_total:
-        raise DataFormatError("x/y lengths disagree with group sizes")
+    x = _finite(_block_array(rec, "x", n_total * d), "x")
+    y_flat = _finite(_block_array(rec, "y", n_total), "y")
     n_max = int(sizes.max())
     X = np.zeros((m, n_max, d))
     y = np.zeros((m, n_max))
@@ -148,15 +194,16 @@ def dataset_from_record(rec: dict) -> HierDataset:
     truth = None
     if rec.get("truth") is not None:
         t, prior = rec["truth"], PriorSpec.from_json(rec["prior"])
-        keys = ("beta", "sigma_alpha", "alpha", "noise")
-        beta, sigma_alpha, alpha, noise_flat = (np.asarray(t[k], dtype=np.float64) for k in keys)
+        beta, sigma_alpha = (np.asarray(t[k], dtype=np.float64) for k in ("beta", "sigma_alpha"))
         for name, values, count in (
                 ("truth.beta", beta, d), ("truth.sigma_alpha", sigma_alpha, q),
-                ("truth.alpha", alpha, m * q), ("truth.noise", noise_flat, n_total),
                 ("prior.nu_beta", prior.nu_beta, d), ("prior.tau_sigma", prior.tau_sigma, q)):
             if values.shape != (count,):
                 raise DataFormatError(f"{name} has shape {values.shape}, expected ({count},) "
                                       f"for d={d}, q={q}, m={m} and {n_total} observations")
+        alpha = _finite(_block_array(rec, "truth.alpha", m * q), "truth.alpha")
+        noise_flat = _finite(_block_array(rec, "truth.noise", n_total), "truth.noise")
+        _finite(beta, "truth.beta")
         sigma_eps = float(t["sigma_eps"])
         for name, values in (("truth.sigma_eps", np.array([sigma_eps])),
                              ("truth.sigma_alpha", sigma_alpha)):
@@ -185,7 +232,7 @@ def _load_records(path, parse, kind: str) -> list:
                 if line.strip():
                     out.append(parse(json.loads(line.decode("utf-8"))))
     except (DataFormatError, ValueError, KeyError, TypeError, AttributeError, EOFError,
-            zlib.error) as exc:
+            OverflowError, zlib.error) as exc:
         raise DataFormatError(f"{path}:{lineno}: bad {kind} record "
                               f"({type(exc).__name__}: {exc})") from None
     if not out:
@@ -199,27 +246,6 @@ def load_datasets(path) -> list[HierDataset]:
 
 # ---------------------------------------------------------------------------
 # posterior draws
-
-
-def _block(a) -> str | None:
-    """A draw block as base64 of its little-endian float64 bytes, C order."""
-    return None if a is None else base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
-
-
-def _block_array(rec: dict, key: str, count: int) -> np.ndarray:
-    """The `count` float64 values of block `key`: base64 text in a version 2
-    record, a number list in a version 1 record."""
-    raw = rec[key]
-    if rec["schema"] == "posterior-draws/1":
-        values = np.asarray(raw, dtype=np.float64).reshape(-1)
-    else:
-        try:  # not text, a non-base64 character, or not whole float64 values
-            values = np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8")
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"draw block {key!r} is not base64 float64 ({exc})") from None
-    if values.size != count:
-        raise DataFormatError(f"draw block {key!r} holds {values.size} values, expected {count}")
-    return values.astype(np.float64)
 
 
 def draws_to_record(draws: PosteriorDraws, intervals: dict | None = None) -> dict:
@@ -300,6 +326,10 @@ def read_observations_csv(path, q: int) -> HierDataset:
                 vals = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric value ({exc})")
+            for name, v in zip(header[1:], vals):
+                if not math.isfinite(v):
+                    raise DataFormatError(f"{path}:{lineno}: {name.strip()} is {v}, "
+                                          "not a finite number")
             if gid not in groups:
                 groups[gid] = []
                 order.append(gid)

@@ -1,12 +1,36 @@
-"""Version 1 draw-record writer.
+"""Version 1 dataset- and draw-record writers.
 
-`draws_to_record` as it was written when each draw block was a flat list of
-numbers (`posterior-draws/1`), before the blocks became base64 float64
-text. It is kept only to make version 1 records, which `mixedflow.io` must
-still load to the same arrays as their version 2 counterparts.
+`dataset_to_record` and `draws_to_record` as they were written when each
+numeric block was a flat list of numbers (`hier-dataset/1`,
+`posterior-draws/1`), before the blocks became base64 float64 text. They
+are kept only to make version 1 records, which `mixedflow.io` must still
+load to the same arrays as their version 2 counterparts.
 """
 
 from mixedflow.draws import PosteriorDraws
+from mixedflow.simulate import HierDataset
+
+
+def dataset_to_record(ds: HierDataset) -> dict:
+    rec = {
+        "schema": "hier-dataset/1",
+        "id": ds.dataset_id,
+        "d": ds.d, "q": ds.q, "m": ds.m,
+        "group_sizes": ds.group_sizes.tolist(),
+        "x": ds.X[ds.mask].reshape(-1).tolist(),
+        "y": ds.y[ds.mask].tolist(),
+        "prior": None,
+        "truth": None,
+    }
+    if ds.truth is not None:
+        rec["prior"] = ds.truth.prior.to_json()
+        gp, lp = ds.truth.global_params, ds.truth.local_params
+        rec["truth"] = {"beta": gp.beta.tolist(),
+                        "sigma_alpha": gp.sigma_alpha.tolist(),
+                        "sigma_eps": gp.sigma_eps,
+                        "alpha": lp.alpha.reshape(-1).tolist(),
+                        "noise": ds.truth.noise[ds.mask].tolist()}
+    return rec
 
 
 def draws_to_record(draws: PosteriorDraws, intervals: dict | None = None) -> dict:

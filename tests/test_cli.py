@@ -242,12 +242,22 @@ def _changed_set(workdir, tmp_path, change) -> str:
     return _write(tmp_path / "d.jsonl", json.dumps(change(_first_record(workdir))) + "\n")
 
 
+def _edited(block: str, edit) -> str:
+    """A base64 float64 block whose decoded values went through `edit`."""
+    return mfio._block(edit(np.frombuffer(base64.b64decode(block), "<f8").copy()))
+
+
 def _empty_first_group(rec: dict) -> dict:
     """The record with its first group's observations removed and its size
     set to 0, every other length consistent."""
     n0, d = rec["group_sizes"][0], rec["d"]
-    return {**rec, "group_sizes": [0] + rec["group_sizes"][1:], "x": rec["x"][n0 * d:],
-            "y": rec["y"][n0:], "truth": {**rec["truth"], "noise": rec["truth"]["noise"][n0:]}}
+    return {**rec, "group_sizes": [0] + rec["group_sizes"][1:],
+            "x": _edited(rec["x"], lambda x: x[n0 * d:]), "y": _edited(rec["y"], lambda y: y[n0:]),
+            "truth": {**rec["truth"], "noise": _edited(rec["truth"]["noise"], lambda e: e[n0:])}}
+
+
+def _nan_first_y(rec: dict) -> dict:
+    return {**rec, "y": _edited(rec["y"], lambda y: np.r_[np.nan, y[1:]])}
 
 
 def _changed_global(change) -> str:
@@ -339,6 +349,15 @@ MALFORMED = [
             **rec, "truth": {**rec["truth"], "sigma_alpha": [float("inf")]}}),
         "--out", str(t / "eval")], 4),
     ("dataset-empty-group", lambda w, t: _infer(w, t, _changed_set(w, t, _empty_first_group)), 4),
+    ("dataset-y-nan", lambda w, t: _infer(w, t, _changed_set(w, t, _nan_first_y)), 4),
+    ("dataset-group-size-fractional", lambda w, t: _infer(w, t, _changed_set(
+        w, t, lambda rec: {**rec, "group_sizes": [n + 0.5 for n in rec["group_sizes"]]})), 4),
+    ("dataset-x-not-base64", lambda w, t: _infer(w, t, _changed_set(
+        w, t, lambda rec: {**rec, "x": "!" + rec["x"][1:]})), 4),
+    ("observations-csv-nan", lambda w, t: _infer(
+        w, t, _write(t / "nan.csv", "group_id,y,x_1\na,1.0,0.5\na,nan,0.5\n")), 4),
+    ("observations-csv-inf", lambda w, t: _infer(
+        w, t, _write(t / "inf.csv", "group_id,y,x_1\na,1.0,inf\n")), 4),
     ("dataset-not-utf8", lambda w, t: _infer(w, t, _write(t / "d.jsonl", b'{"schema": "\xff"}\n')), 4),
     ("calibrate-dataset-not-utf8", lambda w, t: [
         "calibrate", "--checkpoint", str(w / "run" / "best.ckpt"),
@@ -408,6 +427,18 @@ class TestExitCodes:
         assert main(_report(workdir, tmp_path, draws)) == 4
         err = capsys.readouterr().err
         assert err.startswith("format error: ") and f"{draws}:1:" in err
+
+    @pytest.mark.parametrize("change, field", [
+        (_nan_first_y, "y holds a non-finite value"),
+        (lambda rec: {**rec, "x": "!" + rec["x"][1:]}, "block 'x' is not base64"),
+        (lambda rec: {**rec, "q": 0.5}, "q: 0.5 is not an integer"),
+    ], ids=["y-nan", "x-not-base64", "q-fraction"])
+    def test_dataset_error_names_file_line_and_field(self, workdir, tmp_path, capsys, change,
+                                                     field):
+        data = _changed_set(workdir, tmp_path, change)
+        assert main(_infer(workdir, tmp_path, data)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and f"{data}:1:" in err and field in err
 
     def test_chain_csv_error_names_file_and_parameter(self, workdir, tmp_path, capsys):
         chains = _write(tmp_path / "c.csv", _chains("lp__", "beta[0]", "beta[2]", "sigma_eps"))

@@ -1,6 +1,7 @@
 """Record formats: dataset and draw files round-trip losslessly (including
-gzip containers), draw files are strict JSON that keep every float bit and
-still read version 1, observation CSVs build valid datasets, and manifests
+gzip containers), draw files are strict JSON that keep every float bit,
+both still read version 1, observation CSVs build valid datasets, readers
+refuse fractional counts and non-finite observations, and manifests
 carry the reproducibility fields. Writes are atomic and reproducible, and
 io.write_file is the only code in the package that writes a file."""
 
@@ -103,6 +104,34 @@ class TestDatasetFiles:
         with pytest.raises(DataFormatError, match="no dataset records"):
             mfio.load_datasets(path)
 
+    @pytest.mark.parametrize("field, change", [
+        ("y", lambda rec: {"y": _with_first(rec["y"], np.nan)}),
+        ("x", lambda rec: {"x": _with_first(rec["x"], -np.inf)}),
+        ("truth.alpha", lambda rec: {"truth": {**rec["truth"],
+                                               "alpha": _with_first(rec["truth"]["alpha"], np.nan)}}),
+        ("truth.noise", lambda rec: {"truth": {**rec["truth"],
+                                               "noise": _with_first(rec["truth"]["noise"], np.inf)}}),
+        ("truth.beta", lambda rec: {"truth": {**rec["truth"], "beta": [np.nan, 0.0, 0.0]}}),
+    ])
+    def test_non_finite_value_names_its_field(self, tmp_path, field, change):
+        rec = mfio.dataset_to_record(_datasets(1)[0])
+        path = tmp_path / "sets.jsonl"
+        path.write_text(json.dumps({**rec, **change(rec)}) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=f"sets.jsonl:1: .*{field} holds a non-finite value"):
+            mfio.load_datasets(path)
+
+    @pytest.mark.parametrize("field, change", [
+        ("q", lambda rec: {"q": 1.5}), ("m", lambda rec: {"m": rec["m"] + 0.9}),
+        ("d", lambda rec: {"d": 3.0}), ("d", lambda rec: {"d": True}),
+        ("group_sizes", lambda rec: {"group_sizes": [n + 0.5 for n in rec["group_sizes"]]}),
+        ("group_sizes", lambda rec: {"group_sizes": [float(n) for n in rec["group_sizes"]]}),
+    ], ids=["q-1.5", "m-fraction", "d-float", "d-bool", "sizes-fraction", "sizes-float"])
+    def test_counts_must_be_integers(self, field, change):
+        rec = mfio.dataset_to_record(_datasets(1)[0])
+        with pytest.raises(DataFormatError, match=f"{field}: .* is not an integer"):
+            mfio.dataset_from_record({**rec, **change(rec)})
+
 
 class TestDrawFiles:
     def _draws(self, seed=1):
@@ -143,24 +172,44 @@ class TestDrawFiles:
         (back, _), = mfio.load_draws(path)
         assert back.weights is None and back.local_weights is None
 
-    @pytest.mark.parametrize("field, change", [
-        ("global", lambda rec: {"global": _cut(rec["global"], 8)}),
-        ("global", lambda rec: {"global": _cut(rec["global"], 3)}),
-        ("local", lambda rec: {"local": "!" + rec["local"][1:]}),
-        ("log_q_global", lambda rec: {"log_q_global": 1}),
-        ("weights", lambda rec: {"weights": [1.0] * 20}),
-        ("global", lambda rec: {**io_oracle.draws_to_record(mfio.draws_from_record(rec)),
-                                "global": [0.0] * 79}),
-    ], ids=["cut-8-bytes", "cut-3-bytes", "bang", "number", "list-in-v2", "short-v1-list"])
-    def test_malformed_block_names_its_field(self, field, change):
-        rec = mfio.draws_to_record(self._draws())
+    @pytest.mark.parametrize("kind, field, change", [
+        ("draws", "global", lambda rec: {"global": _cut(rec["global"], 8)}),
+        ("draws", "global", lambda rec: {"global": _cut(rec["global"], 3)}),
+        ("draws", "local", lambda rec: {"local": "!" + rec["local"][1:]}),
+        ("draws", "log_q_global", lambda rec: {"log_q_global": 1}),
+        ("draws", "weights", lambda rec: {"weights": [1.0] * 20}),
+        ("draws", "global", lambda rec: {**io_oracle.draws_to_record(mfio.draws_from_record(rec)),
+                                         "global": [0.0] * 79}),
+        ("dataset", "x", lambda rec: {"x": "!" + rec["x"][1:]}),
+        ("dataset", "y", lambda rec: {"y": _cut(rec["y"], 8)}),
+        ("dataset", "truth.alpha", lambda rec: {"truth": {**rec["truth"],
+                                                          "alpha": _cut(rec["truth"]["alpha"], 3)}}),
+        ("dataset", "truth.noise", lambda rec: {"truth": {**rec["truth"], "noise": [0.0]}}),
+        ("dataset", "x", lambda rec: {**io_oracle.dataset_to_record(mfio.dataset_from_record(rec)),
+                                      "x": [0.0] * 5}),
+    ], ids=["cut-8-bytes", "cut-3-bytes", "bang", "number", "list-in-v2", "short-v1-list",
+            "dataset-bang", "dataset-cut-8-bytes", "dataset-cut-3-bytes", "dataset-list-in-v2",
+            "dataset-short-v1-list"])
+    def test_malformed_block_names_its_field(self, kind, field, change):
+        to_record, from_record, value = {
+            "draws": (mfio.draws_to_record, mfio.draws_from_record, self._draws()),
+            "dataset": (mfio.dataset_to_record, mfio.dataset_from_record, _datasets(1)[0]),
+        }[kind]
+        rec = to_record(value)
         with pytest.raises(DataFormatError, match=f"'{field}'"):
-            mfio.draws_from_record({**rec, **change(rec)})
+            from_record({**rec, **change(rec)})
 
 
 def _cut(block: str, nbytes: int) -> str:
     """A base64 block with its last `nbytes` bytes removed."""
     return base64.b64encode(base64.b64decode(block)[:-nbytes]).decode()
+
+
+def _with_first(block: str, value: float) -> str:
+    """A base64 block with its first value replaced by `value`."""
+    values = np.frombuffer(base64.b64decode(block), "<f8").copy()
+    values[0] = value
+    return mfio._block(values)
 
 
 class TestObservationsCSV:
@@ -184,6 +233,14 @@ class TestObservationsCSV:
         path = tmp_path / "obs.csv"
         path.write_text("group_id,y,x_1\na,1.0,2.0\na,oops,3.0\n")
         with pytest.raises(DataFormatError, match="obs.csv:3"):
+            mfio.read_observations_csv(path, q=1)
+
+    @pytest.mark.parametrize("column, row", [("y", "a,nan,3.0"), ("x_1", "a,1.0,inf"),
+                                             ("x_1", "a,1.0,-Infinity")])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, column, row):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"group_id,y,x_1\na,1.0,2.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=f"obs.csv:3: {column} is .*not a finite number"):
             mfio.read_observations_csv(path, q=1)
 
     def test_missing_header(self, tmp_path):
@@ -349,6 +406,40 @@ def test_version1_records_load_like_version2(tmp_path_factory, draws):
             _same_bytes(getattr(a, name), getattr(b, name))
         for name in vars(a.rec):
             _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(datasets=st.lists(_any_dataset(), min_size=1, max_size=3))
+def test_version1_dataset_records_load_like_version2(tmp_path_factory, datasets):
+    root = tmp_path_factory.mktemp("sets")
+    mfio.write_file(root / "v1.jsonl", "".join(json.dumps(io_oracle.dataset_to_record(ds)) + "\n"
+                                               for ds in datasets))
+    mfio.save_datasets(root / "v2.jsonl", datasets)
+    records = [[json.loads(line) for line in (root / name).read_text().splitlines()]
+               for name in ("v1.jsonl", "v2.jsonl")]
+    blocks = {"schema", "x", "y", "alpha", "noise"}
+    for rec1, rec2 in zip(*records, strict=True):
+        assert (rec1["schema"], rec2["schema"]) == ("hier-dataset/1", "hier-dataset/2")
+        assert list(rec1) == list(rec2)
+        assert {k: v for k, v in rec1.items() if k not in blocks | {"truth"}} == \
+            {k: v for k, v in rec2.items() if k not in blocks | {"truth"}}
+        if rec1["truth"] is not None:
+            assert list(rec1["truth"]) == list(rec2["truth"])
+            assert {k: v for k, v in rec1["truth"].items() if k not in blocks} == \
+                {k: v for k, v in rec2["truth"].items() if k not in blocks}
+    for a, b in zip(mfio.load_datasets(root / "v1.jsonl"), mfio.load_datasets(root / "v2.jsonl"),
+                    strict=True):
+        assert (a.q, a.dataset_id) == (b.q, b.dataset_id)
+        for name in ("X", "Z", "y", "mask", "group_sizes"):
+            _same_bytes(getattr(a, name), getattr(b, name))
+        assert (a.truth is None) == (b.truth is None)
+        if a.truth is not None:
+            for x, y in [(a.truth.prior, b.truth.prior),
+                         (a.truth.global_params, b.truth.global_params),
+                         (a.truth.local_params, b.truth.local_params)]:
+                for name in vars(x):
+                    _same_bytes(getattr(x, name), getattr(y, name))
+            _same_bytes(a.truth.noise, b.truth.noise)
 
 
 # one way to write a file ------------------------------------------------------
