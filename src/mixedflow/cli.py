@@ -9,7 +9,6 @@ outputs. Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict
@@ -25,10 +24,15 @@ from .pipeline import REFINE_MODES, infer_one, posterior_draws
 from .refine import ALPHA_GRID, ConformalTable, calibrate
 from .report import render_table, svg_coverage_curve, svg_scatter, write_report_csv
 from .seeding import substream
-from .simulate import PriorSpec, SimConfig, simulate_conjugate_dataset, simulate_dataset
+from .simulate import SimConfig, simulate_conjugate_dataset, simulate_dataset
 from .train import TrainConfig, train
 
 __all__ = ["main"]
+
+# (error type, stderr label and exit code), the first that matches applies
+_EXIT_CODES = [(ConfigError, ("configuration error", 2)), (NumericError, ("numeric failure", 3)),
+              (DataFormatError, ("format error", 4)), (OSError, ("i/o error", 4)),
+              (MixedFlowError, ("error", 2))]
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -46,23 +50,10 @@ def _positive_int(text: str) -> int:
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
-    alphas = tuple(float(a) for a in text.split(","))
+    alphas = tuple(sorted({float(a) for a in text.split(",")}))
     if not all(0.0 < a < 1.0 for a in alphas):
         raise argparse.ArgumentTypeError(f"every alpha must lie in (0, 1), got {text!r}")
     return alphas
-
-
-def _load_json(path, build, what: str):
-    """build(obj) for the JSON in `path`; bad JSON or content is a DataFormatError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return build(json.load(fh))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataFormatError(f"{path}: bad {what} file ({type(exc).__name__}: {exc})") from None
-
-
-def _load_prior(path) -> PriorSpec:
-    return _load_json(path, PriorSpec.from_json, "prior")
 
 
 def _conformal_table(args) -> ConformalTable | None:
@@ -72,14 +63,13 @@ def _conformal_table(args) -> ConformalTable | None:
         return None
     if not args.conformal_table:
         raise ConfigError("conformal refinement needs a calibration table")
-    return _load_json(args.conformal_table, ConformalTable.from_json, "conformal table")
+    return mfio.load_table(args.conformal_table)
 
 
 def _read_input_datasets(args):
-    path = Path(args.data)
-    if path.suffix == ".csv":
-        return [mfio.read_observations_csv(path, q=args.q)]
-    return mfio.load_datasets(path)
+    if Path(args.data).suffix == ".csv":
+        return [mfio.read_observations_csv(args.data, q=args.q)]
+    return mfio.load_datasets(args.data)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +98,7 @@ def cmd_train(args) -> int:
     fields = dict(d=args.d, q=args.q, budget=args.budget, batch_size=args.batch,
                   seed=args.seed, toy=args.toy)
     if args.config:
-        fields.update(_load_json(args.config, lambda obj: {
+        fields.update(mfio.load_json(args.config, lambda obj: {
             k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}, "config"))
     try:
         cfg = TrainConfig(**fields)
@@ -134,7 +124,7 @@ def cmd_infer(args) -> int:
     table = _conformal_table(args)
     model, manifest, _ = load_model(args.checkpoint)
     datasets = _read_input_datasets(args)
-    prior = _load_prior(args.prior) if args.prior else None
+    prior = mfio.load_prior(args.prior, datasets[0].d, datasets[0].q) if args.prior else None
     records = []
     for i, ds in enumerate(datasets):
         draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "infer", i),
@@ -193,14 +183,10 @@ def cmd_report(args) -> int:
     datasets = {ds.dataset_id: ds for ds in mfio.load_datasets(args.data)}
     reports, all_evals = {}, {}
     for spec_item in args.draws:
-        if "=" in spec_item:
-            name, path = spec_item.split("=", 1)
-        else:
-            name, path = Path(spec_item).stem, spec_item
-        if path.endswith(".csv"):
-            draw_list = [ingest_external_samples(path)]
-        else:
-            draw_list = mfio.load_draws(path)
+        name, labeled, path = spec_item.partition("=")
+        name, path = (name, path) if labeled else (Path(spec_item).stem, spec_item)
+        draw_list = ([ingest_external_samples(path)] if path.endswith(".csv")
+                     else mfio.load_draws(path))
         evals, skipped = [], []
         for draws, rec in draw_list:
             ds = datasets.get(draws.dataset_id)
@@ -259,9 +245,7 @@ def _emit_reports(out_dir: Path, reports, evals, alphas) -> list[str]:
 
 
 def vars_for_manifest(args) -> dict:
-    skip = {"func"}
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in vars(args).items() if k not in skip}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(args).items() if k != "func"}
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +334,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError,) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except DataFormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    except MixedFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (MixedFlowError, OSError) as exc:
+        label, code = next(out for kind, out in _EXIT_CODES if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

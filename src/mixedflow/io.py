@@ -17,8 +17,14 @@ A numeric block is one ASCII string, the base64 of the array's
 little-endian float64 bytes in C order (null when absent): exact for every
 value, strict JSON, and without the cost of float-to-text conversion.
 Version 1 records of either kind, with number lists in place of blocks,
-still load. Counts must be JSON integers, and observations and truth
-values must be finite.
+still load.
+
+Reading: dataset and draw records, conformal tables and prior files are
+read field by field, without coercion, by four typed readers: _int (JSON
+integers in a range, never a bool or 5.0), _flag (true or false), _numbers
+(finite float64 values above a bound; a numeric block in a version 2
+block field) and _schema (versions /1 and /2). A broken field is a
+DataFormatError naming it ("truth.noise"); the loaders add file and line.
 
 Observation CSV: one row per observation with columns
 group_id, y, x_1..x_p; the intercept column is synthesized, so the model
@@ -50,15 +56,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .draws import PosteriorDraws
 from .errors import ConfigError, DataFormatError
+from .refine import ROLES, ConformalTable
 from .simulate import GlobalParams, HierDataset, LocalParams, PriorSpec, Truth
 from .standardize import StandardizationRecord
 
 __all__ = [
     "save_datasets", "load_datasets", "dataset_to_record", "dataset_from_record",
     "save_draws", "load_draws", "draws_to_record", "draws_from_record",
-    "read_observations_csv", "write_manifest", "write_json", "write_file", "config_hash",
+    "load_json", "load_prior", "load_table", "read_observations_csv",
+    "write_manifest", "write_json", "write_file", "config_hash",
 ]
 
 DATASET_SCHEMA = "hier-dataset/2"
@@ -105,7 +114,13 @@ def _save_records(path, records):
 
 
 # ---------------------------------------------------------------------------
-# numeric blocks
+# reading records field by field
+
+
+# the fields that a version 2 record holds as numeric blocks
+_BLOCKS = frozenset({"x", "y", "truth.alpha", "truth.noise", "global", "log_q_global",
+                     "local", "log_q_local", "weights", "local_weights"})
+_POSITIVE = 5e-324  # the least float above 0: as a low bound it means "> 0"
 
 
 def _block(a) -> str | None:
@@ -113,23 +128,86 @@ def _block(a) -> str | None:
     return None if a is None else base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
 
 
-def _block_array(rec: dict, key: str, count: int) -> np.ndarray:
-    """The `count` float64 values of block `key` (dotted for a nested field,
-    as in "truth.noise"): base64 text in a version 2 record, a number list
-    in a version 1 record."""
-    raw = rec
+def _bad(key: str, problem: str) -> DataFormatError:
+    return DataFormatError(f"{key!r} {problem}")
+
+
+def _schema(rec: dict, name: str):
+    """Refuse a record that is not version 1 or 2 of `name`."""
+    if rec.get("schema") not in (f"{name}/1", f"{name}/2"):
+        raise _bad("schema", f"holds {rec.get('schema')!r}, not {name}/1 or {name}/2")
+
+
+def _field(rec: dict, key: str):
+    """The value at `key`, dotted for a nested field ("truth.noise")."""
+    value = rec
     for part in key.split("."):
-        raw = raw[part]
-    if rec["schema"].endswith("/1"):
-        values = np.asarray(raw, dtype=np.float64).reshape(-1)
-    else:
+        if not isinstance(value, dict) or part not in value:
+            raise _bad(key, "is missing")
+        value = value[part]
+    return value
+
+
+def _int(rec: dict, key: str, low: int, count: int | None = None, high=math.inf):
+    """The JSON integer in [low, high] at `key` (not a bool, not 5.0); with
+    `count`, a list of that many."""
+    raw = _field(rec, key)
+    if count is not None and not (isinstance(raw, list) and len(raw) == count):
+        raise _bad(key, f"is not a list of {count} integers")
+    for v in raw if count is not None else [raw]:
+        if type(v) is not int or not low <= v <= high:
+            raise _bad(key, f"holds {v!r}, not an integer in [{low}, {high}]")
+    return raw
+
+
+def _flag(rec: dict, key: str) -> bool:
+    value = _field(rec, key)
+    if type(value) is not bool:
+        raise _bad(key, f"holds {value!r}, not true or false")
+    return value
+
+
+def _numbers(rec: dict, key: str, count: int | None, low: float = -math.inf) -> np.ndarray:
+    """`count` (any number if None) finite float64 values >= low at `key`:
+    a numeric block in a version 2 record's block field, else a JSON
+    number or number list."""
+    raw = _field(rec, key)
+    if key in _BLOCKS and rec["schema"].endswith("/2"):
         try:  # not text, a non-base64 character, or not whole float64 values
-            values = np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8")
+            values = np.frombuffer(base64.b64decode(raw, validate=True), "<f8")
         except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"block {key!r} is not base64 float64 ({exc})") from None
-    if values.size != count:
-        raise DataFormatError(f"block {key!r} holds {values.size} values, expected {count}")
+            raise _bad(key, f"is not base64 float64 ({exc})") from None
+    else:
+        items = raw if isinstance(raw, list) else [raw]
+        wrong = [v for v in items if type(v) not in (int, float)]
+        if wrong:
+            raise _bad(key, f"holds {wrong[0]!r}, not a number")
+        values = np.array(items, dtype=np.float64)
+    if count is not None and values.size != count:
+        raise _bad(key, f"holds {values.size} values, expected {count}")
+    bad = ~(np.isfinite(values) & (values >= low))
+    if bad.any():
+        raise _bad(key, f"holds {values[bad][0]}, not a finite number"
+                   + (f" >= {low}" if low > -math.inf else ""))
     return values.astype(np.float64)
+
+
+def _padded(sizes: list[int], *flat: np.ndarray):
+    """The validity mask of groups of `sizes`, then each array of `flat`
+    ((n_total, ...), group by group) in zeros of shape (m, max size, ...)."""
+    mask = np.arange(max(sizes)) < np.array(sizes, dtype=np.int64)[:, None]
+    out = [np.zeros(mask.shape + a.shape[1:]) for a in flat]
+    for padded, a in zip(out, flat):
+        padded[mask] = a
+    return mask, *out
+
+
+def _prior(rec: dict, d: int, q: int, at: str = "") -> PriorSpec:
+    """The prior at `at` ("prior." in a dataset record) for d fixed and q
+    random effects."""
+    return PriorSpec(_numbers(rec, at + "nu_beta", d), _numbers(rec, at + "tau_beta", d, _POSITIVE),
+                     _numbers(rec, at + "tau_sigma", q, _POSITIVE),
+                     _numbers(rec, at + "tau_eps", 1, _POSITIVE).item())
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +215,9 @@ def _block_array(rec: dict, key: str, count: int) -> np.ndarray:
 
 
 def dataset_to_record(ds: HierDataset) -> dict:
-    rec = {
-        "schema": DATASET_SCHEMA,
-        "id": ds.dataset_id,
-        "d": ds.d, "q": ds.q, "m": ds.m,
-        "group_sizes": ds.group_sizes.tolist(),
-        "x": _block(ds.X[ds.mask]),
-        "y": _block(ds.y[ds.mask]),
-        "prior": None,
-        "truth": None,
-    }
+    rec = {"schema": DATASET_SCHEMA, "id": ds.dataset_id, "d": ds.d, "q": ds.q, "m": ds.m,
+           "group_sizes": ds.group_sizes.tolist(), "x": _block(ds.X[ds.mask]),
+           "y": _block(ds.y[ds.mask]), "prior": None, "truth": None}
     if ds.truth is not None:
         rec["prior"] = ds.truth.prior.to_json()
         gp, lp = ds.truth.global_params, ds.truth.local_params
@@ -158,61 +229,22 @@ def dataset_to_record(ds: HierDataset) -> dict:
     return rec
 
 
-def _count(value, name: str) -> int:
-    """A JSON integer (not a bool, not a float with an integral value)."""
-    if type(value) is not int:
-        raise DataFormatError(f"{name}: {value!r} is not an integer")
-    return value
-
-
-def _finite(values: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise DataFormatError(f"{name} holds a non-finite value")
-    return values
-
-
 def dataset_from_record(rec: dict) -> HierDataset:
-    if rec.get("schema") not in (DATASET_SCHEMA, "hier-dataset/1"):
-        raise DataFormatError(f"not a {DATASET_SCHEMA} record: schema={rec.get('schema')!r}")
-    d, q, m = (_count(rec[key], key) for key in ("d", "q", "m"))
-    if not 0 <= q <= d or d < 1:
-        raise DataFormatError(f"d={d}, q={q}: need d >= 1 and q in [0, d]")
-    sizes = np.array([_count(n, "group_sizes") for n in rec["group_sizes"]], dtype=np.int64)
-    if sizes.shape[0] != m:
-        raise DataFormatError("group_sizes length disagrees with m")
-    if m < 1 or sizes.min() < 1:
-        raise DataFormatError("group_sizes needs m >= 1 groups of at least one observation")
-    n_total = int(sizes.sum())
-    x = _finite(_block_array(rec, "x", n_total * d), "x")
-    y_flat = _finite(_block_array(rec, "y", n_total), "y")
-    n_max = int(sizes.max())
-    X = np.zeros((m, n_max, d))
-    y = np.zeros((m, n_max))
-    mask = np.arange(n_max)[None, :] < sizes[:, None]
-    X[mask] = x.reshape(n_total, d)
-    y[mask] = y_flat
+    _schema(rec, "hier-dataset")
+    d, m = _int(rec, "d", 1), _int(rec, "m", 1)
+    q = _int(rec, "q", 0, high=d)
+    sizes = _int(rec, "group_sizes", 1, count=m)
+    n_total = sum(sizes)
+    mask, X, y = _padded(sizes, _numbers(rec, "x", n_total * d).reshape(n_total, d),
+                         _numbers(rec, "y", n_total))
     truth = None
     if rec.get("truth") is not None:
-        t, prior = rec["truth"], PriorSpec.from_json(rec["prior"])
-        beta, sigma_alpha = (np.asarray(t[k], dtype=np.float64) for k in ("beta", "sigma_alpha"))
-        for name, values, count in (
-                ("truth.beta", beta, d), ("truth.sigma_alpha", sigma_alpha, q),
-                ("prior.nu_beta", prior.nu_beta, d), ("prior.tau_sigma", prior.tau_sigma, q)):
-            if values.shape != (count,):
-                raise DataFormatError(f"{name} has shape {values.shape}, expected ({count},) "
-                                      f"for d={d}, q={q}, m={m} and {n_total} observations")
-        alpha = _finite(_block_array(rec, "truth.alpha", m * q), "truth.alpha")
-        noise_flat = _finite(_block_array(rec, "truth.noise", n_total), "truth.noise")
-        _finite(beta, "truth.beta")
-        sigma_eps = float(t["sigma_eps"])
-        for name, values in (("truth.sigma_eps", np.array([sigma_eps])),
-                             ("truth.sigma_alpha", sigma_alpha)):
-            if not ((values >= 0) & (values < np.inf)).all():
-                raise DataFormatError(f"{name} {values.tolist()}: std devs must be finite and >= 0")
-        noise = np.zeros((m, n_max))
-        noise[mask] = noise_flat
-        truth = Truth(prior, GlobalParams(beta, sigma_alpha, sigma_eps),
-                      LocalParams(alpha.reshape(m, q)), noise)
+        gp = GlobalParams(_numbers(rec, "truth.beta", d),
+                          _numbers(rec, "truth.sigma_alpha", q, 0.0),
+                          _numbers(rec, "truth.sigma_eps", 1, 0.0).item())
+        truth = Truth(_prior(rec, d, q, "prior."), gp,
+                      LocalParams(_numbers(rec, "truth.alpha", m * q).reshape(m, q)),
+                      _padded(sizes, _numbers(rec, "truth.noise", n_total))[1])
     return HierDataset(X=X, y=y, mask=mask, q=q, truth=truth,
                        dataset_id=str(rec.get("id", "")))
 
@@ -221,14 +253,15 @@ def save_datasets(path, datasets: list[HierDataset]):
     _save_records(path, (dataset_to_record(ds) for ds in datasets))
 
 
-def _load_records(path, parse, kind: str) -> list:
-    """parse(record) for every non-blank line of a record file. A record
-    that does not parse or decode (bad UTF-8, a cut or corrupt gzip
-    stream) is a DataFormatError naming its line."""
+def _load_records(path, parse, kind: str, whole: bool = False) -> list:
+    """parse(record) for every non-blank line of a record file, or for the
+    one JSON document that a `whole` file holds from line 1. A record that
+    does not parse or decode (bad UTF-8, a cut or corrupt gzip stream) is a
+    DataFormatError naming its line."""
     out, lineno = [], 0
     try:
         with _open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate([fh.read()] if whole else fh, start=1):
                 if line.strip():
                     out.append(parse(json.loads(line.decode("utf-8"))))
     except (DataFormatError, ValueError, KeyError, TypeError, AttributeError, EOFError,
@@ -240,8 +273,38 @@ def _load_records(path, parse, kind: str) -> list:
     return out
 
 
+def load_json(path, parse, kind: str):
+    """parse(obj) for the JSON document in `path`, with _load_records' errors."""
+    return _load_records(path, parse, kind, whole=True)[0]
+
+
 def load_datasets(path) -> list[HierDataset]:
     return _load_records(path, dataset_from_record, "dataset")
+
+
+def load_prior(path, d: int, q: int) -> PriorSpec:
+    """A prior file (the fields of `PriorSpec.to_json`) for data with d
+    fixed and q random effects."""
+    return load_json(path, lambda rec: _prior(rec, d, q), "prior")
+
+
+def _table(rec: dict) -> ConformalTable:
+    alphas = _numbers(rec, "alphas", None)
+    if alphas.size == 0 or not (np.diff(np.r_[0.0, alphas, 1.0]) > 0).all():
+        raise _bad("alphas", f"holds {alphas.tolist()}, not increasing within (0, 1)")
+    roles = _field(rec, "adjustments")
+    if not isinstance(roles, dict) or not set(roles) <= set(ROLES):
+        raise _bad("adjustments", f"holds {roles!r}, not adjustments of roles {ROLES}")
+    return ConformalTable(
+        tuple(alphas.tolist()),
+        {role: _numbers(rec, f"adjustments.{role}", alphas.size).tolist() for role in roles},
+        str(rec.get("checkpoint_id", "")), _int(rec, "n_calibration", 0),
+        _flag(rec, "low_confidence"))
+
+
+def load_table(path) -> ConformalTable:
+    """A conformal table as `calibrate` writes it (`ConformalTable.to_json`)."""
+    return load_json(path, _table, "conformal table")
 
 
 # ---------------------------------------------------------------------------
@@ -249,48 +312,45 @@ def load_datasets(path) -> list[HierDataset]:
 
 
 def draws_to_record(draws: PosteriorDraws, intervals: dict | None = None) -> dict:
-    rec = {
-        "schema": DRAWS_SCHEMA,
-        "dataset_id": draws.dataset_id,
-        "k": draws.k, "d": draws.d, "q": draws.q,
-        "infer_noise": draws.infer_noise,
-        "param_names": draws.param_names(),
-        "global": _block(draws.global_std),
-        "log_q_global": _block(draws.log_q_global),
-        "local": _block(draws.local_std), "log_q_local": _block(draws.log_q_local),
-        "weights": _block(draws.weights), "local_weights": _block(draws.local_weights),
-        "standardization": draws.rec.to_json(),
-        "intervals": intervals,
-    }
+    rec = {"schema": DRAWS_SCHEMA, "dataset_id": draws.dataset_id,
+           "k": draws.k, "d": draws.d, "q": draws.q, "infer_noise": draws.infer_noise,
+           "param_names": draws.param_names(), "global": _block(draws.global_std),
+           "log_q_global": _block(draws.log_q_global),
+           "local": _block(draws.local_std), "log_q_local": _block(draws.log_q_local),
+           "weights": _block(draws.weights), "local_weights": _block(draws.local_weights),
+           "standardization": draws.rec.to_json(), "intervals": intervals}
     if draws.local_std is not None:
         rec["m"] = draws.m
     return rec
 
 
 def draws_from_record(rec: dict) -> PosteriorDraws:
-    if rec.get("schema") not in (DRAWS_SCHEMA, "posterior-draws/1"):
-        raise DataFormatError(f"not a {DRAWS_SCHEMA} record: schema={rec.get('schema')!r}")
-    k, d, q = int(rec["k"]), int(rec["d"]), int(rec["q"])
-    infer_noise = bool(rec["infer_noise"])
-    p = d + q + (1 if infer_noise else 0)
-    global_std = _block_array(rec, "global", k * p).reshape(k, p)
-    local = log_q_local = weights = local_weights = None
-    if rec.get("local") is not None:
-        m = int(rec["m"])
-        local = _block_array(rec, "local", k * m * q).reshape(k, m, q)
-        log_q_local = _block_array(rec, "log_q_local", k * m).reshape(k, m)
-        if rec.get("local_weights") is not None:
-            local_weights = _block_array(rec, "local_weights", k * m).reshape(k, m)
-    if rec.get("weights") is not None:
-        weights = _block_array(rec, "weights", k)
-    return PosteriorDraws(
-        global_std=global_std,
-        log_q_global=_block_array(rec, "log_q_global", k),
-        d=d, q=q, infer_noise=infer_noise,
-        rec=StandardizationRecord.from_json(rec["standardization"]),
-        local_std=local, log_q_local=log_q_local,
-        weights=weights, local_weights=local_weights,
+    _schema(rec, "posterior-draws")
+    k, d = _int(rec, "k", 1), _int(rec, "d", 1)
+    q, infer_noise = _int(rec, "q", 0, high=d), _flag(rec, "infer_noise")
+    std = "standardization."
+    draws = PosteriorDraws(
+        global_std=_numbers(rec, "global", k * (d + q + infer_noise)).reshape(k, -1),
+        log_q_global=_numbers(rec, "log_q_global", k), d=d, q=q, infer_noise=infer_noise,
+        rec=StandardizationRecord(
+            _numbers(rec, std + "mu_x", d), _numbers(rec, std + "sigma_x", d, _POSITIVE),
+            _numbers(rec, std + "mu_y", 1).item(),
+            _numbers(rec, std + "sigma_y", 1, _POSITIVE).item(),
+            np.array(_int(rec, std + "degenerate_x", 0, count=d, high=1), dtype=bool),
+            _flag(rec, std + "degenerate_y")),
         dataset_id=str(rec.get("dataset_id", "")))
+    if rec.get("local") is not None:
+        m = _int(rec, "m", 1)
+        draws.local_std = _numbers(rec, "local", k * m * q).reshape(k, m, q)
+        draws.log_q_local = _numbers(rec, "log_q_local", k * m).reshape(k, m)
+        if rec.get("local_weights") is not None:
+            draws.local_weights = _numbers(rec, "local_weights", k * m, 0.0).reshape(k, m)
+    if rec.get("weights") is not None:
+        draws.weights = _numbers(rec, "weights", k, 0.0)
+    for key, w in (("weights", draws.weights), ("local_weights", draws.local_weights)):
+        if w is not None and not (w.sum(axis=0) > 0).all():
+            raise _bad(key, "has no positive total")
+    return draws
 
 
 def save_draws(path, records: list[dict]):
@@ -309,20 +369,17 @@ def load_draws(path) -> list[tuple[PosteriorDraws, dict]]:
 def read_observations_csv(path, q: int) -> HierDataset:
     """Build a dataset from one-row-per-observation CSV with columns
     group_id, y, x_1..x_p (intercept synthesized as column 0)."""
-    groups: dict[str, list[list[float]]] = {}
-    order: list[str] = []
+    groups: dict[str, list[list[float]]] = {}  # in order of first appearance
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip() != "group_id" \
-                or header[1].strip() != "y":
+        if [h.strip() for h in (header or [])[:2]] != ["group_id", "y"]:
             raise DataFormatError(f"{path}: expected header group_id,y,x_1..x_d")
         p = len(header) - 2
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2 + p:
                 raise DataFormatError(f"{path}:{lineno}: expected {2 + p} fields, got {len(row)}")
             try:
-                gid = row[0].strip()
                 vals = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric value ({exc})")
@@ -330,26 +387,14 @@ def read_observations_csv(path, q: int) -> HierDataset:
                 if not math.isfinite(v):
                     raise DataFormatError(f"{path}:{lineno}: {name.strip()} is {v}, "
                                           "not a finite number")
-            if gid not in groups:
-                groups[gid] = []
-                order.append(gid)
-            groups[gid].append(vals)
-    if not order:
+            groups.setdefault(row[0].strip(), []).append(vals)
+    if not groups:
         raise DataFormatError(f"{path}: header but no observation rows")
-    d = p + 1
-    if q > d:
-        raise ConfigError(f"q={q} exceeds d={d} (including the synthesized intercept)")
-    m = len(order)
-    sizes = np.array([len(groups[g]) for g in order], dtype=np.int64)
-    n_max = int(sizes.max())
-    X = np.zeros((m, n_max, d))
-    y = np.zeros((m, n_max))
-    mask = np.arange(n_max)[None, :] < sizes[:, None]
-    for i, gid in enumerate(order):
-        arr = np.asarray(groups[gid], dtype=np.float64)
-        X[i, :sizes[i], 0] = 1.0
-        X[i, :sizes[i], 1:] = arr[:, 1:]
-        y[i, :sizes[i]] = arr[:, 0]
+    if q > p + 1:
+        raise ConfigError(f"q={q} exceeds d={p + 1} (including the synthesized intercept)")
+    rows = np.array([row for group in groups.values() for row in group])
+    mask, X, y = _padded([len(g) for g in groups.values()], np.c_[np.ones(len(rows)), rows[:, 1:]],
+                         rows[:, 0])
     return HierDataset(X=X, y=y, mask=mask, q=q, dataset_id=Path(path).stem)
 
 
@@ -364,23 +409,9 @@ def config_hash(config: dict) -> str:
 
 def write_manifest(path, command: str, config: dict, seed: int | None,
                    inputs: dict | None = None, outputs: list[str] | None = None):
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": config_hash(config),
-        "seed": seed,
-        "versions": {
-            "mixedflow": _package_version(),
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "inputs": inputs or {},
-        "outputs": outputs or [],
-    }
+    manifest = {"command": command, "config": config, "config_hash": config_hash(config),
+                "seed": seed, "versions": {"mixedflow": __version__, "numpy": np.__version__,
+                                           "python": sys.version.split()[0]},
+                "inputs": inputs or {}, "outputs": outputs or []}
     write_json(path, manifest)
     return manifest
-
-
-def _package_version() -> str:
-    from . import __version__
-    return __version__

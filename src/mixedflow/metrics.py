@@ -182,8 +182,9 @@ def ingest_external_samples(path) -> tuple[PosteriorDraws, dict]:
 
     Parameter names follow the draw-file convention: beta[j], sigma[j],
     sigma_eps, alpha[i,j]; a gap in any index range is a DataFormatError,
-    and the largest group index i sets the group count. The dataset id is the file stem, as for an
-    observation CSV. Returns (draws, info) where info records the
+    and the largest group index i sets the group count. The dataset id is
+    the file stem, and a non-finite value makes its row malformed, as for
+    an observation CSV. Returns (draws, info) where info records the
     per-chain outlier counts and the selected chain.
     """
     series: dict[tuple[str, str], list[tuple[int, float]]] = {}
@@ -194,13 +195,12 @@ def ingest_external_samples(path) -> tuple[PosteriorDraws, dict]:
         if header is None or [h.strip().lower() for h in header[:4]] != ["chain", "draw", "parameter", "value"]:
             raise DataFormatError(f"{path}: expected header chain,draw,parameter,value")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) < 4:
-                bad_lines.append(lineno)
-                continue
-            try:
+            try:  # a short row, a non-integer draw or a non-numeric value
                 chain, draw = row[0].strip(), int(row[1])
                 param, value = row[2].strip(), float(row[3])
-            except ValueError:
+            except (IndexError, ValueError):
+                value = np.nan
+            if not np.isfinite(value):
                 bad_lines.append(lineno)
                 continue
             series.setdefault((chain, param), []).append((draw, value))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .draws import PosteriorDraws
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError
 from .simulate import GlobalParams, HierDataset, LocalParams, PriorSpec
 from .standardize import standardize_params
 
@@ -330,16 +330,10 @@ class ConformalTable:
     def adjustment(self, role: str, alpha: float) -> float:
         if role not in self.adjustments:
             raise ConfigError(f"no calibration for role {role!r}")
-        alphas = np.asarray(self.alphas)
-        exact = np.isclose(alphas, alpha)
-        if exact.any():
-            idx = int(np.argmax(exact))
-        else:
-            idx = int(np.argmin(np.abs(alphas - alpha)))
-            if alpha not in self._warned:
-                self._warned.add(alpha)
-                log.warning("alpha %.3g not calibrated, using nearest %.3g",
-                            alpha, self.alphas[idx])
+        idx = int(np.argmin(np.abs(np.asarray(self.alphas) - alpha)))
+        if not np.isclose(self.alphas[idx], alpha) and alpha not in self._warned:
+            self._warned.add(alpha)
+            log.warning("alpha %.3g not calibrated, using nearest %.3g", alpha, self.alphas[idx])
         return self.adjustments[role][idx]
 
     def to_json(self) -> dict:
@@ -348,15 +342,6 @@ class ConformalTable:
                 "checkpoint_id": self.checkpoint_id,
                 "n_calibration": self.n_calibration,
                 "low_confidence": self.low_confidence}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConformalTable":
-        table = cls(tuple(obj["alphas"]), {k: list(v) for k, v in obj["adjustments"].items()},
-                    obj.get("checkpoint_id", ""), int(obj.get("n_calibration", 0)),
-                    bool(obj.get("low_confidence", False)))
-        if any(len(adj) != len(table.alphas) for adj in table.adjustments.values()):
-            raise DataFormatError("conformal table needs one adjustment per alpha and role")
-        return table
 
 
 def border_scores(draws: PosteriorDraws, borders, gp_true: GlobalParams,
@@ -435,7 +420,8 @@ def apply_calibration(draws: PosteriorDraws, table: ConformalTable | None,
     """Interval borders in standardized units for every alpha, global
     (A, p_global, 2) and local (A, m, q, 2) or None without local draws,
     each widened or narrowed by the table entry of its role (no table
-    means the raw weighted empirical quantile interval)."""
+    means the raw weighted empirical quantile interval). An entry that
+    would invert an interval empties it at its midpoint instead."""
     roles = [role for _, role in draws.layout]
     b_global, b_local = draws.interval_borders(alphas)
 
@@ -443,8 +429,11 @@ def apply_calibration(draws: PosteriorDraws, table: ConformalTable | None,
         adj = [table.adjustment(role, a) if table is not None else 0.0 for a in alphas]
         return np.multiply.outer(adj, [-1.0, 1.0])
 
+    def emptied(b):  # an inverted pair becomes its midpoint twice
+        return np.where(b[..., :1] > b[..., 1:], b.mean(axis=-1, keepdims=True), b)
+
     per_role = {r: widen(r) for r in dict.fromkeys(roles)}
-    b_global = b_global + np.stack([per_role[r] for r in roles], axis=1)
+    b_global = emptied(b_global + np.stack([per_role[r] for r in roles], axis=1))
     if not draws.q or b_local is None:
         return b_global, None
-    return b_global, b_local + widen("random")[:, None, None]
+    return b_global, emptied(b_local + widen("random")[:, None, None])

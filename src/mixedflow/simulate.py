@@ -81,11 +81,6 @@ class PriorSpec:
         return {"nu_beta": self.nu_beta.tolist(), "tau_beta": self.tau_beta.tolist(),
                 "tau_sigma": self.tau_sigma.tolist(), "tau_eps": self.tau_eps}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PriorSpec":
-        """The prior of a `to_json` dict; no `tau_sigma` means q = 0."""
-        return cls(obj["nu_beta"], obj["tau_beta"], obj.get("tau_sigma", []), obj["tau_eps"])
-
     @property
     def d(self) -> int:
         return self.nu_beta.shape[0]

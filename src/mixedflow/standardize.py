@@ -55,14 +55,6 @@ class StandardizationRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "StandardizationRecord":
-        return cls(np.asarray(obj["mu_x"], dtype=np.float64),
-                   np.asarray(obj["sigma_x"], dtype=np.float64),
-                   float(obj["mu_y"]), float(obj["sigma_y"]),
-                   np.asarray(obj["degenerate_x"], dtype=bool),
-                   bool(obj["degenerate_y"]))
-
-    @classmethod
     def identity(cls, d: int) -> "StandardizationRecord":
         return cls(np.concatenate([[1.0], np.zeros(d - 1)]) if d else np.zeros(0),
                    np.ones(d), 0.0, 1.0, np.zeros(d, dtype=bool))

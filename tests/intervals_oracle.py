@@ -3,8 +3,9 @@
 The conformal border adjustment, the map of the borders to the data scale
 and the coverage hits of `evaluate_dataset`, as they were written one
 alpha, one component and one group at a time with tuples of Python floats,
-before they worked on border arrays. It is slower and kept only as the
-oracle that `refine.apply_calibration`, `pipeline.intervals_to_data_scale`,
+before they worked on border arrays, plus the later rule that an adjustment
+which would invert an interval empties it at its midpoint. It is slower
+and kept only as the oracle that `refine.apply_calibration`, `pipeline.intervals_to_data_scale`,
 `pipeline.infer_one` and `metrics.evaluate_dataset` must reproduce.
 """
 
@@ -25,16 +26,20 @@ def apply_calibration(draws, table, alphas) -> dict[float, dict]:
     def adj(role, alpha):
         return table.adjustment(role, alpha) if table is not None else 0.0
 
+    def border(lo, hi, a):  # an adjustment that inverts the interval empties it
+        lo, hi = float(lo - a), float(hi + a)
+        return (lo, hi) if lo <= hi else ((lo + hi) / 2,) * 2
+
     out = {}
     for a_idx, alpha in enumerate(alphas):
         out_global = []
         for role, (lo, hi) in zip(roles, b_global[a_idx]):
             a = adj(role, alpha)
-            out_global.append((float(lo - a), float(hi + a)))
+            out_global.append(border(lo, hi, a))
         out_local = None
         if draws.q and b_local is not None:
             a = adj("random", alpha)
-            out_local = [[(float(lo - a), float(hi + a)) for lo, hi in row]
+            out_local = [[border(lo, hi, a) for lo, hi in row]
                          for row in b_local[a_idx]]
         out[alpha] = {"alpha": alpha, "global": out_global, "local": out_local}
     return out

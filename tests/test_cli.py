@@ -14,6 +14,8 @@ import pytest
 import io_oracle
 from mixedflow.cli import main
 from mixedflow import io as mfio
+from mixedflow import refine
+from mixedflow.metrics import evaluate_dataset
 from mixedflow.draws import PosteriorDraws
 from mixedflow.nn.checkpoint import load_checkpoint, save_checkpoint
 from mixedflow.standardize import StandardizationRecord
@@ -81,6 +83,51 @@ class TestPipeline:
                      "--data", str(workdir / "sets.jsonl"), "--k", "40", "--seed", "9",
                      "--refine", "conformal", "--conformal-table", str(table_path),
                      "--out", str(out)]) == 0
+
+    def test_calibrate_alphas_are_sorted_and_distinct(self, workdir, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["calibrate", "--checkpoint", str(workdir / "run" / "best.ckpt"),
+                     "--sets", str(workdir / "sets.jsonl"), "--k", "20", "--seed", "11",
+                     "--alphas", "0.5,0.1,0.1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["alphas"] == [0.1, 0.5]
+        assert mfio.load_table(out).alphas == (0.1, 0.5)
+
+    def test_inverting_table_empties_intervals_and_keeps_hits(self, workdir, tmp_path):
+        alphas = (0.1, 0.5)
+        table_path = _table_file(tmp_path, adjustments={
+            "fixed": [-5.0, 0.0], "variance": [0.0, -0.05], "random": [0.0, -5.0]})
+        args = ["--refine", "conformal", "--conformal-table", table_path, "--alphas", "0.1,0.5"]
+        assert main(_infer(workdir, tmp_path, None, *args)) == 0
+        emptied = 0
+        for _, rec in mfio.load_draws(tmp_path / "x.jsonl"):
+            for intervals in rec["intervals"].values():
+                for borders in map(np.asarray, intervals.values()):
+                    assert (borders[..., 0] <= borders[..., 1]).all()
+                    emptied += (borders[..., 0] == borders[..., 1]).sum()
+        assert emptied > 0
+        assert main(["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"), "--data",
+                     str(workdir / "sets.jsonl"), "--k", "20", *args,
+                     "--out", str(tmp_path / "eval")]) == 0
+        # the hits of the borders before the midpoint rule: inverted ones miss too
+        table, sets = mfio.load_table(table_path), mfio.load_datasets(workdir / "sets.jsonl")
+        hits = {}
+        for (draws, _), ds in zip(mfio.load_draws(tmp_path / "eval" / "draws.jsonl"), sets,
+                                  strict=True):
+            b_global, b_local = draws.interval_borders(alphas)
+            adj = np.array([[table.adjustment(role, a) for _, role in draws.layout]
+                            for a in alphas])
+            rand = np.array([table.adjustment("random", a) for a in alphas])[:, None, None, None]
+            scores = refine.border_scores(
+                draws, (b_global + adj[..., None] * [-1, 1], b_local + rand * [-1, 1]),
+                ds.truth.global_params, ds.truth.local_params)
+            ours = evaluate_dataset(ds, draws, table, alphas).hits
+            for role, s in scores.items():
+                for i, a in enumerate(alphas):
+                    np.testing.assert_array_equal(ours[(role, a)], s[i] <= 0)
+                    hits.setdefault((role, a), []).append(s[i] <= 0)
+        rows = (tmp_path / "eval" / "coverage.csv").read_text().splitlines()[1:]
+        assert sorted(rows) == sorted(f"model,{role},{a},{np.concatenate(h).mean():.4f}"
+                                      for (role, a), h in hits.items())
 
     def test_importance_refined_infer(self, workdir):
         out = workdir / "draws_is.jsonl"
@@ -237,6 +284,24 @@ def _draw_record(**changes) -> str:
     return json.dumps({**mfio.draws_to_record(draws), **changes}) + "\n"
 
 
+def _matching_draws(workdir, tmp_path, **changes):
+    """Report a draw record for the first simulated set, after `changes`."""
+    return _report(workdir, tmp_path, _write(tmp_path / "x.jsonl", _draw_record(
+        dataset_id=_first_record(workdir)["id"], **changes)))
+
+
+def _table_file(tmp_path, **changes) -> str:
+    """A conformal table file for alphas 0.1 and 0.5, after `changes`."""
+    table = {"alphas": [0.1, 0.5], "adjustments": {r: [0.1, 0.1] for r in refine.ROLES},
+             "checkpoint_id": "", "n_calibration": 120, "low_confidence": False}
+    return _write(tmp_path / "t.json", json.dumps({**table, **changes}))
+
+
+def _conformal_infer(workdir, tmp_path, **changes):
+    return _infer(workdir, tmp_path, None, "--refine", "conformal", "--conformal-table",
+                  _table_file(tmp_path, **changes))
+
+
 def _changed_set(workdir, tmp_path, change) -> str:
     """A dataset file holding the first simulated set's record after `change`."""
     return _write(tmp_path / "d.jsonl", json.dumps(change(_first_record(workdir))) + "\n")
@@ -297,6 +362,27 @@ def _legacy_checkpoint(workdir, tmp_path, **keys) -> str:
     save_checkpoint(tmp_path / "legacy.ckpt", {**manifest, **keys}, arrays)
     return str(tmp_path / "legacy.ckpt")
 
+
+# values that the draw and table readers used to take, each with exit 0
+# (a negative weight: 2): (id, argv from (workdir, tmp_path), file, field)
+ACCEPTED_BEFORE = [
+    ("draws-weight-nan", lambda w, t: _matching_draws(
+        w, t, weights=mfio._block([np.nan, 1.0, 1.0])), "x.jsonl", "weights"),
+    ("draws-global-inf", lambda w, t: _matching_draws(
+        w, t, **{"global": mfio._block(np.r_[np.inf, np.ones(11)])}), "x.jsonl", "global"),
+    ("draws-weight-negative", lambda w, t: _matching_draws(
+        w, t, weights=mfio._block([-1.0, 1.0, 1.0])), "x.jsonl", "weights"),
+    ("draws-infer-noise-string", lambda w, t: _matching_draws(w, t, infer_noise="no"),
+     "x.jsonl", "infer_noise"),
+    ("draws-k-fractional", lambda w, t: _matching_draws(w, t, k=3.7), "x.jsonl", "k"),
+    ("table-entry-nan", lambda w, t: _conformal_infer(w, t, adjustments={
+        r: [0.1, np.nan if r == "fixed" else 0.1] for r in refine.ROLES}),
+     "t.json", "adjustments.fixed"),
+    ("table-alphas-reordered", lambda w, t: _conformal_infer(w, t, alphas=[0.5, 0.1]),
+     "t.json", "alphas"),
+    ("table-n-calibration-fractional", lambda w, t: _conformal_infer(w, t, n_calibration=2.5),
+     "t.json", "n_calibration"),
+]
 
 # malformed inputs, one per reader: (id, argv from (workdir, tmp_path), exit code);
 # each is refused before anything is written
@@ -377,6 +463,9 @@ MALFORMED = [
     ("draws-v1-short-global", lambda w, t: _report(w, t, _write(t / "x.jsonl", _draw_record(
         schema="posterior-draws/1", log_q_global=[0.0] * 3, **{"global": [1.0] * 11}))), 4),
     ("chains-bad-index", lambda w, t: _report(w, t, _write(t / "c.csv", _chains("beta[x]"))), 4),
+    ("chains-value-nan", lambda w, t: _report(w, t, _write(t / "c.csv", _chains(
+        "beta[0]", "beta[1]", "sigma[0]", "sigma_eps").replace(",0.1\n", ",nan\n", 1))), 4),
+    *((name, make, 4) for name, make, _, _ in ACCEPTED_BEFORE),
     ("chains-beta-gap", lambda w, t: _report(w, t, _write(t / "c.csv", _chains(
         "beta[0]", "beta[2]"))), 4),
     ("chains-alpha-without-sigma", lambda w, t: _report(w, t, _write(t / "c.csv", _chains(
@@ -418,6 +507,15 @@ class TestExitCodes:
         assert _exit_code(argv) == code
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize("make_argv, name, field", [c[1:] for c in ACCEPTED_BEFORE],
+                             ids=[c[0] for c in ACCEPTED_BEFORE])
+    def test_record_error_names_file_line_and_field(self, workdir, tmp_path, capsys, make_argv,
+                                                    name, field):
+        assert main(make_argv(workdir, tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and f"{tmp_path / name}:1:" in err
+        assert f"'{field}'" in err
+
     def test_k_zero_names_k(self, workdir, tmp_path, capsys):
         assert _exit_code(_infer(workdir, tmp_path, None, "--k", "0")) == 2
         assert "argument --k: expected a positive integer, got '0'" in capsys.readouterr().err
@@ -429,9 +527,9 @@ class TestExitCodes:
         assert err.startswith("format error: ") and f"{draws}:1:" in err
 
     @pytest.mark.parametrize("change, field", [
-        (_nan_first_y, "y holds a non-finite value"),
-        (lambda rec: {**rec, "x": "!" + rec["x"][1:]}, "block 'x' is not base64"),
-        (lambda rec: {**rec, "q": 0.5}, "q: 0.5 is not an integer"),
+        (_nan_first_y, "'y' holds nan, not a finite number"),
+        (lambda rec: {**rec, "x": "!" + rec["x"][1:]}, "'x' is not base64"),
+        (lambda rec: {**rec, "q": 0.5}, "'q' holds 0.5, not an integer"),
     ], ids=["y-nan", "x-not-base64", "q-fraction"])
     def test_dataset_error_names_file_line_and_field(self, workdir, tmp_path, capsys, change,
                                                      field):

@@ -1,14 +1,19 @@
 """Record formats: dataset and draw files round-trip losslessly (including
-gzip containers), draw files are strict JSON that keep every float bit,
-both still read version 1, observation CSVs build valid datasets, readers
-refuse fractional counts and non-finite observations, and manifests
-carry the reproducibility fields. Writes are atomic and reproducible, and
-io.write_file is the only code in the package that writes a file."""
+gzip containers), numeric blocks are strict JSON that keep every float
+bit, both still read version 1, observation CSVs build valid datasets,
+conformal tables round-trip, and manifests carry the reproducibility
+fields. Every reader refuses a changed field by name or loads the record
+(fractional counts, non-finite values, wrong types and lengths, missing
+fields). Writes are atomic and reproducible, io.write_file is the only
+code in the package that writes a file, and mixedflow.io the only one
+that reads JSON."""
 
 import ast
 import base64
+import copy
 import gzip
 import json
+import math
 import os
 import time
 from dataclasses import replace
@@ -16,15 +21,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import io_oracle
 from mixedflow import io as mfio
+from mixedflow import refine
 from mixedflow import simulate as sim
 from mixedflow.draws import PosteriorDraws
-from mixedflow.errors import DataFormatError
+from mixedflow.errors import ConfigError, DataFormatError
 from mixedflow.standardize import StandardizationRecord
+
+
+# a NaN with a payload, a signalling NaN with the sign bit, both infinities, -0.0
+SPECIAL = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000000,
+                    0xFFF0000000000000, 0x8000000000000000], dtype=np.uint64).view(np.float64)
 
 
 def _datasets(n=3, seed=0):
@@ -118,7 +129,7 @@ class TestDatasetFiles:
         path = tmp_path / "sets.jsonl"
         path.write_text(json.dumps({**rec, **change(rec)}) + "\n")
         with pytest.raises(DataFormatError,
-                           match=f"sets.jsonl:1: .*{field} holds a non-finite value"):
+                           match=f"sets.jsonl:1: .*'{field}' holds .*, not a finite number"):
             mfio.load_datasets(path)
 
     @pytest.mark.parametrize("field, change", [
@@ -129,7 +140,7 @@ class TestDatasetFiles:
     ], ids=["q-1.5", "m-fraction", "d-float", "d-bool", "sizes-fraction", "sizes-float"])
     def test_counts_must_be_integers(self, field, change):
         rec = mfio.dataset_to_record(_datasets(1)[0])
-        with pytest.raises(DataFormatError, match=f"{field}: .* is not an integer"):
+        with pytest.raises(DataFormatError, match=f"'{field}' holds .*, not an integer"):
             mfio.dataset_from_record({**rec, **change(rec)})
 
 
@@ -162,6 +173,17 @@ class TestDrawFiles:
         assert back.dataset_id == "ds-7"
         assert rec["intervals"] == {"0.1": {"x": 1}}
         assert rec["param_names"] == ["beta[0]", "beta[1]", "sigma[0]", "sigma_eps"]
+
+    @pytest.mark.parametrize("value", SPECIAL[:4], ids=["nan", "signalling-nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["global", "log_q_global", "local", "log_q_local",
+                                       "weights", "local_weights"])
+    def test_non_finite_value_names_its_field(self, tmp_path, field, value):
+        rec = mfio.draws_to_record(self._draws())
+        path = tmp_path / "draws.jsonl"
+        mfio.save_draws(path, [{**rec, field: _with_first(rec[field], value)}])
+        with pytest.raises(DataFormatError,
+                           match=f"draws.jsonl:1: .*'{field}' holds .*, not a finite number"):
+            mfio.load_draws(path)
 
     def test_unweighted_round_trip(self, tmp_path):
         draws = self._draws()
@@ -250,6 +272,31 @@ class TestObservationsCSV:
             mfio.read_observations_csv(path, q=1)
 
 
+class TestConformalTable:
+    def test_round_trip(self, tmp_path):
+        table = refine.build_conformal_table(
+            {"fixed": [[0.1] * 120, [0.2] * 120]}, (0.1, 0.5), 120, checkpoint_id="abc")
+        mfio.write_json(tmp_path / "t.json", table.to_json())
+        back = mfio.load_table(tmp_path / "t.json")
+        assert back.alphas == table.alphas
+        assert back.adjustments == table.adjustments
+        assert (back.checkpoint_id, back.n_calibration, back.low_confidence) == ("abc", 120, False)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"alphas": [0.5, 0.1]}, "alphas"), ({"alphas": [0.1, 0.1]}, "alphas"),
+        ({"alphas": [0.0, 0.5]}, "alphas"), ({"alphas": [0.1, 1.0]}, "alphas"),
+        ({"adjustments": {"slope": [0.1, 0.2]}}, "adjustments"),
+        ({"adjustments": {"fixed": [0.1, math.nan]}}, "adjustments.fixed"),
+        ({"n_calibration": 2.5}, "n_calibration"), ({"low_confidence": 0}, "low_confidence"),
+    ], ids=["reordered", "repeated", "zero", "one", "unknown-role", "nan-entry",
+            "fractional-count", "flag-number"])
+    def test_malformed_table_names_its_field(self, tmp_path, change, field):
+        table = refine.build_conformal_table({"fixed": [[0.1] * 120, [0.2] * 120]}, (0.1, 0.5), 120)
+        mfio.write_json(tmp_path / "t.json", {**table.to_json(), **change})
+        with pytest.raises(DataFormatError, match=f"t.json:1: .*'{field}'"):
+            mfio.load_table(tmp_path / "t.json")
+
+
 class TestManifest:
     def test_fields_present_and_hash_stable(self, tmp_path):
         path = tmp_path / "run.manifest.json"
@@ -266,6 +313,9 @@ class TestManifest:
 # exact round trips of arbitrary records --------------------------------------
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# the program's weights average one, so their totals stay far from overflow
+WEIGHTS = st.floats(min_value=0.0, max_value=1e300)
 BLOCKS = ("global_std", "log_q_global", "local_std", "log_q_local", "weights", "local_weights")
 
 
@@ -296,24 +346,33 @@ def _any_dataset(draw):
     return replace(ds, X=X, y=y, truth=ds.truth if draw(st.booleans()) else None)
 
 
+def _weights(draw, shape):
+    """Nonnegative weights with a positive first row, so that every column
+    has a positive total."""
+    w = _floats(draw, shape, WEIGHTS)
+    w[0] = _floats(draw, shape[1:], WEIGHTS.filter(lambda v: v > 0))
+    return w
+
+
 @st.composite
-def _any_draws(draw, elements=FINITE):
-    """Arbitrary draws whose blocks hold `elements`; the standardization
-    record stays finite."""
+def _any_draws(draw):
+    """Arbitrary draws of the kind the program writes: finite blocks and
+    standardization moments, positive scales, and nonnegative weights with
+    a positive total (per group for the local ones)."""
     k, d, q, m = (draw(st.integers(1, n)) for n in (6, 3, 2, 4))
-    q = draw(st.integers(0, q))
+    q = draw(st.integers(0, min(q, d)))
     infer_noise, local, weighted = (draw(st.booleans()) for _ in range(3))
     local = local and q > 0
-    rec = StandardizationRecord(_floats(draw, d), _floats(draw, d), draw(FINITE), draw(FINITE),
-                                draw(hnp.arrays(bool, d)), draw(st.booleans()))
+    rec = StandardizationRecord(_floats(draw, d), _floats(draw, d, POSITIVE), draw(FINITE),
+                                draw(POSITIVE), draw(hnp.arrays(bool, d)), draw(st.booleans()))
     return PosteriorDraws(
-        global_std=_floats(draw, (k, d + q + infer_noise), elements),
-        log_q_global=_floats(draw, k, elements),
+        global_std=_floats(draw, (k, d + q + infer_noise)),
+        log_q_global=_floats(draw, k),
         d=d, q=q, infer_noise=infer_noise, rec=rec,
-        local_std=_floats(draw, (k, m, q), elements) if local else None,
-        log_q_local=_floats(draw, (k, m), elements) if local else None,
-        weights=_floats(draw, k, elements) if weighted else None,
-        local_weights=_floats(draw, (k, m), elements) if local and weighted else None,
+        local_std=_floats(draw, (k, m, q)) if local else None,
+        log_q_local=_floats(draw, (k, m)) if local else None,
+        weights=_weights(draw, (k,)) if weighted else None,
+        local_weights=_weights(draw, (k, m)) if local and weighted else None,
         dataset_id=draw(st.text(max_size=12)))
 
 
@@ -356,36 +415,18 @@ def test_draw_records_round_trip_exactly(tmp_path_factory, draws):
             _same_bytes(getattr(a.rec, name), getattr(b.rec, name))
 
 
-# a NaN with a payload, a signalling NaN with the sign bit, both infinities, -0.0
-SPECIAL = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000000,
-                    0xFFF0000000000000, 0x8000000000000000], dtype=np.uint64).view(np.float64)
-
-
-def _special_draws() -> PosteriorDraws:
-    """Draws whose every block holds each SPECIAL value."""
-    k, m, q = len(SPECIAL), 2, 1
-    return PosteriorDraws(
-        global_std=np.resize(SPECIAL, (k, 4)), log_q_global=SPECIAL.copy(), d=2, q=q,
-        infer_noise=True, rec=StandardizationRecord.identity(2),
-        local_std=np.resize(SPECIAL[::-1], (k, m, q)), log_q_local=np.resize(SPECIAL, (k, m)),
-        weights=SPECIAL[::-1].copy(), local_weights=np.resize(SPECIAL[1:], (k, m)))
-
-
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(draws=st.lists(_any_draws(st.floats()), min_size=1, max_size=3))
-@example(draws=[_special_draws()])
-def test_draw_records_are_strict_json_and_keep_every_bit(tmp_path_factory, draws):
-    path = tmp_path_factory.mktemp("draws") / "draws.jsonl"
-    mfio.save_draws(path, [mfio.draws_to_record(dr) for dr in draws])
-    for line in path.read_text().splitlines():
-        json.loads(line, parse_constant=_reject_constant)
-    for a, (b, _) in zip(draws, mfio.load_draws(path), strict=True):
-        for name in BLOCKS:
-            _same_bytes(getattr(a, name), getattr(b, name))
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0),
+                         elements=st.floats()))
+@example(values=SPECIAL)
+def test_blocks_are_strict_json_and_keep_every_bit(values):
+    text = json.dumps({"block": mfio._block(values)})
+    block = json.loads(text, parse_constant=_reject_constant)["block"]
+    _same_bytes(np.frombuffer(base64.b64decode(block), "<f8"), values.reshape(-1))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -487,3 +528,134 @@ def test_write_file_is_the_only_writer():
         offenders += [f"{path.relative_to(PACKAGE)}:{line}: {call}"
                       for line, call in _writes(tree) if line not in sanctioned]
     assert not offenders, "write through io.write_file instead:\n" + "\n".join(offenders)
+
+
+# one read contract: a changed field is refused by name, or the record loads --
+
+# value of each mutation that replaces a value; "fewer" drops the last
+# element of a list or block, "deleted" removes the field
+REPLACEMENTS = {"nan": math.nan, "inf": math.inf, "-1": -1, "fraction": 0.5, "huge": 1e300,
+                "string": "x", "bool": True}
+MUTATIONS = (*REPLACEMENTS, "fewer", "deleted")
+# a change to one of these fields may be refused at the field whose size or
+# presence it sets: the adjustments count the alphas, the global block's
+# width follows infer_noise, and local draws need their group count
+COMPANION = {"alphas": "adjustments", "infer_noise": "global", "local": "m"}
+
+
+def _leaves(rec: dict, at: str = ""):
+    """The dotted name of every value in `rec` that is not a non-empty object."""
+    for key, value in rec.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, f"{at}{key}.")
+        else:
+            yield at + key
+
+
+def _mutated(rec: dict, field: str, how: str):
+    """A copy of `rec` with `field` changed by `how`, or None where `how`
+    does not apply (dropping an element of a scalar or of an empty list)."""
+    rec = copy.deepcopy(rec)
+    *parents, last = field.split(".")
+    node = rec
+    for part in parents:
+        node = node[part]
+    if how == "deleted":
+        del node[last]
+        return rec
+    value = node[last]
+    block = field in mfio._BLOCKS and isinstance(value, str)
+    items = np.frombuffer(base64.b64decode(value), "<f8").tolist() if block else value
+    if how == "fewer":
+        if not isinstance(items, list) or not items:
+            return None
+        items = items[:-1]
+    elif isinstance(items, list) and items and (not block or how not in ("string", "bool")):
+        items = [REPLACEMENTS[how], *items[1:]]
+    else:
+        node[last] = REPLACEMENTS[how]
+        return rec
+    node[last] = mfio._block(np.array(items, dtype=np.float64)) if block else items
+    return rec
+
+
+def _read_or_refuse(read, field: str, how: str):
+    """read() loads, or refuses naming `field`, a field in it or its
+    COMPANION; only a positive prior scale outside PRIOR_SCALE_RANGE is a
+    configuration error."""
+    try:
+        read()
+    except DataFormatError as exc:
+        names = [field, *([COMPANION[field]] if field in COMPANION else [])]
+        assert any(f"'{name}'" in str(exc) or f"'{name}." in str(exc) for name in names), exc
+    except ConfigError as exc:
+        assert "tau_" in field and how == "huge", exc
+
+
+def _written_record(draw, kind: str):
+    """A record of `kind` as the program writes it, and the reader of a
+    file that holds it."""
+    if kind == "dataset":
+        return mfio.dataset_to_record(draw(_any_dataset())), mfio.load_datasets
+    if kind == "draws":
+        return mfio.draws_to_record(draw(_any_draws())), mfio.load_draws
+    if kind == "table":
+        alphas = sorted(draw(st.lists(st.sampled_from(refine.ALPHA_GRID), min_size=1, unique=True)))
+        roles = draw(st.lists(st.sampled_from(refine.ROLES), min_size=1, unique=True))
+        table = refine.build_conformal_table(
+            {r: [draw(st.lists(FINITE, min_size=1, max_size=3)) for _ in alphas] for r in roles},
+            tuple(alphas), draw(st.integers(0, 300)), draw(st.text(max_size=8)))
+        return table.to_json(), mfio.load_table
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(0, min(d, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior, = sim.sample_priors(1, d, max(q, 1), rng)
+    prior = sim.PriorSpec(prior.nu_beta, prior.tau_beta, prior.tau_sigma[:q], prior.tau_eps)
+    return prior.to_json(), lambda path: mfio.load_prior(path, d, q)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "draws", "table", "prior"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_changed_field_is_refused_by_name_or_loads(tmp_path_factory, kind, data):
+    rec, read = _written_record(data.draw, kind)
+    field = data.draw(st.sampled_from(sorted(_leaves(rec))), label="field")
+    how = data.draw(st.sampled_from(MUTATIONS), label="how")
+    changed = _mutated(rec, field, how)
+    assume(changed is not None)
+    path = tmp_path_factory.mktemp(kind) / "rec.json"
+    mfio.write_file(path, json.dumps(changed) + "\n")
+    _read_or_refuse(lambda: read(path), field, how)
+
+
+# one way to read JSON ----------------------------------------------------------
+
+
+def _json_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, code) for each json.load or json.loads call in `tree` whose
+    argument is not itself a json.dumps(...) call, and each import of
+    load or loads from json."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json" \
+                and {alias.name for alias in node.names} & {"load", "loads"}:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads"):
+            arg = node.args[0] if node.args else None
+            if not (isinstance(arg, ast.Call) and ast.unparse(arg.func) == "json.dumps"):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_json_guard_finds_each_read_form():
+    src = ("json.load(fh); json.loads(s); from json import loads\n"
+           "json.loads(json.dumps(o)); json.dumps(o); pickle.load(fh)\n")
+    assert len(_json_reads(ast.parse(src))) == 3
+
+
+def test_io_is_the_only_json_reader():
+    readers = {PACKAGE / "io.py", PACKAGE / "nn" / "checkpoint.py"}
+    offenders = [f"{path.relative_to(PACKAGE)}:{line}: {code}"
+                 for path in sorted(PACKAGE.rglob("*.py")) if path not in readers
+                 for line, code in _json_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not offenders, "read JSON through mixedflow.io instead:\n" + "\n".join(offenders)

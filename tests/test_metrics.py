@@ -176,6 +176,14 @@ class TestExternalSamples:
         with pytest.raises(DataFormatError, match=r"\[3\]"):
             metrics.ingest_external_samples(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_is_a_malformed_row(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"chain,draw,parameter,value\n0,0,beta[0],1.0\n0,1,beta[0],{value}\n"
+                        "0,2,beta[0],2.0\n")
+        with pytest.raises(DataFormatError, match=r"lines \[3\]"):
+            metrics.ingest_external_samples(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "head.csv"
         path.write_text("a,b,c,d\n0,0,beta[0],1.0\n")

@@ -602,10 +602,3 @@ class TestConformal:
                         b_local[a_idx, i, j],
                         weighted_quantile(draws.local_std[:, i, j], probs, w))
 
-    def test_json_round_trip(self):
-        table = refine.build_conformal_table(
-            {"fixed": [[0.1] * 120, [0.2] * 120]}, (0.1, 0.5), 120, checkpoint_id="abc")
-        back = refine.ConformalTable.from_json(table.to_json())
-        assert back.alphas == table.alphas
-        assert back.adjustments == table.adjustments
-        assert back.checkpoint_id == "abc"
