@@ -348,8 +348,12 @@ def draws_from_record(rec: dict) -> PosteriorDraws:
     if rec.get("weights") is not None:
         draws.weights = _numbers(rec, "weights", k, 0.0)
     for key, w in (("weights", draws.weights), ("local_weights", draws.local_weights)):
-        if w is not None and not (w.sum(axis=0) > 0).all():
-            raise _bad(key, "has no positive total")
+        if w is None:
+            continue
+        with np.errstate(over="ignore"):   # a total that overflows is refused, not warned about
+            total = w.sum(axis=0)
+        if not np.all((total > 0) & (total < np.inf)):
+            raise _bad(key, "has no finite positive total")
     return draws
 
 

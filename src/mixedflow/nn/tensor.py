@@ -4,7 +4,10 @@ A small tape: every differentiable op builds a result Tensor holding a
 closure that scatters the incoming adjoint back to its parents. There is
 no graph compiler and no in-place mutation of tracked values. Under
 `no_grad`, `Tensor._make` keeps no closure, so nothing is saved for a
-backward pass.
+backward pass. `backward()` consumes the graph it sweeps: each interior
+node drops its adjoint, its closure (with the arrays the closure saved)
+and its parents once its closure has run, so only the leaves keep their
+`.grad`. A second sweep through a consumed node raises NumericError.
 
 The op set is what the layers, flows and losses of this package run, plus
 `**` for the gradient checks: arithmetic, a few elementwise maps, sum and
@@ -128,6 +131,10 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return out.astype(x.dtype, copy=False)
 
 
+def _spent(g):
+    raise NumericError("backward() through a graph an earlier backward() consumed")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
@@ -186,7 +193,8 @@ class Tensor:
         return out
 
     def backward(self, grad: np.ndarray | None = None):
-        """Reverse-mode sweep from this tensor; accumulates into .grad fields."""
+        """Reverse-mode sweep from this tensor; accumulates into the leaves'
+        .grad fields and consumes every interior node it passes."""
         if not self.requires_grad:
             raise NumericError("backward() called on a tensor that is not on the tape")
         if grad is None:
@@ -209,9 +217,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:   # popped, so a node's arrays go as soon as its children are swept
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
 
     # -- arithmetic --------------------------------------------------------
 

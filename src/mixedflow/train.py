@@ -28,7 +28,7 @@ from .errors import ConfigError, DataFormatError, NumericError
 from .io import write_file
 from .model import Batch, ModelConfig, PosteriorModel, load_model, make_batch, save_model
 from .nn.optim import ScheduleFreeAdamW
-from .nn.tensor import no_grad
+from .nn.tensor import Tensor, no_grad
 from .seeding import substream
 from .simulate import (HierDataset, SimConfig, permute_columns, simulate_conjugate_dataset,
                        simulate_dataset)
@@ -236,6 +236,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
         drop_rng = substream(cfg.seed, "dropout", step)
         g, l = model.loss_components(batch, drop_rng)
         loss = (g + l).mean()
+        g, l = Tensor(g.data), Tensor(l.data)   # the curve reads values only; the graph is loss's
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             log.warning("step %d: non-finite loss, batch skipped", step)
@@ -253,6 +254,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                         f"{divergent_streak} steps")
             else:
                 divergent_streak = 0
+        del loss   # a skipped step's graph was never swept: drop it before the next batch
 
         # a skipped batch still evaluates on schedule, so the last step is recorded
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.steps:

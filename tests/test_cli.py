@@ -372,6 +372,8 @@ ACCEPTED_BEFORE = [
         w, t, **{"global": mfio._block(np.r_[np.inf, np.ones(11)])}), "x.jsonl", "global"),
     ("draws-weight-negative", lambda w, t: _matching_draws(
         w, t, weights=mfio._block([-1.0, 1.0, 1.0])), "x.jsonl", "weights"),
+    ("draws-weight-total-overflows", lambda w, t: _matching_draws(
+        w, t, weights=mfio._block([1e308, 1e308, 1.0])), "x.jsonl", "weights"),
     ("draws-infer-noise-string", lambda w, t: _matching_draws(w, t, infer_noise="no"),
      "x.jsonl", "infer_noise"),
     ("draws-k-fractional", lambda w, t: _matching_draws(w, t, k=3.7), "x.jsonl", "k"),

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,6 +185,19 @@ class TestDrawFiles:
         with pytest.raises(DataFormatError,
                            match=f"draws.jsonl:1: .*'{field}' holds .*, not a finite number"):
             mfio.load_draws(path)
+
+    @pytest.mark.parametrize("field", ["weights", "local_weights"])
+    def test_weight_total_that_overflows_names_its_field(self, tmp_path, field):
+        # two finite weights of 1e308 sum to inf: refused, with no numpy warning
+        draws = self._draws()
+        getattr(draws, field)[:2] = 1e308
+        path = tmp_path / "draws.jsonl"
+        mfio.save_draws(path, [mfio.draws_to_record(draws)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError,
+                               match=f"draws.jsonl:1: .*'{field}' has no finite positive total"):
+                mfio.load_draws(path)
 
     def test_unweighted_round_trip(self, tmp_path):
         draws = self._draws()

@@ -1,11 +1,12 @@
 """Reverse-mode gradients of every engine op (and of the composed oracle's
 matmul and softmax) against central finite differences, the bookkeeping
-contracts (broadcasting, no_grad, shape errors), and the numpy special
-functions against scipy."""
+contracts (broadcasting, no_grad, shape errors, a sweep consumes its graph),
+and the numpy special functions against scipy."""
 
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import layers_oracle as oracle
 from helpers import gradcheck
 
 from mixedflow.errors import DimensionError, NumericError
-from mixedflow.nn import Tensor, cat, no_grad
+from mixedflow.nn import EncoderBlock, Tensor, cat, no_grad
 from mixedflow.nn.tensor import _digamma, _erf, _gammaln, assert_finite
 
 RNG = np.random.default_rng(20240811)
@@ -91,6 +92,77 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(DimensionError):
         (x * 2.0).backward()
+
+
+# -- a sweep consumes its graph ------------------------------------------------
+
+
+def _block_loss(seed=3):
+    """A scalar loss through a training-mode encoder block (every fused layer
+    node: linear, layer norm, masked attention, dropout, gelu) and a few tape
+    ops, with the block and its input leaf."""
+    rng = np.random.default_rng(seed)
+    block = EncoderBlock(8, 2, rng, dropout_rate=0.5)
+    block.set_training(True)
+    x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32), requires_grad=True)
+    mask = np.ones((2, 5), dtype=bool)
+    mask[1, 3:] = False
+    h = block(x, mask, np.random.default_rng(seed + 1))
+    loss = (cat([h.exp().mean(axis=1), h[:, 0].tanh()], axis=-1) ** 2).sum()
+    return loss, block, x
+
+
+def _interior_nodes(root: Tensor) -> list[Tensor]:
+    """Every node of root's graph that has a closure."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_consumes_every_interior_node():
+    loss, block, x = _block_loss()
+    nodes = _interior_nodes(loss)
+    assert len(nodes) > 20
+    loss.backward()
+    for node in nodes:
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(NumericError, match="consumed"):
+            node._backward(np.ones_like(node.data))
+    assert x.grad is not None and x.grad.shape == x.shape
+    for name, p in block.named_parameters():
+        assert p.grad is not None and p.grad.shape == p.shape, name
+
+
+def test_swept_graph_is_freed():
+    # the arrays each node holds and saved die with the sweep: nothing but
+    # the caller's loss keeps the graph alive
+    loss, _, _ = _block_loss()
+    refs = [weakref.ref(node.data) for node in _interior_nodes(loss) if node is not loss]
+    assert refs
+    loss.backward()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_second_sweep_through_a_consumed_graph_raises():
+    loss, _, _ = _block_loss()
+    loss.backward()
+    with pytest.raises(NumericError, match="consumed"):
+        loss.backward()
+    a = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+    h = (a * 2.0).exp()
+    h.sum().backward()
+    with pytest.raises(NumericError, match="consumed"):
+        (h * 3.0).sum().backward()   # a second loss sharing the consumed h
+    a.zero_grad()
+    (a * 2.0).exp().sum().backward()   # a new graph over the same leaf sweeps
+    np.testing.assert_allclose(a.grad, 2.0 * np.exp(2.0 * a.data), rtol=1e-15)
 
 
 def test_assert_finite():

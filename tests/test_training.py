@@ -3,6 +3,7 @@ phantom-group neutrality, initialization oracle, gradient reach, smoke
 descent, and exact resume."""
 
 import shutil
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +183,32 @@ class TestTrainingLoop:
         assert len(curve) >= 3
         first_val = float(curve[1].split(",")[-1])
         assert res.best_val < first_val  # training moved the needle
+
+    def test_skipped_step_drops_its_graph_before_the_next_forward(self, tmp_path, monkeypatch):
+        # step 0's loss is NaN through a node that saves `marker`; the step is
+        # skipped, and no graph of it may live into step 1's forward
+        real = PosteriorModel.loss_components
+        marker_ref, alive_at_step_1 = [], []
+
+        def loss_components(model, batch, rng=None):
+            if rng is None:   # validation
+                return real(model, batch, rng)
+            if marker_ref:
+                alive_at_step_1.append(marker_ref[0]() is not None)
+                return real(model, batch, rng)
+            g, l = real(model, batch, rng)
+            marker = Tensor(np.full(g.shape, np.nan, dtype=g.dtype))
+            marker_ref.append(weakref.ref(marker.data))
+            return g * marker, l
+
+        monkeypatch.setattr(PosteriorModel, "loss_components", loss_components)
+        cfg = TrainConfig(d=2, q=1, budget=16, batch_size=8, seed=29, toy=True,
+                          eval_every=2, val_sets=8, warmup_steps=5, **SMALL)
+        train(cfg, tmp_path)
+        assert alive_at_step_1 == [False]
+        rows = (tmp_path / "curve.csv").read_text().strip().splitlines()
+        assert rows[1:] and rows[-1].startswith("2,")
+        assert np.isfinite([float(v) for v in rows[-1].split(",")]).all()
 
     def test_manifests_record_the_training_code(self, tmp_path):
         cfg = TrainConfig(d=2, q=1, budget=16, batch_size=8, seed=23, toy=True,
