@@ -19,12 +19,12 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, MixedFlowError, NumericError
 from . import io as mfio
 from .metrics import aggregate, evaluate_dataset, ingest_external_samples, split_report
-from .model import load_model
+from .model import PosteriorModel, load_model
 from .pipeline import REFINE_MODES, infer_one, posterior_draws
 from .refine import ALPHA_GRID, ConformalTable, calibrate
 from .report import render_table, svg_coverage_curve, svg_scatter, write_report_csv
 from .seeding import substream
-from .simulate import SimConfig, simulate_conjugate_dataset, simulate_dataset
+from .simulate import SimConfig, simulate_dataset
 from .train import TrainConfig, train
 
 __all__ = ["main"]
@@ -56,14 +56,17 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return alphas
 
 
-def _conformal_table(args) -> ConformalTable | None:
-    """The --conformal-table, read only when --refine uses it; checked
-    before any model is loaded."""
-    if args.refine not in ("conformal", "both"):
-        return None
-    if not args.conformal_table:
-        raise ConfigError("conformal refinement needs a calibration table")
-    return mfio.load_table(args.conformal_table)
+def _model_and_table(args) -> tuple[PosteriorModel, dict, ConformalTable | None]:
+    """The checkpoint's model and manifest, and the --conformal-table --refine uses."""
+    conformal = args.refine in ("conformal", "both")
+    if conformal != bool(args.conformal_table):
+        raise ConfigError(f"--refine {args.refine} {'needs' if conformal else 'takes no'} --conformal-table")
+    table = mfio.load_table(args.conformal_table) if conformal else None
+    model, manifest, _ = load_model(args.checkpoint)
+    if table is not None and table.checkpoint_id not in ("", manifest["checkpoint_id"]):
+        raise ConfigError(f"{args.conformal_table} was calibrated on checkpoint "
+                          f"{table.checkpoint_id[:12]}, not on {manifest['checkpoint_id'][:12]}")
+    return model, manifest, table
 
 
 def _read_input_datasets(args):
@@ -77,16 +80,9 @@ def _read_input_datasets(args):
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(m_range=args.m_range, n_range=args.n_range, toy=args.toy)
-    datasets = []
-    for i in range(args.count):
-        rng = substream(args.seed, "sim", i)
-        ds_id = f"sim-{args.seed}-{i}"
-        if args.family == "conjugate":
-            datasets.append(simulate_conjugate_dataset(args.d, rng, n_range=args.n_range,
-                                                       dataset_id=ds_id))
-        else:
-            datasets.append(simulate_dataset(args.d, args.q, rng, cfg, dataset_id=ds_id))
+    cfg = SimConfig(m_range=args.m_range, n_range=args.n_range, toy=args.toy, family=args.family)
+    datasets = [simulate_dataset(args.d, args.q, substream(args.seed, "sim", i), cfg,
+                                 dataset_id=f"sim-{args.seed}-{i}") for i in range(args.count)]
     mfio.save_datasets(args.out, datasets)
     mfio.write_manifest(str(args.out) + ".manifest.json", "simulate",
                         {**vars_for_manifest(args)}, args.seed, outputs=[str(args.out)])
@@ -102,7 +98,7 @@ def cmd_train(args) -> int:
             k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}, "config"))
     try:
         cfg = TrainConfig(**fields)
-    except TypeError as exc:  # an unknown or ill-typed field
+    except TypeError as exc:  # an unknown field
         raise ConfigError(f"bad training configuration ({exc})") from None
     train_log = logging.getLogger("mixedflow.train")   # progress lines on stderr
     handler, level = logging.StreamHandler(sys.stderr), train_log.level
@@ -121,8 +117,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    table = _conformal_table(args)
-    model, manifest, _ = load_model(args.checkpoint)
+    model, manifest, table = _model_and_table(args)
     datasets = _read_input_datasets(args)
     prior = mfio.load_prior(args.prior, datasets[0].d, datasets[0].q) if args.prior else None
     records = []
@@ -157,8 +152,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    table = _conformal_table(args)
-    model, manifest, _ = load_model(args.checkpoint)
+    model, manifest, table = _model_and_table(args)
     datasets = mfio.load_datasets(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,11 +24,11 @@ from .flow import CouplingFlow
 from .nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from .nn.layers import Module
 from .nn.tensor import Tensor, cat, no_grad
-from .simulate import GlobalParams, HierDataset, PriorSpec
+from .simulate import GlobalParams, HierDataset, PriorSpec, check_fields
 from .standardize import StandardizationRecord, standardize_data, standardize_prior
 from .summary import SummaryNetwork
 
-__all__ = ["ModelConfig", "PosteriorModel", "Batch", "make_batch",
+__all__ = ["Architecture", "ModelConfig", "PosteriorModel", "Batch", "make_batch",
            "theta_unconstrained", "save_model", "load_model"]
 
 LOG_SIGMA_CLIP = 12.0  # training targets: log std devs clipped to +-12
@@ -49,32 +49,34 @@ def theta_unconstrained(gp: GlobalParams, infer_noise: bool = True) -> np.ndarra
     return np.concatenate(parts)
 
 
-@dataclass
-class ModelConfig:
-    d: int
-    q: int
+@dataclass(kw_only=True)
+class Architecture:
+    """The network sizes, shared by a model and the run that trains it."""
+
     width: int = 128
     summary_blocks: int = 4
     heads: int = 8
     flow_blocks: int = 4
     flow_hidden: int = 128
     dropout: float = 0.01
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Architecture):
+    d: int
+    q: int
     infer_noise: bool = True
+    LOW = {"d": 1, "q": 0, "width": 1, "summary_blocks": 0, "heads": 1, "flow_blocks": 0,
+           "flow_hidden": 1, "dropout": 0}   # lower bounds, by field name; not a field
 
     def __post_init__(self):
-        for name, low in (("width", 1), ("heads", 1), ("flow_hidden", 1),
-                          ("summary_blocks", 0), ("flow_blocks", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.dropout, (int, float)) or not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
-        if self.d < 1:
-            raise ConfigError("need at least one predictor column")
-        if self.q < 0 or self.q > self.d:
+        check_fields(self, self.LOW)
+        if self.q > self.d:
             raise ConfigError(f"q={self.q} must lie in [0, d={self.d}]")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
+        if self.dropout >= 1:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout!r}")
 
     @property
     def p_global(self) -> int:
@@ -110,7 +112,7 @@ class Batch:
 
 
 class PosteriorModel(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         super().__init__()
         self.cfg = cfg
         self.summary = self.register("summary", SummaryNetwork(
@@ -314,7 +316,7 @@ def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
         raise ConfigError(f"{path} is not a posterior-model checkpoint")
     try:
         cfg = ModelConfig(**{f.name: manifest[f.name] for f in fields(ModelConfig)})
-        model = PosteriorModel(cfg, np.random.default_rng(0))
+        model = PosteriorModel(cfg)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataFormatError(f"{path}: manifest does not describe a model ({exc!r})") from None
     # older manifests record the dtype and standardize switches the model now fixes
@@ -328,7 +330,7 @@ def load_model(path) -> tuple[PosteriorModel, dict, dict[str, np.ndarray]]:
     stored = {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")}
     check_arrays(f"{path}: parameters", stored, {n: p.data.shape for n, p in named.items()})
     for name, value in stored.items():
-        named[name].data = value.astype(named[name].data.dtype)
+        named[name].data = value.astype(named[name].data.dtype, copy=False)
     opt_arrays = {k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")}
     manifest["checkpoint_id"] = digest
     return model, manifest, opt_arrays

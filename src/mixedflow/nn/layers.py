@@ -92,9 +92,10 @@ class Module:
             p.zero_grad()
 
 
-def _param(rng: np.random.Generator, shape, scale: float, dtype) -> Tensor:
-    data = rng.uniform(-scale, scale, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+def _param(rng: np.random.Generator | None, shape, scale: float, dtype) -> Tensor:
+    """Uniform on (-scale, scale); zeros, drawing nothing, without a generator."""
+    data = np.zeros(shape, dtype) if rng is None else rng.uniform(-scale, scale, size=shape)
+    return Tensor(data.astype(dtype, copy=False), requires_grad=True)
 
 
 def linear(x, w: Tensor, b: Tensor) -> Tensor:

@@ -52,10 +52,10 @@ def infer_one(model: PosteriorModel, ds: HierDataset, k: int,
     border table in standardized and data-scale units (format in the
     module docstring)."""
     conformal = refine in ("conformal", "both")
-    if conformal and table is None:
-        raise ConfigError("conformal refinement needs a calibration table")
+    if conformal != (table is not None):
+        raise ConfigError(f"refine={refine!r} {'needs' if conformal else 'takes no'} conformal table")
     draws = posterior_draws(model, ds, k, rng, refine, prior)
-    std = apply_calibration(draws, table if conformal else None, alphas)
+    std = apply_calibration(draws, table, alphas)
     data = intervals_to_data_scale(draws, std)
 
     def rows(borders, a):

@@ -22,7 +22,7 @@ standard normal with no cross-column correlation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "PriorSpec", "GlobalParams", "LocalParams", "Truth", "HierDataset",
-    "SimConfig", "sample_priors", "sample_parameters", "sample_predictors",
+    "SimConfig", "check_fields", "sample_priors", "sample_parameters", "sample_predictors",
     "correlated_binary", "binary_probs", "choose_families",
     "lkj_correlation", "lkj_cholesky_factor", "assemble_dataset",
     "simulate_dataset", "simulate_conjugate_dataset", "conjugate_posterior",
@@ -179,22 +179,46 @@ class HierDataset:
 # configuration
 
 
-@dataclass
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# (test, description) by field annotation: a bool is no number, 2.5 no integer
+_FIELD_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float) and np.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, int]": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v))
+                        and 1 <= v[0] <= v[1], "two integers 1 <= lo <= hi"),
+}
+
+
+def check_fields(cfg, low: dict[str, int]) -> None:
+    """Check each field of the config dataclass `cfg` against its annotation
+    and its lower bound in `low`, if any; a ConfigError names the field."""
+    for f in fields(cfg):
+        value, (test, kind) = getattr(cfg, f.name), _FIELD_KINDS[f.type]
+        if not (test(value) and value >= low.get(f.name, value)):
+            bound = f" >= {low[f.name]}" if f.name in low else ""
+            raise ConfigError(f"{f.name} must be {kind}{bound}, got {value!r}")
+
+
+@dataclass(kw_only=True)
 class SimConfig:
-    """Knobs for dataset generation: group counts, group sizes and toy
-    mode. Defaults follow the package-wide conventions (5..30 groups of
-    5..70 observations)."""
+    """Knobs for dataset generation: group counts and sizes (by default 5..30
+    groups of 5..70), toy mode and the family ("full" or "conjugate")."""
 
     m_range: tuple[int, int] = (5, 30)
     n_range: tuple[int, int] = (5, 70)
     toy: bool = False
+    family: str = "full"
+    LOW = {}   # lower bounds of numeric fields, by name; not a field
 
     def __post_init__(self):
-        for name in ("m_range", "n_range"):
-            lo_hi = getattr(self, name)
-            if not (len(lo_hi) == 2 and all(isinstance(v, (int, np.integer)) for v in lo_hi)
-                    and 1 <= lo_hi[0] <= lo_hi[1]):
-                raise ConfigError(f"{name} must be two integers 1 <= lo <= hi, got {lo_hi!r}")
+        check_fields(self, self.LOW)
+        if self.family not in ("full", "conjugate"):
+            raise ConfigError(f"family must be 'full' or 'conjugate', got {self.family!r}")
 
 
 LKJ_ETA = 10.0           # concentration of the slope-column correlation
@@ -488,9 +512,11 @@ def conjugate_posterior(ds: HierDataset) -> tuple[np.ndarray, np.ndarray]:
 
 def simulate_dataset(d: int, q: int, rng: np.random.Generator,
                      cfg: SimConfig | None = None, dataset_id: str = "") -> HierDataset:
-    """One full draw from the generative story; rejects and redraws the
-    rare dataset with non-finite outcomes."""
+    """One draw of `cfg`'s family: the generative story, redrawing the rare
+    dataset with non-finite outcomes, or a conjugate one (q is ignored)."""
     cfg = cfg or SimConfig()
+    if cfg.family == "conjugate":
+        return simulate_conjugate_dataset(d, rng, n_range=cfg.n_range, dataset_id=dataset_id)
     for attempt in range(20):
         try:
             m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))

@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from pathlib import Path
 
@@ -26,12 +26,12 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError
 from .io import write_file
-from .model import Batch, ModelConfig, PosteriorModel, load_model, make_batch, save_model
+from .model import (Architecture, Batch, ModelConfig, PosteriorModel, load_model, make_batch,
+                    save_model)
 from .nn.optim import ScheduleFreeAdamW
 from .nn.tensor import Tensor, no_grad
 from .seeding import substream
-from .simulate import (HierDataset, SimConfig, permute_columns, simulate_conjugate_dataset,
-                       simulate_dataset)
+from .simulate import HierDataset, SimConfig, permute_columns, simulate_dataset
 
 log = logging.getLogger(__name__)
 
@@ -48,25 +48,16 @@ DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STEPS = 1000
 
 
-@dataclass
-class TrainConfig:
+@dataclass(kw_only=True)
+class TrainConfig(Architecture, SimConfig):
+    """A run: the model's sizes, the simulator's settings and the run's own.
+    The conjugate family trains a known-noise model without random effects."""
+
     d: int
     q: int
     budget: int = 100_000          # total simulated datasets
     batch_size: int = 32
     seed: int = 0
-    # architecture
-    width: int = 128
-    summary_blocks: int = 4
-    heads: int = 8
-    flow_blocks: int = 4
-    flow_hidden: int = 128
-    dropout: float = 0.01
-    # data
-    toy: bool = False
-    family: str = "full"           # "full" | "conjugate"
-    m_range: tuple[int, int] = (5, 30)
-    n_range: tuple[int, int] = (5, 70)
     # optimization (conventional choices, nothing prescribes them); the other
     # hyperparameters are the module constants of nn/optim.py
     lr: float = 1e-3
@@ -75,37 +66,26 @@ class TrainConfig:
     eval_every: int = 100
     val_sets: int = 512
     patience: int = 20             # evaluations without improvement
+    LOW = {"budget": 1, "batch_size": 1, "eval_every": 1, "val_sets": 1, "patience": 1,
+           "warmup_steps": 0}   # the run's; ModelConfig bounds the rest
 
     def __post_init__(self):
-        for name, low in (("budget", 1), ("batch_size", 1), ("eval_every", 1), ("val_sets", 1),
-                          ("patience", 1), ("warmup_steps", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.lr, (int, float)) or not 0 < self.lr < float("inf"):
-            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
+        super().__post_init__()   # SimConfig's: every field's type, the bounds, the family
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr!r}")
         if self.budget < self.batch_size:
             raise ConfigError("dataset budget is smaller than one batch")
-        if self.family not in ("full", "conjugate"):
-            raise ConfigError(f"unknown training family {self.family!r}")
         if self.family == "conjugate":
             self.q = 0  # a single group without random effects
-        # the model's and the simulator's own checks run here, before any run starts
-        self.model_config()
-        self.sim_config()
+        self.model_config()   # the model's own checks run here, before any run starts
 
     @property
     def steps(self) -> int:
         return self.budget // self.batch_size
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.d, q=self.q, width=self.width, summary_blocks=self.summary_blocks,
-            heads=self.heads, flow_blocks=self.flow_blocks, flow_hidden=self.flow_hidden,
-            dropout=self.dropout, infer_noise=self.family != "conjugate")
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(m_range=self.m_range, n_range=self.n_range, toy=self.toy)
+        return ModelConfig(d=self.d, q=self.q, infer_noise=self.family != "conjugate",
+                           **{f.name: getattr(self, f.name) for f in fields(Architecture)})
 
 
 @dataclass
@@ -122,11 +102,8 @@ class TrainResult:
 def make_training_dataset(cfg: TrainConfig, index: int, purpose: str = "data") -> HierDataset:
     """Dataset `index` of the stream; reproducible independent of order."""
     rng = substream(cfg.seed, purpose, index)
-    ds_id = f"{purpose}-{cfg.seed}-{index}"
-    if cfg.family == "conjugate":
-        return simulate_conjugate_dataset(cfg.d, rng, n_range=cfg.n_range, dataset_id=ds_id)
-    ds = simulate_dataset(cfg.d, cfg.q, rng, cfg.sim_config(), dataset_id=ds_id)
-    if cfg.d > 2:
+    ds = simulate_dataset(cfg.d, cfg.q, rng, cfg, dataset_id=f"{purpose}-{cfg.seed}-{index}")
+    if cfg.family == "full" and cfg.d > 2:
         perm = np.arange(cfg.d)
         if cfg.q > 1:
             perm[1:cfg.q] = 1 + rng.permutation(cfg.q - 1)

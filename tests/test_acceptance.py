@@ -8,6 +8,7 @@ roughly 30-40 minutes and repeat runs are fast. Everything else is
 seconds to a couple of minutes.
 """
 
+import os
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -31,7 +32,7 @@ from mixedflow.refine import (ALPHA_GRID, calibrate, importance_weights,
                               conditional_log_likelihood, _gaussian_loglik)
 from mixedflow.seeding import substream
 from mixedflow.summary import SummaryNetwork
-from mixedflow.train import TrainConfig, make_training_dataset, train
+from mixedflow.train import TrainConfig, make_training_dataset, train, train_code
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / ".artifacts" / "acceptance"
 
@@ -65,9 +66,21 @@ def _cached_model(cfg: TrainConfig, tag: str):
         train(cfg, out, resume=last.exists())
     assert load_model(last)[1]["complete"], f"{last}: training did not complete"
     model, manifest, _ = load_model(out / "best.ckpt")
-    print(f"{tag} checkpoint {out.name}: step {manifest['step']}, "
-          f"train_code {manifest.get('train_code', 'unrecorded')[:12]}")
+    # the cache key is the config hash alone: say whether today's code trained
+    # it, and the BLAS threads (float32 sums, and so a retrain, depend on them)
+    code, tree = manifest.get("train_code", "unrecorded"), train_code()
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"{tag} checkpoint {out.name}: step {manifest['step']}, train_code {code[:12]} "
+          f"({'=' if code == tree else '!='} this tree's {tree[:12]}); running under {threads}")
     return model, manifest
+
+
+def test_cache_keys_are_pinned():
+    # the caches under ARTIFACTS are keyed by these: a key that moves costs a
+    # from-empty retrain of both models
+    assert config_hash(asdict(DESK_CONFIG))[:10] == "ec0977ef75"
+    assert config_hash(asdict(CONJUGATE_CONFIG))[:10] == "552a85ab33"
 
 
 @pytest.fixture(scope="session")

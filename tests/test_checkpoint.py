@@ -135,6 +135,33 @@ def test_corrupt_version1_checkpoint_raises_only_typed_errors(data):
         repr(outcome)
 
 
+def test_load_model_draws_nothing_and_keeps_the_file_arrays(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_model(path, PosteriorModel(TINY, np.random.default_rng(0)))
+    _, arrays, _ = load_checkpoint(path)
+    uniform_calls, real_rng = [], np.random.default_rng
+
+    class SpyGenerator:   # a default_rng generator that records its uniform draws
+        def __init__(self, *args, **kwargs):
+            self.rng = real_rng(*args, **kwargs)
+
+        def uniform(self, *args, **kwargs):
+            uniform_calls.append(args)
+            return self.rng.uniform(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", SpyGenerator)
+    model, _, _ = load_model(path)
+    assert uniform_calls == []
+    for name, p in model.named_parameters():
+        stored = arrays[f"model.{name}"]
+        assert p.data.dtype == stored.dtype and p.data.tobytes() == stored.tobytes(), name
+    PosteriorModel(TINY, np.random.default_rng(0))   # the spy sees an initialisation's draws
+    assert uniform_calls
+
+
 def test_every_truncation_is_a_format_error(tmp_path):
     blob = _model_blob()
     path = tmp_path / "m.ckpt"

@@ -249,6 +249,11 @@ def _infer(workdir, tmp_path, data=None, *extra):
             "--out", str(tmp_path / "x.jsonl"), *extra]
 
 
+def _evaluate(workdir, tmp_path, *extra):
+    return ["evaluate", "--checkpoint", str(workdir / "run" / "best.ckpt"), "--k", "8",
+            "--data", str(workdir / "sets.jsonl"), "--out", str(tmp_path / "eval"), *extra]
+
+
 def _train(tmp_path, config, *extra):
     return ["train", "--d", "2", "--q", "1", "--budget", "160", "--batch", "8",
             "--seed", "5", "--toy", "--config", config, "--out", str(tmp_path / "run"), *extra]
@@ -386,6 +391,11 @@ ACCEPTED_BEFORE = [
      "t.json", "n_calibration"),
 ]
 
+# `train --config` values of the wrong JSON type: (id, overrides); each used
+# to train (toy "no", lr true) or end in a traceback (seed "abc", d 2.5)
+MISTYPED = [("toy-string", {"toy": "no"}), ("seed-string", {"seed": "abc"}),
+            ("d-fraction", {"d": 2.5}), ("lr-bool", {"lr": True})]
+
 # malformed inputs, one per reader: (id, argv from (workdir, tmp_path), exit code);
 # each is refused before anything is written
 MALFORMED = [
@@ -484,6 +494,17 @@ MALFORMED = [
         w, t, None, "--checkpoint", _legacy_checkpoint(w, t, dtype="float64")), 4),
     ("checkpoint-unstandardized", lambda w, t: _infer(
         w, t, None, "--checkpoint", _legacy_checkpoint(w, t, standardize=False)), 4),
+    # a table (here not even JSON) that the refine mode would drop
+    *((f"infer-table-unused-{refine}", lambda w, t, refine=refine: _infer(
+        w, t, None, "--refine", refine, "--conformal-table", _write(t / "t.json", "{")), 2)
+      for refine in ("none", "is")),
+    ("evaluate-table-unused-none", lambda w, t: _evaluate(
+        w, t, "--refine", "none", "--conformal-table", _write(t / "t.json", "{")), 2),
+    # a table calibrated on another checkpoint (an empty id applies to any)
+    ("infer-table-other-checkpoint", lambda w, t: _conformal_infer(
+        w, t, checkpoint_id="0" * 64), 2),
+    ("evaluate-table-other-checkpoint", lambda w, t: _evaluate(
+        w, t, "--refine", "both", "--conformal-table", _table_file(t, checkpoint_id="0" * 64)), 2),
     *((f"train-config-{name}", lambda w, t, fields=fields: _train(
         t, _write(t / "c.json", json.dumps({**TINY_TRAIN, **fields}))), 2)
       for name, fields in [("batch-size-0", {"batch_size": 0}), ("eval-every-0", {"eval_every": 0}),
@@ -496,7 +517,8 @@ MALFORMED = [
                            ("dropout-negative", {"dropout": -0.1}),
                            ("lr-not-a-number", {"lr": "x"}), ("lr-negative", {"lr": -1.0}),
                            ("lr-0", {"lr": 0}), ("lr-infinite", {"lr": float("inf")}),
-                           ("warmup-negative", {"warmup_steps": -5})]),
+                           ("warmup-negative", {"warmup_steps": -5}),
+                           *MISTYPED]),
 ]
 
 
@@ -587,11 +609,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "eval")])
         assert code == 2
 
+    @pytest.mark.parametrize("overrides", [m[1] for m in MISTYPED], ids=[m[0] for m in MISTYPED])
+    def test_mistyped_train_config_names_its_field(self, tmp_path, capsys, overrides):
+        config = _write(tmp_path / "c.json", json.dumps({**TINY_TRAIN, **overrides}))
+        assert main(_train(tmp_path, config)) == 2
+        (name,) = overrides
+        assert capsys.readouterr().err.startswith(f"configuration error: {name} must be ")
+
     @pytest.mark.parametrize("refine", ["none", "is"])
-    def test_infer_ignores_unused_table(self, workdir, tmp_path, refine):
+    def test_unused_table_names_the_refine_mode(self, workdir, tmp_path, capsys, refine):
         table = _write(tmp_path / "t.json", "{")
         assert main(_infer(workdir, tmp_path, None, "--refine", refine,
-                           "--conformal-table", table)) == 0
+                           "--conformal-table", table)) == 2
+        assert f"--refine {refine} takes no --conformal-table" in capsys.readouterr().err
 
     @pytest.mark.parametrize("refine", ["conformal", "both"])
     def test_infer_conformal_without_table_is_2_before_loading(self, tmp_path, refine):

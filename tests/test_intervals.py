@@ -116,10 +116,9 @@ def test_evaluation_hits_match_oracle(q, weighted, with_table):
 def test_infer_one_intervals_match_oracle(q, refine):
     model = PosteriorModel(ModelConfig(d=q + 1, q=q, **SMALL), np.random.default_rng(q))
     ds = sim.simulate_dataset(q + 1, q, np.random.default_rng(40 + q), sim.SimConfig(toy=True))
-    table = _table(q)
+    used = _table(q) if refine in ("conformal", "both") else None   # other modes refuse one
     draws, intervals = infer_one(model, ds, k=64, rng=substream(41, "iv", q),
-                                 refine=refine, table=table)
-    used = table if refine in ("conformal", "both") else None
+                                 refine=refine, table=used)
     assert json.dumps(intervals) == json.dumps(oracle.infer_intervals(draws, used, ALPHA_GRID))
     assert list(intervals[0.05]) == ["global_std", "global", "local_std", "local"]
 

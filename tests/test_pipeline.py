@@ -45,6 +45,13 @@ class TestInferOne:
         with pytest.raises(ConfigError):
             infer_one(model, dataset, k=16, rng=substream(3, "b"), refine="conformal")
 
+    @pytest.mark.parametrize("mode", ["none", "is"])
+    def test_table_without_conformal_mode_is_refused(self, model, dataset, mode):
+        table = build_conformal_table({r: [[0.4] * 150] for r in refine.ROLES}, (0.1,),
+                                      n_calibration=150)
+        with pytest.raises(ConfigError, match=f"refine='{mode}' takes no conformal table"):
+            infer_one(model, dataset, k=16, rng=substream(3, "b"), refine=mode, table=table)
+
     def test_conformal_widens_data_scale_intervals(self, model, dataset):
         raw_draws, raw = infer_one(model, dataset, k=64, rng=substream(4, "c"))
         table = build_conformal_table(

@@ -4,7 +4,7 @@ descent, and exact resume."""
 
 import shutil
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -366,3 +366,25 @@ class TestConjugateFamily:
         draws = model.posterior(dsets[0], k=50, rng=np.random.default_rng(0))
         assert draws.global_std.shape == (50, 2)
         assert draws.local_std is None
+
+
+# values of the wrong kind for each annotation a config field can carry: a
+# string, a bool for a number, 2.5 for an integer, a 3-list for a range
+WRONG_KIND = {"int": ["7", True, 2.5, None], "float": ["0.1", True, float("nan")],
+              "bool": ["no", 1, None], "str": [1, True, None],
+              "tuple[int, int]": [(5, 30, 40), [5, 30, 40], "5,30", (5.0, 30)]}
+CONFIGS = [(sim.SimConfig, {}), (ModelConfig, {"d": 2, "q": 1}), (TrainConfig, {"d": 2, "q": 1})]
+
+
+@pytest.mark.parametrize("cls, base, name, value", [
+    pytest.param(cls, base, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    for cls, base in CONFIGS for f in fields(cls) for value in WRONG_KIND[f.type]])
+def test_every_config_field_refuses_a_value_of_the_wrong_kind(cls, base, name, value):
+    cls(**base)   # the base is valid
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        cls(**{**base, name: value})
+
+
+def test_family_names_a_known_family():
+    with pytest.raises(ConfigError, match="^family must be "):
+        TrainConfig(d=2, q=1, family="partial")
