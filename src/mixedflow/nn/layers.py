@@ -6,7 +6,7 @@ masked rows are excluded from attention and zeroed at block boundaries so
 padding can never leak into a summary statistic (with no masked row, the
 mask multiplies and the attention mask add are skipped).
 
-Three ops are fused into single tape nodes with hand-written backward
+Four ops are fused into single tape nodes with hand-written backward
 passes, so an encoder block is a short chain of nodes instead of dozens of
 small elementwise ones. Each saves for its backward only what is listed:
 
@@ -23,6 +23,19 @@ small elementwise ones. Each saves for its backward only what is listed:
   values, then one normalization of the output; saves the exp scores in
   key-major layout and 1/(key sum) per query (its output and the q, k, v
   inputs are held anyway).
+- `residual_norm`: the end of an encoder sublayer, zero_rows(layer_norm(x +
+  dropout(zero_rows?(a @ W + b)))), with its dropout mask drawn inside;
+  saves x_hat, 1/sigma per row, the row mask as a float column (only when
+  a row is masked) and dropout's keep mask as a bool array (only when
+  dropout is on). The projection, its masked and dropped copies, the
+  residual sum and the unmasked norm output are never kept.
+
+So a training-mode `EncoderBlock` over (b, n, width) float32 rows holds
+eight nodes until the backward sweep: the q, k and v projections (their
+outputs), `masked_attention` (output, exp scores, 1/(key sum)), the
+feedforward's up projection (output), gelu (output and erf of its input
+over sqrt 2, from tensor.py) and two `residual_norm` nodes (output and the
+arrays above).
 
 Training and inference run the same nodes; under `no_grad` the backward
 closures, and with them the saved arrays, are dropped at once.
@@ -50,6 +63,7 @@ __all__ = [
     "linear",
     "layer_norm",
     "masked_attention",
+    "residual_norm",
 ]
 
 LAYER_NORM_EPS = 1e-5  # added to each row's variance in LayerNorm
@@ -98,78 +112,148 @@ def _param(rng: np.random.Generator | None, shape, scale: float, dtype) -> Tenso
     return Tensor(data.astype(dtype, copy=False), requires_grad=True)
 
 
+def _parts(x, w: Tensor) -> list[tuple[Tensor, int, int]]:
+    """(part, its first and last-plus-one row of w) for each non-empty part
+    of x, a tensor or a sequence of parts whose widths add up to the rows
+    of w."""
+    terms, lo = [], 0
+    for p in (x,) if isinstance(x, Tensor) else x:
+        hi = lo + p.data.shape[-1]
+        if hi > lo:
+            terms.append((p, lo, hi))
+        lo = hi
+    if lo != w.data.shape[0]:
+        raise DimensionError(f"linear expects last dim {w.data.shape[0]}, got {lo}")
+    return terms
+
+
+def _project(terms, w: Tensor, b: Tensor) -> np.ndarray:
+    """The forward of `linear`: one flat gemm per part, the bias joining the
+    last part's product, x_0 w_0 + (x_1 w_1 + (... + b))."""
+    n_out = w.data.shape[1]
+    out = None
+    for p, lo, hi in reversed(terms):
+        y = (p.data.reshape(-1, hi - lo) @ w.data[lo:hi]).reshape(p.data.shape[:-1] + (n_out,))
+        y += b.data if out is None else out
+        out = y
+    return out
+
+
+def _project_backward(g: np.ndarray, terms, w: Tensor, b: Tensor):
+    """Scatter the adjoint g of `_project` to the parts, w and b."""
+    wd = w.data
+    n_out = wd.shape[1]
+    g_w = np.empty_like(wd) if w.requires_grad else None
+    for p, lo, hi in terms:
+        gp = _unbroadcast(g, p.data.shape[:-1] + (n_out,))[0].reshape(-1, n_out)
+        if p.requires_grad:
+            p._accumulate((gp @ wd[lo:hi].T).reshape(p.data.shape), owned=True)
+        if g_w is not None:
+            np.matmul(p.data.reshape(-1, hi - lo).T, gp, out=g_w[lo:hi])
+    if g_w is not None:
+        w._accumulate(g_w, owned=True)
+    if b.requires_grad:
+        b._accumulate(g.reshape(-1, n_out).sum(axis=0), owned=True)
+
+
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis, as one node. x is a tensor or a
     sequence of parts whose widths add up to the rows of w; part i meets
     its own block of rows, and later parts may broadcast over the leading
     axes of the first, so a (g, 1, n) condition beside (g, k, n') draws is
     projected once per row, not once per draw. A zero-width part adds
-    nothing. Each part is one flat gemm; the bias joins the last part's
-    product, and the sum is x_0 w_0 + (x_1 w_1 + (... + b))."""
-    n_in, n_out = w.data.shape
-    terms, lo = [], 0  # (part, its first and last-plus-one row of w)
-    for p in (x,) if isinstance(x, Tensor) else x:
-        hi = lo + p.data.shape[-1]
-        if hi > lo:
-            terms.append((p, lo, hi))
-        lo = hi
-    if lo != n_in:
-        raise DimensionError(f"linear expects last dim {n_in}, got {lo}")
-    wd = w.data
-    out = None
-    for p, lo, hi in reversed(terms):
-        y = (p.data.reshape(-1, hi - lo) @ wd[lo:hi]).reshape(p.data.shape[:-1] + (n_out,))
-        y += b.data if out is None else out
-        out = y
+    nothing."""
+    terms = _parts(x, w)
+    return Tensor._make(_project(terms, w, b), (*(p for p, _, _ in terms), w, b),
+                        lambda g: _project_backward(g, terms, w, b))
 
-    def backward(g):
-        g_w = np.empty_like(wd) if w.requires_grad else None
-        for p, lo, hi in terms:
-            gp = _unbroadcast(g, p.data.shape[:-1] + (n_out,))[0].reshape(-1, n_out)
-            if p.requires_grad:
-                p._accumulate((gp @ wd[lo:hi].T).reshape(p.data.shape), owned=True)
-            if g_w is not None:
-                np.matmul(p.data.reshape(-1, hi - lo).T, gp, out=g_w[lo:hi])
-        if g_w is not None:
-            w._accumulate(g_w, owned=True)
-        if b.requires_grad:
-            b._accumulate(g.reshape(-1, n_out).sum(axis=0), owned=True)
 
-    return Tensor._make(out, (*(p for p, _, _ in terms), w, b), backward)
+def _normalize(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray, eps: float):
+    """The forward of `layer_norm` on an array the caller gives up, which is
+    normalized in place into x_hat: the output, x_hat and 1/sigma (with a
+    kept last axis)."""
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    rstd *= 1.0 / xhat.shape[-1]
+    rstd += eps
+    np.sqrt(rstd, out=rstd)
+    np.reciprocal(rstd, out=rstd)
+    xhat *= rstd
+    out = xhat * gd
+    out += bd
+    return out, xhat, rstd
+
+
+def _normalize_backward(g: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
+                        gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Accumulate the adjoints of gamma and beta from g; return the input's."""
+    width = xhat.shape[-1]
+    # dx = (gx - mean(gx) - x_hat * mean(gx * x_hat)) / sigma, gx = g * gamma
+    gx = g * gamma.data
+    c = np.einsum("...i,...i->...", gx, xhat)[..., None]
+    c *= 1.0 / width
+    gx -= gx.mean(axis=-1, keepdims=True)
+    gx -= xhat * c
+    gx *= rstd
+    g2 = g.reshape(-1, width)
+    if gamma.requires_grad:
+        gamma._accumulate(np.einsum("ni,ni->i", g2, xhat.reshape(-1, width)), owned=True)
+    if beta.requires_grad:
+        beta._accumulate(g2.sum(axis=0), owned=True)
+    return gx
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """gamma * (x - mean) / sqrt(var + eps) + beta over the last axis, as
     one node that saves x_hat and 1/sigma."""
-    width = x.data.shape[-1]
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
-    rstd *= 1.0 / width
-    rstd += eps
-    np.sqrt(rstd, out=rstd)
-    np.reciprocal(rstd, out=rstd)
-    xhat *= rstd
-    gd = gamma.data
-    out = xhat * gd
-    out += beta.data
+    out, xhat, rstd = _normalize(x.data.copy(), gamma.data, beta.data, eps)
 
     def backward(g):
+        gx = _normalize_backward(g, xhat, rstd, gamma, beta)
         if x.requires_grad:
-            # dx = (gx - mean(gx) - x_hat * mean(gx * x_hat)) / sigma, gx = g * gamma
-            gx = g * gd
-            c = np.einsum("...i,...i->...", gx, xhat)[..., None]
-            c *= 1.0 / width
-            gx -= gx.mean(axis=-1, keepdims=True)
-            gx -= xhat * c
-            gx *= rstd
             x._accumulate(gx, owned=True)
-        g2 = g.reshape(-1, width)
-        if gamma.requires_grad:
-            gamma._accumulate(np.einsum("ni,ni->i", g2, xhat.reshape(-1, width)), owned=True)
-        if beta.requires_grad:
-            beta._accumulate(g2.sum(axis=0), owned=True)
 
     return Tensor._make(out, (x, gamma, beta), backward)
+
+
+def residual_norm(x: Tensor, a: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                  mask: np.ndarray, rate: float, rng: np.random.Generator | None,
+                  zero_inner: bool = False) -> Tensor:
+    """The end of a post-norm sublayer as one node:
+    zero_rows(layer_norm(x + dropout(zero_rows?(a @ w + b)))), where x is
+    the sublayer's input, a its activation before the output projection
+    and mask (x's leading shape) its valid rows. zero_inner zeroes the
+    invalid rows of the projection too (the attention sublayer does). The
+    dropout mask is drawn here, as `dropout` draws it (identity when rng is
+    None). The float32 operations and their order are those of the chain
+    of separate nodes, so outputs and adjoints match it bit for bit."""
+    terms = _parts(a, w)
+    y = _project(terms, w, b)
+    if y.shape != x.data.shape:
+        raise DimensionError(f"residual of shape {x.data.shape} meets {y.shape}")
+    rows = None if mask.all() else mask[..., None].astype(y.dtype)
+    if zero_inner and rows is not None:
+        y *= rows
+    kept = _dropout_keep(y.shape, y.dtype, rate, rng)
+    if kept is not None:
+        y *= _keep_scale(kept, rate, y.dtype)
+    y += x.data
+    out, xhat, rstd = _normalize(y, gamma.data, beta.data, LAYER_NORM_EPS)
+    if rows is not None:
+        out *= rows
+
+    def backward(g):
+        if rows is not None:
+            g = g * rows
+        gs = _normalize_backward(g, xhat, rstd, gamma, beta)
+        gy = gs if kept is None else gs * _keep_scale(kept, rate, gs.dtype)
+        if zero_inner and rows is not None:
+            gy = gy * rows
+        _project_backward(gy, terms, w, b)
+        if x.requires_grad:
+            x._accumulate(gs, owned=True)
+
+    return Tensor._make(out, (x, a, w, b, gamma, beta), backward)
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
@@ -268,12 +352,24 @@ class LayerNorm(Module):
         return layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
+def _dropout_keep(shape, dtype, rate: float, rng: np.random.Generator | None):
+    """The entries inverted dropout keeps, a bool array drawn as
+    rng.random(shape, dtype) >= rate; None (nothing drawn) when rng is None
+    (evaluation mode) or rate <= 0."""
+    if rng is None or rate <= 0.0:
+        return None
+    return rng.random(shape, dtype=dtype) >= rate
+
+
+def _keep_scale(kept: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The inverted-dropout multiplier of the kept entries: kept / (1 - rate)."""
+    return kept.astype(dtype) / (1.0 - rate)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rng is None (evaluation mode)."""
-    if rng is None or rate <= 0.0:
-        return x
-    keep = (rng.random(x.shape, dtype=x.dtype) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * Tensor(keep)
+    kept = _dropout_keep(x.shape, x.dtype, rate, rng)
+    return x if kept is None else x * Tensor(_keep_scale(kept, rate, x.dtype))
 
 
 def masked_mean(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
@@ -307,17 +403,18 @@ class MultiheadAttention(Module):
         self.wv = self.register("wv", Linear(width, width, rng, dtype))
         self.wo = self.register("wo", Linear(width, width, rng, dtype))
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def attend(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """The heads' output before the output projection wo, in x's shape
+        ((b, n, width) or (n, width))."""
         if x.shape[-1] != self.width:
             raise DimensionError(f"attention expects width {self.width}, got {x.shape}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
-            mask = np.asarray(mask)[None, :]
-        mask = np.asarray(mask, dtype=bool)
-        out = self.wo(masked_attention(self.wq(x), self.wk(x), self.wv(x), mask, self.heads))
-        out = _zero_rows(out, mask)
-        return out.reshape(out.shape[1:]) if squeeze else out
+        if x.ndim == 2:
+            return self.attend(x.reshape((1,) + x.shape), np.asarray(mask)[None, :]).reshape(x.shape)
+        return masked_attention(self.wq(x), self.wk(x), self.wv(x),
+                                np.asarray(mask, dtype=bool), self.heads)
+
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        return _zero_rows(self.wo(self.attend(x, mask)), np.asarray(mask, dtype=bool))
 
 
 class FeedForward(Module):
@@ -326,13 +423,20 @@ class FeedForward(Module):
         self.up = self.register("up", Linear(width, hidden, rng, dtype))
         self.down = self.register("down", Linear(hidden, width, rng, dtype))
 
+    def hidden(self, x: Tensor) -> Tensor:
+        """The gelu hidden layer, before the down projection."""
+        return self.up(x).gelu()
+
     def __call__(self, x: Tensor) -> Tensor:
-        return self.down(self.up(x).gelu())
+        return self.down(self.hidden(x))
 
 
 class EncoderBlock(Module):
     """Post-norm transformer encoder block: attention and feedforward
-    sublayers with residuals, layer norm, dropout and gelu."""
+    sublayers with residuals, layer norm, dropout and gelu. Each sublayer
+    is two steps: its activation (the attention heads, or the gelu hidden
+    layer), then one `residual_norm` node for the output projection,
+    dropout, residual, layer norm and row mask."""
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.01, dtype=np.float32, name: str = "encoder"):
@@ -347,9 +451,12 @@ class EncoderBlock(Module):
     def __call__(self, x: Tensor, mask: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         if not self.training:
             rng = None
-        mask = np.asarray(mask, dtype=bool)
-        h = _zero_rows(self.norm1(x + dropout(self.attn(x, mask), self.dropout_rate, rng)), mask)
-        h = _zero_rows(self.norm2(h + dropout(self.ff(h), self.dropout_rate, rng)), mask)
+        mask, rate = np.asarray(mask, dtype=bool), self.dropout_rate
+        wo, down = self.attn.wo, self.ff.down
+        h = residual_norm(x, self.attn.attend(x, mask), wo.w, wo.b, self.norm1.gamma,
+                          self.norm1.beta, mask, rate, rng, zero_inner=True)
+        h = residual_norm(h, self.ff.hidden(h), down.w, down.b, self.norm2.gamma,
+                          self.norm2.beta, mask, rate, rng)
         assert_finite(h, f"{self.name} output")
         return h
 

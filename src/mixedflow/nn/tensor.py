@@ -11,11 +11,10 @@ and its parents once its closure has run, so only the leaves keep their
 
 The op set is what the layers, flows and losses of this package run, plus
 `**` for the gradient checks: arithmetic, a few elementwise maps, sum and
-mean, reshape, indexing, row scatter and `cat`. The layer ops (linear maps, layer norm and masked
-attention) are fused single nodes in layers.py, each with a hand-written
-backward that saves no more than the forward already holds (the inputs,
-plus x_hat and 1/sigma for layer norm and the exp scores and 1/(key sum)
-for attention). A new op comes in with its first caller.
+mean, reshape, indexing, row scatter and `cat`. The layer ops (linear maps, layer norm, masked
+attention and the end of an encoder sublayer) are fused single nodes in
+layers.py, each with a hand-written backward that saves only what its
+docstring there lists. A new op comes in with its first caller.
 """
 
 from __future__ import annotations

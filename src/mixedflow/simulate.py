@@ -194,14 +194,25 @@ _FIELD_KINDS = {
 }
 
 
+def _plain(value):
+    """value with each numpy scalar, also inside a tuple, as the Python
+    int, float or bool it holds."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_fields(cfg, low: dict[str, int]) -> None:
     """Check each field of the config dataclass `cfg` against its annotation
-    and its lower bound in `low`, if any; a ConfigError names the field."""
+    and its lower bound in `low`, if any; a ConfigError names the field.
+    A numpy scalar it accepts is stored as the Python number, so the config
+    serializes to JSON."""
     for f in fields(cfg):
         value, (test, kind) = getattr(cfg, f.name), _FIELD_KINDS[f.type]
         if not (test(value) and value >= low.get(f.name, value)):
             bound = f" >= {low[f.name]}" if f.name in low else ""
             raise ConfigError(f"{f.name} must be {kind}{bound}, got {value!r}")
+        setattr(cfg, f.name, _plain(value))
 
 
 @dataclass(kw_only=True)

@@ -1,10 +1,14 @@
-"""Fused tape nodes (linear, layer_norm, masked_attention): float64
-finite-difference gradients of each node and of the oracle's own nodes, and
+"""Fused tape nodes (linear, layer_norm, masked_attention, residual_norm):
+float64 finite-difference gradients of each node and of the oracle's own
+nodes, residual_norm against the chain of nodes it replaces (bit for bit),
+a bound on what a training-mode encoder block holds on the tape, and
 agreement with the composed oracle in layers_oracle.py for encoder blocks
 (outputs and gradients, in training mode with dropout) and summary networks
 (eval mode), on ragged desk-shaped and full paper-shaped inputs."""
 
 import contextlib
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from helpers import gradcheck, rel_err
 from mixedflow import simulate as sim
 from mixedflow.model import ModelConfig, PosteriorModel, make_batch
 from mixedflow.nn import EncoderBlock, Tensor, no_grad
-from mixedflow.nn.layers import layer_norm, linear, masked_attention
+from mixedflow.nn.layers import (LAYER_NORM_EPS, _zero_rows, dropout, layer_norm, linear,
+                                 masked_attention, residual_norm)
 from mixedflow.seeding import substream
 from mixedflow.summary import SummaryNetwork
 
@@ -58,6 +63,23 @@ class TestNodeGradients:
         r = RNG.normal(size=(4, 5, 8)) * MASK.any(axis=1)[:, None, None]
         gradcheck(lambda q, k, v: (masked_attention(q, k, v, MASK, heads=2) * Tensor(r)).sum(),
                   [RNG.normal(size=(4, 5, 8)) for _ in range(3)])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("zero_inner", [True, False], ids=["attention", "feedforward"])
+    def test_residual_norm(self, zero_inner, rate):
+        # padded rows (MASK's rows 1-3, one of them empty); each call draws
+        # the same dropout mask from a fresh generator
+        r = RNG.normal(size=(4, 5, 6))
+        seed = int(RNG.integers(1 << 30))
+
+        def build(x, a, w, b, g, be):
+            out = residual_norm(x, a, w, b, g, be, MASK, rate, np.random.default_rng(seed),
+                                zero_inner=zero_inner)
+            return (out * Tensor(r)).sum()
+
+        gradcheck(build, [RNG.normal(size=(4, 5, 6)), RNG.normal(size=(4, 5, 7)),
+                          RNG.normal(size=(7, 6)), RNG.normal(size=6),
+                          RNG.normal(size=6), RNG.normal(size=6)])
 
     def test_attention_masks_keys_and_all_masked_row_is_uniform(self):
         q, k, v = (RNG.normal(size=(4, 5, 8)) for _ in range(3))
@@ -104,6 +126,33 @@ def test_attention_is_stable_at_large_logits():
               [rng.normal(size=(4, 6, 8)) for _ in range(3)])
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("zero_inner", [True, False], ids=["attention", "feedforward"])
+def test_residual_norm_matches_the_node_chain_bit_for_bit(zero_inner, rate):
+    # float32, padded rows: the fused node against the separate nodes it
+    # replaces, with the same dropout draw; outputs and every adjoint equal
+    rng = np.random.default_rng(23)
+    mask = _ragged_rows(6, 9, rng)
+    arrays = [rng.normal(size=s).astype(np.float32)
+              for s in [(6, 9, 16), (6, 9, 24), (24, 16), (16,), (16,), (16,)]]
+    r = Tensor(rng.normal(size=(6, 9, 16)).astype(np.float32))
+
+    def run(fused):
+        x, a, w, b, g, be = (Tensor(v, requires_grad=True) for v in arrays)
+        drop = np.random.default_rng(9)
+        if fused:
+            out = residual_norm(x, a, w, b, g, be, mask, rate, drop, zero_inner=zero_inner)
+        else:
+            y = linear(a, w, b)
+            y = dropout(_zero_rows(y, mask) if zero_inner else y, rate, drop)
+            out = _zero_rows(layer_norm(x + y, g, be, LAYER_NORM_EPS), mask)
+        (out * r).sum().backward()
+        return [out.data] + [t.grad for t in (x, a, w, b, g, be)]
+
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_array_equal(got, want)
+
+
 def _ragged_rows(b, n, rng):
     """Desk-like row masks: sizes uniform on 1..n, one row full."""
     sizes = rng.integers(1, n + 1, size=b)
@@ -140,6 +189,37 @@ def test_encoder_block_matches_composed_oracle_in_training(shape):
     for name, want in grads_o.items():
         err = np.abs(grads[name] - want).max() / max(np.abs(want).max(), 0.1 * scale)
         assert err < 1e-5, (name, err)
+
+
+def test_training_block_holds_only_the_listed_arrays():
+    # after a training-mode forward with dropout on padded rows, the block's
+    # graph may hold no more than the outputs and saved arrays that the
+    # nn/layers.py docstring lists for its eight nodes, plus 4 KiB per node
+    # for Python objects (tensors, closures, array headers)
+    b, n, width, heads, f32 = 4, 32, 64, 4, 4
+    rng = np.random.default_rng(31)
+    blk = EncoderBlock(width, heads, rng, dropout_rate=0.1).set_training(True)
+    mask = _ragged_rows(b, n, rng)
+    x = Tensor((rng.normal(size=(b, n, width)) * mask[..., None]).astype(np.float32),
+               requires_grad=True)
+    blk(x, mask, np.random.default_rng(1))   # warm numpy's caches; the graph dies here
+    act = b * n * width * f32                # one (b, n, width) float32 array
+    rows = b * n * f32                       # one float32 value per row
+    listed = (3 * act                                              # q, k, v
+              + act + b * heads * n * n * f32 + b * heads * n * f32  # attention
+              + act                                                # up projection
+              + 2 * act                                            # gelu: output, erf
+              + 2 * (2 * act + 2 * rows + b * n * width))          # residual_norm x 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = blk(x, mask, np.random.default_rng(2))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.requires_grad
+    assert held <= listed + 8 * 4096, (held, listed)
 
 
 def _summaries(net, batch, composed):

@@ -136,6 +136,15 @@ class TestEncoderBlock:
             tol=1e-3,
         )
 
+    def test_two_dim_input_is_a_batch_of_one(self):
+        rng = make_rng(14)
+        blk = EncoderBlock(8, 2, rng, dropout_rate=0.3, dtype=np.float64).set_training(True)
+        x = rng.normal(size=(6, 8))
+        mask = np.array([True, True, False, True, False, True])
+        out = blk(Tensor(x), mask, make_rng(15)).data
+        want = blk(Tensor(x[None]), mask[None], make_rng(15)).data[0]
+        np.testing.assert_array_equal(out, want)
+
     def test_nonfinite_activation_names_the_block(self):
         from mixedflow.errors import NumericError
         rng = make_rng(13)

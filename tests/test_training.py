@@ -385,6 +385,20 @@ def test_every_config_field_refuses_a_value_of_the_wrong_kind(cls, base, name, v
         cls(**{**base, name: value})
 
 
+def test_numpy_scalars_in_a_config_train_and_write_both_checkpoints(tmp_path):
+    # numpy numbers pass the field checks (perfbench builds its ranges from
+    # an np.arange); they are kept as Python numbers, so the manifests, which
+    # carry the config as JSON, can be written
+    cfg = TrainConfig(d=2, q=1, budget=16, batch_size=8, seed=np.int64(3), toy=True,
+                      m_range=(np.int64(5), np.int64(6)), lr=np.float64(1e-3), eval_every=2,
+                      val_sets=8, warmup_steps=5, **SMALL)
+    assert [type(v) for v in (cfg.seed, *cfg.m_range, cfg.lr)] == [int, int, int, float]
+    train(cfg, tmp_path)
+    for name in ("best.ckpt", "last.ckpt"):
+        recorded = load_checkpoint(tmp_path / name)[0]["train_config"]
+        assert (recorded["seed"], recorded["m_range"], recorded["lr"]) == (3, [5, 6], 1e-3)
+
+
 def test_family_names_a_known_family():
     with pytest.raises(ConfigError, match="^family must be "):
         TrainConfig(d=2, q=1, family="partial")
