@@ -33,9 +33,9 @@ small elementwise ones. Each saves for its backward only what is listed:
 So a training-mode `EncoderBlock` over (b, n, width) float32 rows holds
 eight nodes until the backward sweep: the q, k and v projections (their
 outputs), `masked_attention` (output, exp scores, 1/(key sum)), the
-feedforward's up projection (output), gelu (output and erf of its input
-over sqrt 2, from tensor.py) and two `residual_norm` nodes (output and the
-arrays above).
+feedforward's up projection (output), gelu (output; its backward
+recomputes erf from the input, from tensor.py) and two `residual_norm`
+nodes (output and the arrays above).
 
 Training and inference run the same nodes; under `no_grad` the backward
 closures, and with them the saved arrays, are dropped at once.

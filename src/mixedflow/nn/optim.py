@@ -3,7 +3,10 @@
 ScheduleFreeAdamW keeps two iterates per parameter (a fast iterate z and a
 running average x) and evaluates gradients at an interpolation y between
 them, which removes the need for a learning-rate schedule. Weight decay is
-decoupled from the gradient moments.
+decoupled from the gradient moments. Each of y, z, x and the second
+moment v is one flat array over all parameters, so a step is a few
+whole-array ufuncs, and the parameters are views of y: rebinding a
+parameter's `.data` after the optimizer is built detaches it.
 
 Steps with non-finite gradients are rejected (counted, parameters left
 untouched) rather than poisoning the weights.
@@ -36,90 +39,85 @@ class ScheduleFreeAdamW:
                  warmup_steps: int = 0):
         if not named_params:
             raise ConfigError("optimizer needs at least one parameter")
-        self.named_params = list(named_params)
-        self.lr = float(lr)
-        self.t = 0
-        self.rejected = 0
+        self.names, self.params = [n for n, _ in named_params], [p for _, p in named_params]
+        dtype = self.params[0].data.dtype
+        for name, p in named_params:
+            if p.data.dtype != dtype:
+                raise ConfigError(f"optimizer parameters must share one dtype: {name} is "
+                                  f"{p.data.dtype}, {self.names[0]} is {dtype}")
+        self.lr, self.warmup_steps = float(lr), int(warmup_steps)
+        self.t, self.rejected, self.weight_sum = 0, 0, 0.0
+        self.grad_norm = math.nan   # global gradient norm of the last applied step, unclipped
+        self._shapes = [p.data.shape for p in self.params]
+        self._offsets = np.cumsum([p.data.size for p in self.params])[:-1]
+        self.y = np.concatenate([p.data.reshape(-1) for p in self.params])
+        for p, view in zip(self.params, self._views(self.y)):
+            p.data = view
         # decay only matrix-shaped weights; biases, norm scales and
         # distribution parameters stay unregularized
-        self.decay_mask = {name: p.data.ndim >= 2 for name, p in self.named_params}
-        self.warmup_steps = int(warmup_steps)
-        self.z = [p.data.copy() for _, p in self.named_params]
-        self.x = [p.data.copy() for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.weight_sum = 0.0
+        self.decay = np.concatenate([np.full(p.data.size, p.data.ndim >= 2) for p in self.params])
+        self.z, self.x, self.v = self.y.copy(), self.y.copy(), np.zeros_like(self.y)
         self._in_train_mode = True  # params start at y == x == z
 
-    def _gather_grads(self):
-        grads = []
-        for name, p in self.named_params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                self.rejected += 1
-                return None
-            grads.append(g)
-        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
-        if total > CLIP_NORM:
-            grads = [g * (CLIP_NORM / total) for g in grads]
-        return grads
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's segment of a flat state, in its shape."""
+        return [s.reshape(shape) for s, shape in zip(np.split(flat, self._offsets), self._shapes)]
 
     def train_mode(self):
         """Write the gradient-evaluation point y into the parameters."""
-        for (name, p), z, x in zip(self.named_params, self.z, self.x):
-            p.data = BETA1 * x + (1.0 - BETA1) * z
+        np.add(BETA1 * self.x, (1.0 - BETA1) * self.z, out=self.y)
         self._in_train_mode = True
 
     def eval_mode(self):
         """Write the averaged iterate x into the parameters."""
-        for (name, p), x in zip(self.named_params, self.x):
-            p.data = x.copy()
+        np.copyto(self.y, self.x)
         self._in_train_mode = False
 
     def step(self) -> bool:
         if not self._in_train_mode:
             self.train_mode()
-        grads = self._gather_grads()
-        if grads is None:
+        g = np.concatenate([p.grad.reshape(-1) if p.grad is not None else
+                            np.zeros(p.data.size, p.data.dtype) for p in self.params])
+        if not np.isfinite(g).all():
+            self.rejected += 1
             return False
+        # summed per parameter in float64, in parameter order: the clip
+        # factor, and with it every bit of the step, depends on that order
+        self.grad_norm = math.sqrt(sum(float((s.astype(np.float64) ** 2).sum())
+                                       for s in self._views(g)))
+        if self.grad_norm > CLIP_NORM:
+            g *= CLIP_NORM / self.grad_norm
         self.t += 1
         warm = min(1.0, self.t / self.warmup_steps) if self.warmup_steps > 0 else 1.0
         # second-moment bias correction folded into the step size
         lr_t = self.lr * warm * math.sqrt(1.0 - BETA2 ** self.t)
-        for i, ((name, p), g) in enumerate(zip(self.named_params, grads)):
-            y = p.data
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
-            denom = np.sqrt(self.v[i]) + EPS
-            self.z[i] -= lr_t * g / denom
-            if WEIGHT_DECAY > 0.0 and self.decay_mask[name]:
-                self.z[i] -= lr_t * WEIGHT_DECAY * y
-        weight = lr_t ** 2
-        self.weight_sum += weight
-        c = weight / self.weight_sum
-        for i, (name, p) in enumerate(self.named_params):
-            self.x[i] = (1.0 - c) * self.x[i] + c * self.z[i]
-            p.data = BETA1 * self.x[i] + (1.0 - BETA1) * self.z[i]
-        for name, p in self.named_params:
-            if not np.all(np.isfinite(p.data)):
-                raise NumericError(f"parameter {name} became non-finite after optimizer step")
+        np.add(BETA2 * self.v, (1.0 - BETA2) * g * g, out=self.v)
+        self.z -= lr_t * g / (np.sqrt(self.v) + EPS)
+        if WEIGHT_DECAY > 0.0:
+            np.subtract(self.z, lr_t * WEIGHT_DECAY * self.y, out=self.z, where=self.decay)
+        self.weight_sum += lr_t ** 2
+        c = lr_t ** 2 / self.weight_sum
+        np.add((1.0 - c) * self.x, c * self.z, out=self.x)
+        self.train_mode()
+        if not np.isfinite(self.y).all():
+            name = next(n for n, s in zip(self.names, self._views(self.y))
+                        if not np.isfinite(s).all())
+            raise NumericError(f"parameter {name} became non-finite after optimizer step")
         return True
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """t, weight_sum, then z, x and v of each parameter (views, in its shape)."""
         out = {"t": np.array([self.t], dtype=np.int64),
                "weight_sum": np.array([self.weight_sum], dtype=np.float64)}
-        for i, (name, _) in enumerate(self.named_params):
-            out[f"z.{name}"] = self.z[i]
-            out[f"x.{name}"] = self.x[i]
-            out[f"v.{name}"] = self.v[i]
+        for name, z, x, v in zip(self.names, *map(self._views, (self.z, self.x, self.v))):
+            out[f"z.{name}"], out[f"x.{name}"], out[f"v.{name}"] = z, x, v
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Restore from exactly the arrays state_arrays() gives, shapes included."""
-        check_arrays("optimizer state", arrays,
-                     {name: a.shape for name, a in self.state_arrays().items()})
-        self.t = int(arrays["t"][0])
-        self.weight_sum = float(arrays["weight_sum"][0])
-        for i, (name, p) in enumerate(self.named_params):   # copies in p's dtype
-            self.z[i] = arrays[f"z.{name}"].astype(p.data.dtype)
-            self.x[i] = arrays[f"x.{name}"].astype(p.data.dtype)
-            self.v[i] = arrays[f"v.{name}"].astype(p.data.dtype)
+        state = self.state_arrays()
+        check_arrays("optimizer state", arrays, {name: a.shape for name, a in state.items()})
+        self.t, self.weight_sum = int(arrays["t"][0]), float(arrays["weight_sum"][0])
+        for name, view in list(state.items())[2:]:   # cast to the parameters' dtype
+            np.copyto(view, arrays[name])
         self.train_mode()

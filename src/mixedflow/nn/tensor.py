@@ -328,12 +328,11 @@ class Tensor:
     def gelu(self):
         """The erf gelu of Hendrycks & Gimpel (2016); float32 within 5e-7·max(1, |x|)."""
         x = self.data
-        inner = _erf(x / math.sqrt(2.0))
-        out_data = 0.5 * x * (1.0 + inner)
+        out_data = 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)))
 
-        def backward(g):
+        def backward(g):   # erf recomputed from x, so the node keeps x alone
             pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            self._accumulate(g * (0.5 * (1.0 + inner) + x * pdf), owned=True)
+            self._accumulate(g * (0.5 * (1.0 + _erf(x / math.sqrt(2.0))) + x * pdf), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 

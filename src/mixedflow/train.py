@@ -196,7 +196,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
                    for i in range(0, len(val_sets), 32)]
 
     initial_loss: float | None = None
-    divergent_streak = 0
+    divergent_streak, skipped = 0, 0
     stopped_early = stale_evals >= cfg.patience
     t_start = time.time()
 
@@ -217,6 +217,7 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
         loss_val = float(loss.item())
         if not np.isfinite(loss_val):
             log.warning("step %d: non-finite loss, batch skipped", step)
+            skipped += 1
         else:
             loss.backward()
             opt.step()
@@ -261,8 +262,10 @@ def train(cfg: TrainConfig, out_dir, resume: bool = False) -> TrainResult:
             opt.train_mode()
             model.set_training(True)
             rate = (step + 1 - start_step) / max(time.time() - t_start, 1e-9)
-            log.info("step %d/%d train %.3f val %.3f best %.3f (%.2f steps/s)",
-                     step + 1, cfg.steps, loss_val, val, best_val, rate)
+            log.info("step %d/%d train %.3f val %.3f best %.3f (%.2f steps/s); last grad "
+                     "norm %.3g before clipping, %d steps rejected, %d batches skipped",
+                     step + 1, cfg.steps, loss_val, val, best_val, rate, opt.grad_norm,
+                     opt.rejected, skipped)
             if stopped_early:
                 log.info("no validation improvement in %d evaluations, stopping", stale_evals)
                 break

@@ -208,7 +208,7 @@ def test_training_block_holds_only_the_listed_arrays():
     listed = (3 * act                                              # q, k, v
               + act + b * heads * n * n * f32 + b * heads * n * f32  # attention
               + act                                                # up projection
-              + 2 * act                                            # gelu: output, erf
+              + act                                                # gelu: output
               + 2 * (2 * act + 2 * rows + b * n * width))          # residual_norm x 2
     gc.collect()
     tracemalloc.start()

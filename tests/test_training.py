@@ -2,6 +2,7 @@
 phantom-group neutrality, initialization oracle, gradient reach, smoke
 descent, and exact resume."""
 
+import logging
 import shutil
 import weakref
 from dataclasses import fields, replace
@@ -309,6 +310,25 @@ class TestTrainingLoop:
             assert res.best_val == float("inf") and best["best_val"] is None
             assert rows[0].split(",")[-1] == "nan"
         assert train(cfg, tmp_path, resume=True).steps_run == 0
+
+    def test_progress_line_reports_gradient_norm_and_dropped_steps(self, tmp_path, monkeypatch,
+                                                                    caplog):
+        cfg = TrainConfig(d=2, q=1, budget=24, batch_size=8, seed=31, toy=True,
+                          eval_every=3, val_sets=8, warmup_steps=5, **SMALL)
+        real, calls = PosteriorModel.loss_components, []
+
+        def poison(self, batch, rng=None):
+            g, l = real(self, batch, rng)
+            calls.append(rng is not None)   # a training step; validation passes no rng
+            return (g * float("nan") if calls[-1] and sum(calls) == 2 else g), l
+
+        monkeypatch.setattr(PosteriorModel, "loss_components", poison)
+        with caplog.at_level(logging.INFO, logger="mixedflow.train"):
+            train(cfg, tmp_path)
+        line = next(m for m in caplog.messages if m.startswith("step 3/3"))
+        norm = float(line.split("grad norm ")[1].split()[0])
+        assert np.isfinite(norm) and norm > 0
+        assert line.endswith("before clipping, 0 steps rejected, 1 batches skipped"), line
 
     def test_patience_stop_is_complete_and_resume_runs_nothing(self, tmp_path):
         cfg = TrainConfig(d=2, q=1, budget=800, batch_size=8, seed=29, toy=True,
