@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import optim_oracle
-from mixedflow.errors import ConfigError
+from mixedflow.errors import ConfigError, NumericError
 from mixedflow.nn import Tensor, optim
 from mixedflow.nn.optim import ScheduleFreeAdamW
 
@@ -87,6 +87,18 @@ def test_nonfinite_gradient_rejected(opt_cls):
     np.testing.assert_array_equal(p.data, start)
 
 
+def test_nonfinite_parameter_is_named():
+    # the finiteness check runs over the flat y, but the error still names
+    # the one parameter (not the first) whose segment went non-finite
+    params = _named_params(SHAPES, np.float32)
+    opt = ScheduleFreeAdamW(params)
+    opt.state_arrays()["z.b"][2] = np.inf   # a view: this writes the optimizer's z
+    for _, p in params:
+        p.grad = np.ones_like(p.data)
+    with pytest.raises(NumericError, match="parameter b became non-finite"):
+        opt.step()
+
+
 def test_steps_keep_the_parameter_dtype(monkeypatch):
     # step sizes are Python floats: a numpy float64 scalar would promote
     # float32 parameters and moments to float64 (NumPy 2 promotion rules)
@@ -132,8 +144,9 @@ def test_schedule_free_eval_uses_average(no_decay_or_clip):
     np.testing.assert_allclose(x, opt.state_arrays()["x.p"])
 
 
-@pytest.mark.parametrize("shapes", [{"p": (3,)}, SHAPES], ids=["one", "weight-bias-scalar"])
-@pytest.mark.parametrize("opt_cls", [ScheduleFreeAdamW], ids=["schedule_free"])
+@pytest.mark.parametrize("opt_cls,shapes", [(ScheduleFreeAdamW, {"p": (3,)}),
+                                            (ScheduleFreeAdamW, SHAPES)],
+                         ids=["schedule_free", "schedule_free-weight-bias-scalar"])
 def test_state_resume_is_bitwise(opt_cls, shapes):
     def grads(rng):
         return [rng.normal(size=shape) for shape in shapes.values()]
