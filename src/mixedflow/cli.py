@@ -81,12 +81,12 @@ def _read_input_datasets(args):
 
 def cmd_simulate(args) -> int:
     cfg = SimConfig(m_range=args.m_range, n_range=args.n_range, toy=args.toy, family=args.family)
-    datasets = [simulate_dataset(args.d, args.q, substream(args.seed, "sim", i), cfg,
-                                 dataset_id=f"sim-{args.seed}-{i}") for i in range(args.count)]
+    datasets = (simulate_dataset(args.d, args.q, substream(args.seed, "sim", i), cfg,
+                                 dataset_id=f"sim-{args.seed}-{i}") for i in range(args.count))
     mfio.save_datasets(args.out, datasets)
     mfio.write_manifest(str(args.out) + ".manifest.json", "simulate",
                         {**vars_for_manifest(args)}, args.seed, outputs=[str(args.out)])
-    print(f"wrote {len(datasets)} datasets to {args.out}")
+    print(f"wrote {args.count} datasets to {args.out}")
     return 0
 
 
@@ -120,19 +120,21 @@ def cmd_infer(args) -> int:
     model, manifest, table = _model_and_table(args)
     datasets = _read_input_datasets(args)
     prior = mfio.load_prior(args.prior, datasets[0].d, datasets[0].q) if args.prior else None
-    records = []
-    for i, ds in enumerate(datasets):
-        draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "infer", i),
-                                     refine=args.refine, table=table, prior=prior,
-                                     alphas=args.alphas)
-        records.append(mfio.draws_to_record(draws, intervals=intervals))
-    mfio.save_draws(args.out, records)
+
+    def records():
+        for i, ds in enumerate(datasets):
+            draws, intervals = infer_one(model, ds, args.k, substream(args.seed, "infer", i),
+                                         refine=args.refine, table=table, prior=prior,
+                                         alphas=args.alphas)
+            yield mfio.draws_to_record(draws, intervals=intervals)
+
+    mfio.save_draws(args.out, records())
     mfio.write_manifest(str(args.out) + ".manifest.json", "infer",
                         vars_for_manifest(args), args.seed,
                         inputs={"checkpoint": manifest.get("checkpoint_id", ""),
                                 "data": str(args.data)},
                         outputs=[str(args.out)])
-    print(f"wrote draws for {len(records)} datasets to {args.out}")
+    print(f"wrote draws for {len(datasets)} datasets to {args.out}")
     return 0
 
 
@@ -156,12 +158,15 @@ def cmd_evaluate(args) -> int:
     datasets = mfio.load_datasets(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, evals = [], []
-    for i, ds in enumerate(datasets):
-        draws = posterior_draws(model, ds, args.k, substream(args.seed, "eval", i), args.refine)
-        records.append(mfio.draws_to_record(draws))
-        evals.append(evaluate_dataset(ds, draws, table, args.alphas))
-    mfio.save_draws(out_dir / "draws.jsonl", records)
+    evals = []
+
+    def records():   # the per-set summaries are kept, the draws are not
+        for i, ds in enumerate(datasets):
+            draws = posterior_draws(model, ds, args.k, substream(args.seed, "eval", i), args.refine)
+            evals.append(evaluate_dataset(ds, draws, table, args.alphas))
+            yield mfio.draws_to_record(draws)
+
+    mfio.save_draws(out_dir / "draws.jsonl", records())
     name = args.name or "model"
     reports = {name: aggregate(evals, args.alphas,
                                {"checkpoint": manifest.get("checkpoint_id", "")[:12],

@@ -114,22 +114,56 @@ class PosteriorDraws:
     def interval_borders(self, alphas) -> tuple[np.ndarray, np.ndarray | None]:
         """Equal-tailed (1 - alpha) interval borders in standardized space
         for every alpha at once: global (A, p_global, 2) and local
-        (A, m, q, 2), or None without local draws. Each component is
-        sorted once and all its borders come from one interpolation, with
-        the same numbers as a weighted_quantile call per alpha."""
+        (A, m, q, 2), or None without local draws. Each block of components
+        is sorted by one argsort and every border comes from one
+        interpolation per component, with the numbers of a weighted_quantile
+        call per component and alpha."""
         alphas = np.asarray(alphas, dtype=np.float64)
         probs = np.concatenate([alphas / 2, 1 - alphas / 2])
         n_a = alphas.size
 
-        def borders(values, weights):
-            qs = weighted_quantile(values, probs, weights)
-            return np.stack([qs[:n_a], qs[n_a:]], axis=-1)        # (A, 2)
+        def borders(values, weights):  # n rows of k draws → (A, n, 2)
+            qs = _row_quantiles(values, probs, weights)
+            return np.stack([qs[:, :n_a], qs[:, n_a:]], axis=-1).transpose(1, 0, 2)
 
-        out_global = np.stack([borders(self.global_std[:, j], self.weights)
-                               for j in range(self.global_std.shape[1])], axis=1)
+        w, lw = self.weights, self.local_weights
+        out_global = borders(self.global_std.T,
+                             None if w is None else np.broadcast_to(w, self.global_std.T.shape))
         if self.local_std is None:
             return out_global, None
-        lw = self.local_weights
-        out_local = np.array([[borders(self.local_std[:, i, j], None if lw is None else lw[:, i])
-                               for j in range(self.q)] for i in range(self.m)])
-        return out_global, out_local.reshape(self.m, self.q, n_a, 2).transpose(2, 0, 1, 3)
+        # a group's weights serve each of its q components
+        out_local = borders(self.local_std.reshape(self.k, -1).T,
+                            None if lw is None else np.repeat(lw.T, self.q, axis=0))
+        return out_global, out_local.reshape(n_a, self.m, self.q, 2)
+
+
+def _row_quantiles(values: np.ndarray, probs: np.ndarray,
+                   weights: np.ndarray | None) -> np.ndarray:
+    """weighted_quantile(values[j], probs, weights[j]) for each row j of
+    values (n, k), with weights (n, k) or None: (n, P). One argsort orders
+    every row, and each row's cumulative sum and total run on contiguous
+    rows as in weighted_quantile, so the numbers are bitwise the same. A row
+    with a weight that is not positive goes through weighted_quantile."""
+    rows = np.ascontiguousarray(values, dtype=np.float64)
+    k, out = rows.shape[1], np.empty((rows.shape[0], probs.size))
+    fast = np.arange(rows.shape[0])
+    if weights is not None:
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        positive = np.all(weights > 0, axis=1)
+        for j in np.flatnonzero(~positive):
+            out[j] = weighted_quantile(rows[j], probs, weights[j])
+        if not positive.all():
+            fast = fast[positive]
+            rows, weights = rows[fast], weights[fast]
+    order = np.argsort(rows, axis=1)
+    order += np.arange(0, order.size, k)[:, None]   # row j's positions, flat
+    v = rows.take(order)
+    if weights is None:   # unit weights: the running sums count, the total is k
+        cum = np.broadcast_to((np.arange(1.0, k + 1) - 0.5) / k, v.shape)
+    else:
+        w = weights.take(order)
+        cum = np.cumsum(w, axis=1) - 0.5 * w
+        cum /= w.sum(axis=1, keepdims=True)
+    for j, c, r in zip(fast, cum, v):
+        out[j] = np.interp(probs, c, r, left=r[0], right=r[-1])
+    return out

@@ -34,11 +34,16 @@ Run manifests: a JSON sidecar recording command, configuration hash, seed
 and library versions, so artifacts can be regenerated byte-for-byte.
 
 Writing: every file the package produces goes through write_file, which
-takes the finished content, writes it to a temporary file beside the
-target, fsyncs it and renames it over the target. A reader therefore sees
-the old file or the new one, never a cut one, and a write that fails
-leaves no temporary file behind. A .gz target is gzip-compressed with a
-zero timestamp and no embedded name, so equal content gives equal bytes.
+takes the content whole or as an iterable of pieces, streams each piece
+into a temporary file beside the target as it arrives, then fsyncs the
+file and renames it over the target. A reader therefore sees the old file
+or the new one, never a cut one, and a write that fails (a piece that
+raises included) leaves no temporary file behind. A .gz target is
+gzip-compressed as it streams, with the bytes of gzip.compress(content,
+mtime=0): a zero timestamp and no embedded name, so equal content gives
+equal bytes. Record files are written a record at a time, so their
+writers hold one record's text, not the file's: each line is
+json.dumps(record) + "\n", with every numeric block copied in as it is.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ import hashlib
 import json
 import math
 import os
+import struct
 import sys
 import zlib
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -79,22 +86,41 @@ def _open(path):
     return (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb")
 
 
-def write_file(path, data: str | bytes):
-    """Replace `path` atomically with `data` (a str is written as UTF-8).
+# gzip.compress's header for an mtime of 0 does not depend on the content
+_GZIP_HEADER = gzip.compress(b"", mtime=0)[:10]
 
-    The bytes go to a temporary file in the same directory, which is
-    flushed, fsynced and renamed over `path`; if any step raises, the
-    temporary file is removed and `path` is left as it was. A .gz path
-    gets a gzip member with mtime 0, so its bytes depend on `data` alone.
+
+def _gzip(chunks):
+    """The bytes of gzip.compress(b"".join(chunks), mtime=0), streamed: its
+    fixed header, one raw deflate stream at level 9, the CRC-32 and size."""
+    packer, crc, size = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS), 0, 0
+    yield _GZIP_HEADER
+    for chunk in chunks:
+        crc, size = zlib.crc32(chunk, crc), size + memoryview(chunk).nbytes
+        yield packer.compress(chunk)
+    yield packer.flush() + struct.pack("<LL", crc, size & 0xFFFFFFFF)
+
+
+def write_file(path, data):
+    """Replace `path` atomically with `data`: a str or bytes, or an
+    iterable of str and bytes-like pieces (a str is written as UTF-8).
+
+    Each piece goes to a temporary file in the same directory as it
+    arrives; the file is then flushed, fsynced and renamed over `path`. If
+    any step raises, a piece's producer included, the temporary file is
+    removed and `path` is left as it was. A .gz path gets a gzip member with
+    mtime 0, so its bytes depend on the content alone.
     """
     path = Path(path)
-    raw = data.encode("utf-8") if isinstance(data, str) else data
+    pieces = [data] if isinstance(data, (str, bytes)) else data
+    chunks = (p.encode("utf-8") if isinstance(p, str) else p for p in pieces)
     if path.suffix == ".gz":
-        raw = gzip.compress(raw, mtime=0)
+        chunks = _gzip(chunks)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(raw)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -109,8 +135,34 @@ def write_json(path, obj):
 
 
 def _save_records(path, records):
-    """One JSON record per line; the mirror of _load_records."""
-    write_file(path, "".join(json.dumps(rec) + "\n" for rec in records))
+    """One JSON record per line, encoded and written as each record arrives;
+    the mirror of _load_records."""
+    def pieces():
+        for rec in records:
+            yield from _json_pieces(rec)
+            yield "\n"
+    write_file(path, pieces())
+
+
+def _json_pieces(value):
+    """The text of json.dumps(value) in pieces. A numeric block is JSON as
+    it is (base64 needs no escapes), so it is its own piece between quotes;
+    a dict that holds one is taken apart key by key, and every other value
+    goes through json.dumps."""
+    if isinstance(value, _Block):
+        yield from ('"', value, '"')
+    elif _holds_block(value):
+        for i, (key, item) in enumerate(value.items()):
+            yield ("{" if i == 0 else ", ") + json.dumps(key) + ": "
+            yield from _json_pieces(item)
+        yield "}"
+    else:
+        yield json.dumps(value)
+
+
+def _holds_block(value) -> bool:
+    return isinstance(value, dict) and any(
+        isinstance(item, _Block) or _holds_block(item) for item in value.values())
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +175,15 @@ _BLOCKS = frozenset({"x", "y", "truth.alpha", "truth.noise", "global", "log_q_gl
 _POSITIVE = 5e-324  # the least float above 0: as a low bound it means "> 0"
 
 
-def _block(a) -> str | None:
+class _Block(str):
+    """The base64 text of a numeric block, which the record writer copies
+    into its line without JSON's escape scan."""
+    __slots__ = ()
+
+
+def _block(a) -> _Block | None:
     """A numeric block as base64 of its little-endian float64 bytes, C order."""
-    return None if a is None else base64.b64encode(np.asarray(a, "<f8").tobytes()).decode()
+    return None if a is None else _Block(base64.b64encode(np.asarray(a, "<f8").tobytes()).decode())
 
 
 def _bad(key: str, problem: str) -> DataFormatError:
@@ -249,7 +307,7 @@ def dataset_from_record(rec: dict) -> HierDataset:
                        dataset_id=str(rec.get("id", "")))
 
 
-def save_datasets(path, datasets: list[HierDataset]):
+def save_datasets(path, datasets: Iterable[HierDataset]):
     _save_records(path, (dataset_to_record(ds) for ds in datasets))
 
 
@@ -357,7 +415,7 @@ def draws_from_record(rec: dict) -> PosteriorDraws:
     return draws
 
 
-def save_draws(path, records: list[dict]):
+def save_draws(path, records: Iterable[dict]):
     _save_records(path, records)
 
 

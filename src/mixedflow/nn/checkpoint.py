@@ -42,38 +42,42 @@ FORMAT_VERSION = 2
 __all__ = ["save_checkpoint", "load_checkpoint", "check_arrays", "checkpoint_id", "FORMAT_VERSION"]
 
 
-def _encode(manifest: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
+def _chunks(manifest: dict, arrays: dict[str, np.ndarray]):
+    """The container's bytes before the check digest, in order, each
+    array's as a view of its C-order data."""
     try:  # strict JSON: NaN and infinities have no JSON token
         mbytes = json.dumps(manifest, sort_keys=True, allow_nan=False).encode("utf-8")
     except ValueError as exc:
         raise NumericError(f"checkpoint manifest holds a non-finite number ({exc})") from None
-    chunks.append(struct.pack("<Q", len(mbytes)))
-    chunks.append(mbytes)
-    chunks.append(struct.pack("<Q", len(arrays)))
+    yield MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(mbytes))
+    yield mbytes
+    yield struct.pack("<Q", len(arrays))
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         le = arr.dtype.newbyteorder("<")
         arr = arr.astype(le, copy=False)
         nbytes = name.encode("utf-8")
         dbytes = le.str.encode("ascii")
-        chunks.append(struct.pack("<I", len(nbytes)))
-        chunks.append(nbytes)
-        chunks.append(struct.pack("<H", len(dbytes)))
-        chunks.append(dbytes)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.tobytes(order="C"))
-    return b"".join(chunks)
+        yield (struct.pack("<I", len(nbytes)) + nbytes + struct.pack("<H", len(dbytes)) + dbytes
+               + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+        yield arr.reshape(-1).view(np.uint8)
 
 
 def save_checkpoint(path, manifest: dict, arrays: dict[str, np.ndarray]) -> str:
-    """Write the container atomically; returns its sha256 hex digest."""
-    body = _encode(manifest, arrays)
-    running = hashlib.sha256(body)
-    check = running.digest()
-    running.update(check)
-    write_file(path, body + check)
+    """Write the container atomically, streaming its chunks through the
+    running sha256 on their way to the file; returns that sha256's hex
+    digest, the file's."""
+    running = hashlib.sha256()
+
+    def checked():
+        for chunk in _chunks(manifest, arrays):
+            running.update(chunk)
+            yield chunk
+        check = running.digest()
+        running.update(check)
+        yield check
+
+    write_file(path, checked())
     return running.hexdigest()
 
 

@@ -4,19 +4,44 @@ The conformal border adjustment, the map of the borders to the data scale
 and the coverage hits of `evaluate_dataset`, as they were written one
 alpha, one component and one group at a time with tuples of Python floats,
 before they worked on border arrays, plus the later rule that an adjustment
-which would invert an interval empties it at its midpoint. It is slower
-and kept only as the oracle that `refine.apply_calibration`, `pipeline.intervals_to_data_scale`,
-`pipeline.infer_one` and `metrics.evaluate_dataset` must reproduce.
+which would invert an interval empties it at its midpoint; and the interval
+borders as one weighted_quantile call per component, before each block of
+components was sorted at once. It is slower and kept only as the oracle
+that `PosteriorDraws.interval_borders`, `refine.apply_calibration`,
+`pipeline.intervals_to_data_scale`, `pipeline.infer_one` and
+`metrics.evaluate_dataset` must reproduce.
 """
 
 import numpy as np
 
+from mixedflow.draws import weighted_quantile
 from mixedflow.standardize import standardize_params
 
 
 def component_roles(d, q, infer_noise):
     """Role of each global draw component: fixed effects then variances."""
     return ["fixed"] * d + ["variance"] * (q + (1 if infer_noise else 0))
+
+
+def interval_borders(draws, alphas):
+    """`PosteriorDraws.interval_borders` as one weighted_quantile call per
+    component: global (A, p_global, 2) and local (A, m, q, 2) or None."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    probs = np.concatenate([alphas / 2, 1 - alphas / 2])
+    n_a = alphas.size
+
+    def borders(values, weights):
+        qs = weighted_quantile(values, probs, weights)
+        return np.stack([qs[:n_a], qs[n_a:]], axis=-1)
+
+    out_global = np.stack([borders(draws.global_std[:, j], draws.weights)
+                           for j in range(draws.global_std.shape[1])], axis=1)
+    if draws.local_std is None:
+        return out_global, None
+    lw = draws.local_weights
+    out_local = np.array([[borders(draws.local_std[:, i, j], None if lw is None else lw[:, i])
+                           for j in range(draws.q)] for i in range(draws.m)])
+    return out_global, out_local.reshape(draws.m, draws.q, n_a, 2).transpose(2, 0, 1, 3)
 
 
 def apply_calibration(draws, table, alphas) -> dict[float, dict]:

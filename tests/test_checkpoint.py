@@ -4,6 +4,7 @@ on load, and a failed save that leaves the previous checkpoint intact."""
 
 import errno
 import functools
+import hashlib
 import os
 import struct
 import tempfile
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import checkpoint_oracle
 
 from mixedflow.errors import ConfigError, DataFormatError, NumericError
 from mixedflow.model import ModelConfig, PosteriorModel, load_model, save_model
@@ -38,6 +41,28 @@ def test_round_trip_bit_exact(tmp_path):
     for name in arrays:
         assert arrays2[name].dtype == np.dtype(arrays[name].dtype).newbyteorder("<")
         np.testing.assert_array_equal(arrays2[name], arrays[name])
+
+
+def test_streamed_save_writes_the_encoded_container(tmp_path):
+    # every dtype kind and layout a save meets: 0-d, big-endian, transposed,
+    # empty, bool, complex and a model's own parameter set
+    rng = np.random.default_rng(3)
+    model = PosteriorModel(TINY, np.random.default_rng(0))
+    arrays = {
+        "scalar": np.float32(3.25).reshape(()),
+        "big": rng.normal(size=(3, 4)).astype(">f8"),
+        "transposed": rng.normal(size=(5, 2)).astype(np.float32).T,
+        "empty": np.zeros((0, 3), dtype=np.int16),
+        "flags": np.array([True, False, True]),
+        "complex": rng.normal(size=4) + 1j * rng.normal(size=4),
+        **{f"model.{name}": p.data for name, p in model.named_parameters()},
+    }
+    manifest = {"d": 2, "note": "ünïcode", "best_val": -1.5}
+    path = tmp_path / "model.ckpt"
+    digest = save_checkpoint(path, manifest, arrays)
+    body = checkpoint_oracle.encode(manifest, arrays)
+    assert path.read_bytes() == body + hashlib.sha256(body).digest()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_save_load_save_is_stable(tmp_path):

@@ -83,6 +83,25 @@ def test_borders_match_oracle(q, weighted, with_table):
         _same(data[1][a], old_data["local"])
 
 
+@pytest.mark.parametrize("weights", ["unweighted", "positive", "some-zero"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_interval_borders_match_a_quantile_call_per_component(q, weights):
+    _, draws = _draws_near_truth(q, weighted=False, seed=20 + q)
+    # rounded draws tie within every component
+    draws = replace(draws, global_std=np.round(draws.global_std, 1),
+                    local_std=np.round(draws.local_std, 1))
+    if weights != "unweighted":
+        rng = np.random.default_rng(30 + q)
+        w, lw = rng.exponential(size=draws.k), rng.exponential(size=(draws.k, draws.m))
+        if weights == "some-zero":   # in the global weights and in every other group's
+            w[::7] = 0.0
+            lw[::5, ::2] = 0.0
+        draws = replace(draws, weights=w, local_weights=lw)
+    new, old = draws.interval_borders(ALPHA_GRID), oracle.interval_borders(draws, ALPHA_GRID)
+    _same(new[0], old[0])
+    _same(new[1], old[1])
+
+
 def test_without_local_draws_local_is_none():
     _, draws = _draws_near_truth(1, weighted=True)
     draws = replace(draws, local_std=None, log_q_local=None, local_weights=None)

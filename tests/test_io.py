@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -109,6 +110,23 @@ class TestDatasetFiles:
             mfio.save_datasets(path, _datasets())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["sets.jsonl"]
+
+    @pytest.mark.parametrize("name", ["draws.jsonl", "draws.jsonl.gz"])
+    def test_record_generator_that_raises_keeps_old_file(self, tmp_path, name):
+        path = tmp_path / name
+        record = mfio.draws_to_record(TestDrawFiles()._draws())
+        mfio.save_draws(path, [record])
+        before = path.read_bytes()
+
+        def two_then_fail():
+            yield record
+            yield record
+            raise RuntimeError("inference failed")
+
+        with pytest.raises(RuntimeError, match="inference failed"):
+            mfio.save_draws(path, two_then_fail())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [name]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -234,6 +252,74 @@ class TestDrawFiles:
         rec = to_record(value)
         with pytest.raises(DataFormatError, match=f"'{field}'"):
             from_record({**rec, **change(rec)})
+
+
+# streamed writing -------------------------------------------------------------
+
+
+def _records_of_every_shape() -> list[dict]:
+    """Dataset records with and without truth, one with a non-ASCII id, and
+    draw records without local or weight blocks and with an interval table
+    that holds a NaN."""
+    with_truth, other = _datasets(2)
+    draws = TestDrawFiles()._draws()
+    bare = replace(draws, local_std=None, log_q_local=None, weights=None, local_weights=None,
+                   dataset_id="naïve-δ")
+    intervals = {0.1: {"global_std": [[math.nan, 1.0], [-0.5, math.inf]], "local": None}}
+    return [mfio.dataset_to_record(with_truth),
+            mfio.dataset_to_record(replace(other, truth=None, dataset_id="séance-Ω")),
+            mfio.draws_to_record(bare), mfio.draws_to_record(draws, intervals=intervals)]
+
+
+@pytest.mark.parametrize("name", ["records.jsonl", "records.jsonl.gz"])
+def test_each_line_is_json_dumps_of_its_record(tmp_path, name):
+    records = _records_of_every_shape()
+    path = tmp_path / name
+    mfio.save_draws(path, iter(records))
+    content = "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+    raw = path.read_bytes()
+    assert (gzip.decompress(raw) if name.endswith(".gz") else raw) == content
+    if name.endswith(".gz"):
+        assert raw == gzip.compress(content, mtime=0)
+
+
+def test_streamed_gzip_is_gzip_compress(tmp_path):
+    rng = np.random.default_rng(5)
+    pieces = [b"", "", *(base64.b64encode(rng.bytes(int(n))).decode() + "\n"
+                         for n in rng.integers(0, 200_000, size=24)), "é∂\n", b"\x00" * 70_000]
+    mfio.write_file(tmp_path / "out.gz", iter(pieces))
+    content = b"".join(p.encode("utf-8") if isinstance(p, str) else p for p in pieces)
+    assert (tmp_path / "out.gz").read_bytes() == gzip.compress(content, mtime=0)
+    mfio.write_file(tmp_path / "whole.gz", content)
+    assert (tmp_path / "whole.gz").read_bytes() == gzip.compress(content, mtime=0)
+
+
+def test_saving_draws_holds_one_record_not_the_file(tmp_path):
+    # 40 desk-size records (d=2, q=1, the widest desk set of m=30 groups,
+    # k=1000, both weight blocks), made one at a time by a generator: the
+    # writer's peak is a few records' text, where joining them holds the file
+    rng = np.random.default_rng(6)
+    k, m = 1000, 30
+    draws = PosteriorDraws(
+        global_std=rng.normal(size=(k, 4)), log_q_global=rng.normal(size=k), d=2, q=1,
+        infer_noise=True, rec=TestDrawFiles()._draws().rec,
+        local_std=rng.normal(size=(k, m, 1)), log_q_local=rng.normal(size=(k, m)),
+        weights=rng.exponential(size=k), local_weights=rng.exponential(size=(k, m)),
+        dataset_id="desk-00")
+    line = len(json.dumps(mfio.draws_to_record(draws))) + 1
+
+    def records():
+        for i in range(40):
+            yield mfio.draws_to_record(replace(draws, dataset_id=f"desk-{i:02d}"))
+
+    tracemalloc.start()
+    try:
+        mfio.save_draws(tmp_path / "draws.jsonl", records())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "draws.jsonl").stat().st_size == 40 * line
+    assert peak < 3 * line, f"peak {peak / 1e6:.1f} MB for records of {line / 1e6:.2f} MB"
 
 
 def _cut(block: str, nbytes: int) -> str:

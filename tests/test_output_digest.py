@@ -30,7 +30,8 @@ def test_every_command_writes_the_same_bytes_twice(tmp_path):
     for path in ("toy.jsonl", "full.jsonl.gz", "conj.jsonl", "m21/best.ckpt", "m32/last.ckpt",
                  "mconj/curve.csv", "cal-is.json", "infer-both.jsonl", "infer-csv.jsonl",
                  "eval-conformal/report.csv", "eval-m32/coverage.csv", "report/report.txt",
-                 "report-chains/report.csv", "cal-conj-is.json", "eval-conj-both/report.csv"):
+                 "report-chains/report.csv", "cal-conj-is.json", "eval-conj-both/report.csv",
+                 "many.jsonl.gz", "infer-many.jsonl"):
         assert path in paths
     checkpoints = {p for p in paths if p.endswith(".ckpt")}
     assert len(checkpoints) == 6

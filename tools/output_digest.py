@@ -32,8 +32,10 @@ modes, and of the d=3/q=2 model with `--refine is` and its own `--alphas`;
 `report` of two draw files, and of an external chain CSV named after a
 simulated set (two chains, one with an outlier, and a Stan-style `lp__`
 column that is ignored) beside a draw file, with its own `--alphas`;
-and, for the known-noise conjugate model, `calibrate --refine is` and
-`evaluate --refine both` with that table.
+for the known-noise conjugate model, `calibrate --refine is` and
+`evaluate --refine both` with that table; and a `simulate --count 40` into
+a gzip file with `infer --refine both` over it, so that files of many
+streamed records, gzip and plain, are digested too.
 """
 
 import os
@@ -129,6 +131,10 @@ def _commands() -> list[list[str]]:
         ["evaluate", "--checkpoint", "mconj/best.ckpt", "--data", "conj.jsonl", "--k", "40",
          "--seed", "11", "--refine", "both", "--conformal-table", "cal-conj-is.json",
          "--out", "eval-conj-both"],
+        ["simulate", "--d", "2", "--q", "1", "--count", "40", "--seed", "12", "--toy",
+         "--m-range", "3,8", "--n-range", "5,10", "--out", "many.jsonl.gz"],
+        ["infer", *model, "--data", "many.jsonl.gz", "--k", "40", "--seed", "13",
+         "--refine", "both", "--conformal-table", "cal-is.json", "--out", "infer-many.jsonl"],
     ]
     return cmds
 
