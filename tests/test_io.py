@@ -4,9 +4,11 @@ bit, both still read version 1, observation CSVs build valid datasets,
 conformal tables round-trip, and manifests carry the reproducibility
 fields. Every reader refuses a changed field by name or loads the record
 (fractional counts, non-finite values, wrong types and lengths, missing
-fields). Writes are atomic and reproducible, io.write_file is the only
-code in the package that writes a file, and mixedflow.io the only one
-that reads JSON."""
+fields). Writes are atomic and reproducible, also when streamed from a
+generator (gzip included); each record line is json.dumps of its record,
+and saving draws holds a few records' text, not the file's. io.write_file
+is the only code in the package that writes a file, and mixedflow.io the
+only one that reads JSON."""
 
 import ast
 import base64
@@ -111,23 +113,6 @@ class TestDatasetFiles:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["sets.jsonl"]
 
-    @pytest.mark.parametrize("name", ["draws.jsonl", "draws.jsonl.gz"])
-    def test_record_generator_that_raises_keeps_old_file(self, tmp_path, name):
-        path = tmp_path / name
-        record = mfio.draws_to_record(TestDrawFiles()._draws())
-        mfio.save_draws(path, [record])
-        before = path.read_bytes()
-
-        def two_then_fail():
-            yield record
-            yield record
-            raise RuntimeError("inference failed")
-
-        with pytest.raises(RuntimeError, match="inference failed"):
-            mfio.save_draws(path, two_then_fail())
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == [name]
-
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -225,6 +210,23 @@ class TestDrawFiles:
         mfio.save_draws(path, [mfio.draws_to_record(draws)])
         (back, _), = mfio.load_draws(path)
         assert back.weights is None and back.local_weights is None
+
+    @pytest.mark.parametrize("name", ["draws.jsonl", "draws.jsonl.gz"])
+    def test_record_generator_that_raises_keeps_old_file(self, tmp_path, name):
+        path = tmp_path / name
+        record = mfio.draws_to_record(self._draws())
+        mfio.save_draws(path, [record])
+        before = path.read_bytes()
+
+        def two_then_fail():
+            yield record
+            yield record
+            raise RuntimeError("inference failed")
+
+        with pytest.raises(RuntimeError, match="inference failed"):
+            mfio.save_draws(path, two_then_fail())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [name]
 
     @pytest.mark.parametrize("kind, field, change", [
         ("draws", "global", lambda rec: {"global": _cut(rec["global"], 8)}),
