@@ -6,7 +6,7 @@ masked rows are excluded from attention and zeroed at block boundaries so
 padding can never leak into a summary statistic (with no masked row, the
 mask multiplies and the attention mask add are skipped).
 
-Four ops are fused into single tape nodes with hand-written backward
+Six ops are fused into single tape nodes with hand-written backward
 passes, so an encoder block is a short chain of nodes instead of dozens of
 small elementwise ones. Each saves for its backward only what is listed:
 
@@ -20,22 +20,23 @@ small elementwise ones. Each saves for its backward only what is listed:
   input x_hat and 1/sigma per row.
 - `masked_attention`: per head, key-major scores with the key mask, shifted
   and exponentiated in place on the node's own buffer, the weighted sum of
-  values, then one normalization of the output; saves the exp scores in
-  key-major layout and 1/(key sum) per query (its output and the q, k, v
-  inputs are held anyway).
-- `residual_norm`: the end of an encoder sublayer, zero_rows(layer_norm(x +
-  dropout(zero_rows?(a @ W + b)))), with its dropout mask drawn inside;
+  values, then one normalization of the output; saves 1/(key sum) per
+  query (its output and the q, k, v inputs are held anyway), and backward
+  rebuilds the exp scores with the forward's float32 operations.
+- `residual_norm`: the end of the attention sublayer, zero_rows(layer_norm(x
+  + dropout(zero_rows?(a @ W + b)))), with its dropout mask drawn inside;
   saves x_hat, 1/sigma per row, the row mask as a float column (only when
   a row is masked) and dropout's keep mask as a bool array (only when
   dropout is on). The projection, its masked and dropped copies, the
   residual sum and the unmasked norm output are never kept.
+- `feed_forward`: the feed-forward sublayer, residual_norm's tail on
+  gelu(x @ W1 + b1) @ W2 + b2; saves what residual_norm saves and the up
+  projection, from which backward rebuilds gelu and its slope (one erf).
+- `masked_mean`: a mean over the valid rows; saves the mask and the counts.
 
-So a training-mode `EncoderBlock` over (b, n, width) float32 rows holds
-eight nodes until the backward sweep: the q, k and v projections (their
-outputs), `masked_attention` (output, exp scores, 1/(key sum)), the
-feedforward's up projection (output), gelu (output; its backward
-recomputes erf from the input, from tensor.py) and two `residual_norm`
-nodes (output and the arrays above).
+So a training-mode `EncoderBlock` holds six nodes until the backward
+sweep: the q, k and v projections, `masked_attention`, `residual_norm` and
+`feed_forward`, each with its output and the arrays above.
 
 Training and inference run the same nodes; under `no_grad` the backward
 closures, and with them the saved arrays, are dropped at once.
@@ -48,7 +49,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from .tensor import Tensor, _unbroadcast, assert_finite
+from .tensor import Tensor, _erf, _unbroadcast, assert_finite
 
 __all__ = [
     "Module",
@@ -64,6 +65,7 @@ __all__ = [
     "layer_norm",
     "masked_attention",
     "residual_norm",
+    "feed_forward",
 ]
 
 LAYER_NORM_EPS = 1e-5  # added to each row's variance in LayerNorm
@@ -216,19 +218,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return Tensor._make(out, (x, gamma, beta), backward)
 
 
-def residual_norm(x: Tensor, a: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-                  mask: np.ndarray, rate: float, rng: np.random.Generator | None,
-                  zero_inner: bool = False) -> Tensor:
-    """The end of a post-norm sublayer as one node:
-    zero_rows(layer_norm(x + dropout(zero_rows?(a @ w + b)))), where x is
-    the sublayer's input, a its activation before the output projection
-    and mask (x's leading shape) its valid rows. zero_inner zeroes the
-    invalid rows of the projection too (the attention sublayer does). The
-    dropout mask is drawn here, as `dropout` draws it (identity when rng is
-    None). The float32 operations and their order are those of the chain
-    of separate nodes, so outputs and adjoints match it bit for bit."""
-    terms = _parts(a, w)
-    y = _project(terms, w, b)
+def _sublayer_tail(y: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray,
+                   rate: float, rng: np.random.Generator | None, zero_inner: bool):
+    """zero_rows(layer_norm(x + dropout(zero_rows?(y)))) on a projection y it
+    takes over: the output, and the backward from its adjoint to those of y
+    and of x (the residual), which accumulates gamma's and beta's."""
     if y.shape != x.data.shape:
         raise DimensionError(f"residual of shape {x.data.shape} meets {y.shape}")
     rows = None if mask.all() else mask[..., None].astype(y.dtype)
@@ -249,11 +243,61 @@ def residual_norm(x: Tensor, a: Tensor, w: Tensor, b: Tensor, gamma: Tensor, bet
         gy = gs if kept is None else gs * _keep_scale(kept, rate, gs.dtype)
         if zero_inner and rows is not None:
             gy = gy * rows
+        return gy, gs
+
+    return out, backward
+
+
+def residual_norm(x: Tensor, a: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                  mask: np.ndarray, rate: float, rng: np.random.Generator | None,
+                  zero_inner: bool = False) -> Tensor:
+    """The end of a post-norm sublayer as one node:
+    zero_rows(layer_norm(x + dropout(zero_rows?(a @ w + b)))), where x is
+    the sublayer's input, a its activation before the output projection
+    and mask (x's leading shape) its valid rows. zero_inner zeroes the
+    invalid rows of the projection too (the attention sublayer does). The
+    dropout mask is drawn here, as `dropout` draws it (identity when rng is
+    None). The float32 operations and their order are those of the chain
+    of separate nodes, so outputs and adjoints match it bit for bit."""
+    terms = _parts(a, w)
+    out, tail = _sublayer_tail(_project(terms, w, b), x, gamma, beta, mask, rate, rng,
+                               zero_inner)
+
+    def backward(g):
+        gy, gs = tail(g)
         _project_backward(gy, terms, w, b)
         if x.requires_grad:
             x._accumulate(gs, owned=True)
 
     return Tensor._make(out, (x, a, w, b, gamma, beta), backward)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamma: Tensor,
+                 beta: Tensor, mask: np.ndarray, rate: float,
+                 rng: np.random.Generator | None) -> Tensor:
+    """A feed-forward sublayer as one node, `residual_norm(x, gelu(x @ w1 +
+    b1), w2, b2, ...)`, that saves u = x @ w1 + b1 and rebuilds gelu(u) and
+    its slope from one erf. The float32 operations, and the order in which
+    x gets its two adjoints (the residual's first), are the node chain's, so
+    outputs and adjoints match it bit for bit."""
+    up = _parts(x, w1)
+    u = _project(up, w1, b1)
+    act = Tensor(0.5 * u * (1.0 + _erf(u / math.sqrt(2.0))))   # gelu(u), as Tensor.gelu has it
+    out, tail = _sublayer_tail(_project(_parts(act, w2), w2, b2), x, gamma, beta, mask, rate,
+                               rng, False)
+
+    def backward(g):
+        gy, gs = tail(g)
+        cdf = 1.0 + _erf(u / math.sqrt(2.0))
+        act = Tensor(0.5 * u * cdf)
+        act.requires_grad = True   # collects the down projection's input adjoint
+        _project_backward(gy, ((act, 0, u.shape[-1]),), w2, b2)
+        if x.requires_grad:
+            x._accumulate(gs, owned=True)
+        pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        _project_backward(act.grad * (0.5 * cdf + u * pdf), up, w1, b1)
+
+    return Tensor._make(out, (x, w1, b1, w2, b2, gamma, beta), backward)
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
@@ -265,9 +309,10 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
     row-wise over the queries and the key sums are one BLAS call. Keys
     where mask (b, n) is false get a -1e30 score (the add is skipped when
     every key is valid), so a row with no valid key softmaxes to uniform.
-    The output is normalized after the value product. Backward keeps the
-    exp scores and 1/(key sum) and folds the latter into its smaller
-    factors, so the probabilities are never formed.
+    The output is normalized after the value product. Backward keeps only
+    1/(key sum), rebuilds the exp scores with the forward's own operations
+    and folds 1/(key sum) into its smaller factors, so the probabilities
+    are never formed.
     """
     b, n, width = q.data.shape
     dh = width // heads
@@ -277,19 +322,27 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
         # (b, n, width) -> (b, heads, n, head_dim) view
         return a.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
 
-    def transposed(a: np.ndarray) -> np.ndarray:
-        # (b, n, width) -> a contiguous (b, heads, head_dim, n) copy; as the
+    def transposed(a: np.ndarray, copy=None) -> np.ndarray:
+        # (b, n, width) -> a contiguous (b, heads, head_dim, n) array; as the
         # second matmul operand it is about twice as fast as a transposed view
-        return np.ascontiguousarray(split(a).swapaxes(-1, -2))
+        return np.array(split(a).swapaxes(-1, -2), order="C", copy=copy)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    qt = transposed(q.data)
+    def exp_scores(qt: np.ndarray) -> np.ndarray:
+        # the shifted exp scores from the scaled queries qt, key-major
+        e = kh @ qt
+        if not mask.all():
+            e += np.where(mask, 0.0, -1e30).astype(e.dtype)[:, None, :, None]
+        e -= e.max(axis=-2, keepdims=True)
+        return np.exp(e, out=e)
+
+    kh, vh = split(k.data), split(v.data)
+    # At n = 1 the transposed view is contiguous, so qt is q's own buffer,
+    # scaled in place, and the output is written into it. A single key's exp
+    # score is 1, so the backward rebuilds it still, but its k adjoint (zero
+    # up to roundoff) reads the overwritten q; copying would move its bits.
+    qt = transposed(q.data, copy=None if n == 1 else True)
     qt *= scale
-    e = kh @ qt
-    if not mask.all():
-        e += np.where(mask, 0.0, -1e30).astype(e.dtype)[:, None, :, None]
-    e -= e.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
+    e = exp_scores(qt)
     inv_sum = np.ones(n, dtype=e.dtype) @ e
     np.reciprocal(inv_sum, out=inv_sum)
     out = qt.reshape(b, n, width)  # the scaled queries' buffer, free once e is built
@@ -298,11 +351,15 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
 
     def merged(a: np.ndarray, c: np.ndarray) -> np.ndarray:
         # a @ c per head, written straight into a fresh (b, n, width) array
-        res = np.empty((b, n, width), dtype=e.dtype)
+        res = np.empty((b, n, width), dtype=out.dtype)
         np.matmul(a, c, out=split(res))
         return res
 
     def backward(g):
+        # rebuilt on a copy of the queries, so q's data is never written
+        qt = transposed(q.data, copy=True)
+        qt *= scale
+        e = exp_scores(qt)
         gh = split(g)
         if v.requires_grad:
             # pT g, the 1/(key sum) of pT = e / (key sum) folded into g
@@ -317,7 +374,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
             if q.requires_grad:
                 q._accumulate(merged(ds.swapaxes(-1, -2), kh), owned=True)
             if k.requires_grad:
-                k._accumulate(merged(ds, qh), owned=True)
+                k._accumulate(merged(ds, split(q.data)), owned=True)
 
     return Tensor._make(out, (q, k, v), backward)
 
@@ -373,7 +430,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def masked_mean(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
-    """Mean over `axis` counting only positions where mask is true.
+    """Mean over `axis` counting only positions where mask is true, as one
+    node with the float32 operations of (x * mask).sum(axis) * (1 / count).
 
     mask broadcasts against x up to the feature dimension. Rows with an
     empty mask yield zeros (caller decides whether that is an error).
@@ -381,9 +439,13 @@ def masked_mean(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
     m = np.asarray(mask, dtype=x.dtype)
     while m.ndim < x.ndim:
         m = m[..., None]
-    total = (x * Tensor(m)).sum(axis=axis)
-    count = np.maximum(m.sum(axis=axis), 1.0)
-    return total * Tensor(1.0 / count)
+    inv_count = 1.0 / np.maximum(m.sum(axis=axis), 1.0)
+
+    def backward(g):
+        g = np.expand_dims(g * inv_count, axis)
+        x._accumulate(np.array(np.broadcast_to(g, x.data.shape), dtype=x.dtype) * m, owned=True)
+
+    return Tensor._make((x.data * m).sum(axis=axis) * inv_count, (x,), backward)
 
 
 class MultiheadAttention(Module):
@@ -423,20 +485,16 @@ class FeedForward(Module):
         self.up = self.register("up", Linear(width, hidden, rng, dtype))
         self.down = self.register("down", Linear(hidden, width, rng, dtype))
 
-    def hidden(self, x: Tensor) -> Tensor:
-        """The gelu hidden layer, before the down projection."""
-        return self.up(x).gelu()
-
     def __call__(self, x: Tensor) -> Tensor:
-        return self.down(self.hidden(x))
+        return self.down(self.up(x).gelu())
 
 
 class EncoderBlock(Module):
     """Post-norm transformer encoder block: attention and feedforward
-    sublayers with residuals, layer norm, dropout and gelu. Each sublayer
-    is two steps: its activation (the attention heads, or the gelu hidden
-    layer), then one `residual_norm` node for the output projection,
-    dropout, residual, layer norm and row mask."""
+    sublayers with residuals, layer norm, dropout and gelu. The attention
+    sublayer is the heads, then one `residual_norm` node for the output
+    projection, dropout, residual, layer norm and row mask; the feedforward
+    sublayer is one `feed_forward` node."""
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.01, dtype=np.float32, name: str = "encoder"):
@@ -452,11 +510,11 @@ class EncoderBlock(Module):
         if not self.training:
             rng = None
         mask, rate = np.asarray(mask, dtype=bool), self.dropout_rate
-        wo, down = self.attn.wo, self.ff.down
+        wo, up, down = self.attn.wo, self.ff.up, self.ff.down
         h = residual_norm(x, self.attn.attend(x, mask), wo.w, wo.b, self.norm1.gamma,
                           self.norm1.beta, mask, rate, rng, zero_inner=True)
-        h = residual_norm(h, self.ff.hidden(h), down.w, down.b, self.norm2.gamma,
-                          self.norm2.beta, mask, rate, rng)
+        h = feed_forward(h, up.w, up.b, down.w, down.b, self.norm2.gamma, self.norm2.beta,
+                         mask, rate, rng)
         assert_finite(h, f"{self.name} output")
         return h
 

@@ -12,9 +12,10 @@ and its parents once its closure has run, so only the leaves keep their
 The op set is what the layers, flows and losses of this package run, plus
 `**` for the gradient checks: arithmetic, a few elementwise maps, sum and
 mean, reshape, indexing, row scatter and `cat`. The layer ops (linear maps, layer norm, masked
-attention and the end of an encoder sublayer) are fused single nodes in
-layers.py, each with a hand-written backward that saves only what its
-docstring there lists. A new op comes in with its first caller.
+attention, the end of an encoder sublayer, the feed-forward sublayer and the
+masked mean) are fused single nodes in layers.py, each with a hand-written
+backward that saves only what its docstring there lists. A new op comes in
+with its first caller.
 """
 
 from __future__ import annotations

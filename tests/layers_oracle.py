@@ -13,6 +13,10 @@ No package layer runs matmul, transpose or softmax, so this module owns
 them: matmul and transpose as nodes on `Tensor._make`, softmax composed
 from the tape's exp, sum and divide.
 
+`stored_scores_attention` is the fused attention node as it was before its
+backward rebuilt the exp scores: it saves them. The fused node must match
+it bit for bit.
+
 `per_group_local` encodes each real group of a batch on its own, from its
 real rows only: no padding, no size buckets, no gathering. It is what
 `SummaryNetwork.summarize_local` must compute.
@@ -80,6 +84,55 @@ def attention_node(q, k, v, mask, heads):
     bias = np.where(mask[:, None, None, :], 0.0, -1e30).astype(q.dtype)
     weights = softmax(scores + Tensor(bias), axis=-1)
     return transpose(matmul(weights, split(v)), (0, 2, 1, 3)).reshape(b, n, width)
+
+
+def stored_scores_attention(q, k, v, mask, heads):
+    """The fused masked_attention node that keeps its exp scores for the
+    backward, float32 operations and all."""
+    b, n, width = q.data.shape
+    dh = width // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(b, n, heads, dh).transpose((0, 2, 1, 3))
+
+    def transposed(a):
+        return np.ascontiguousarray(split(a).swapaxes(-1, -2))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qt = transposed(q.data)
+    qt *= scale
+    e = kh @ qt
+    if not mask.all():
+        e += np.where(mask, 0.0, -1e30).astype(e.dtype)[:, None, :, None]
+    e -= e.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    inv_sum = np.ones(n, dtype=e.dtype) @ e
+    np.reciprocal(inv_sum, out=inv_sum)
+    out = qt.reshape(b, n, width)
+    np.matmul(e.swapaxes(-1, -2), vh, out=split(out))
+    out.reshape(b, n, heads, dh)[...] *= inv_sum.transpose((0, 2, 1))[..., None]
+
+    def merged(a, c):
+        res = np.empty((b, n, width), dtype=e.dtype)
+        np.matmul(a, c, out=split(res))
+        return res
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merged(e, gh * inv_sum[..., None]), owned=True)
+        if q.requires_grad or k.requires_grad:
+            ds = vh @ transposed(g)
+            ds -= np.einsum("bhnd,bhnd->bhn", gh, split(out))[..., None, :]
+            ds *= e
+            ds *= (inv_sum * scale)[..., None, :]
+            if q.requires_grad:
+                q._accumulate(merged(ds.swapaxes(-1, -2), kh), owned=True)
+            if k.requires_grad:
+                k._accumulate(merged(ds, qh), owned=True)
+
+    return Tensor._make(out, (q, k, v), backward)
 
 
 def attention(self, x, mask):

@@ -1,6 +1,8 @@
-"""Fused tape nodes (linear, layer_norm, masked_attention, residual_norm):
-float64 finite-difference gradients of each node and of the oracle's own
-nodes, residual_norm against the chain of nodes it replaces (bit for bit),
+"""Fused tape nodes (linear, layer_norm, masked_attention, residual_norm,
+feed_forward, masked_mean): float64 finite-difference gradients of each
+node and of the oracle's own nodes, residual_norm, feed_forward and
+masked_mean against the chains of nodes they replace (bit for bit),
+masked_attention against the stored-scores node it replaces (bit for bit),
 a bound on what a training-mode encoder block holds on the tape, and
 agreement with the composed oracle in layers_oracle.py for encoder blocks
 (outputs and gradients, in training mode with dropout) and summary networks
@@ -19,8 +21,8 @@ from helpers import gradcheck, rel_err
 from mixedflow import simulate as sim
 from mixedflow.model import ModelConfig, PosteriorModel, make_batch
 from mixedflow.nn import EncoderBlock, Tensor, no_grad
-from mixedflow.nn.layers import (LAYER_NORM_EPS, _zero_rows, dropout, layer_norm, linear,
-                                 masked_attention, residual_norm)
+from mixedflow.nn.layers import (LAYER_NORM_EPS, _zero_rows, dropout, feed_forward, layer_norm,
+                                 linear, masked_attention, masked_mean, residual_norm)
 from mixedflow.seeding import substream
 from mixedflow.summary import SummaryNetwork
 
@@ -153,6 +155,92 @@ def test_residual_norm_matches_the_node_chain_bit_for_bit(zero_inner, rate):
         np.testing.assert_array_equal(got, want)
 
 
+def _adjoint(shape, layout, rng):
+    """A float32 adjoint in C or transposed (F) memory layout."""
+    r = rng.normal(size=shape).astype(np.float32)
+    return np.asfortranarray(r) if layout == "F" else r
+
+
+def _assert_same_arrays(got, want):
+    # equal bits, and equal memory layout: the layout of an adjoint decides
+    # how the reductions that later read it sum
+    for a, c in zip(got, want):
+        np.testing.assert_array_equal(a, c)
+        assert a.strides == c.strides
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("lead", [(6, 9), (9,)], ids=["batch", "2-d"])
+def test_feed_forward_matches_the_node_chain_bit_for_bit(lead, rate, layout):
+    # float32, masked rows: the fused sublayer against residual_norm on the
+    # up projection's gelu, with the same dropout draw; outputs and the
+    # adjoints of x, both projections and the norm equal
+    rng = np.random.default_rng(29)
+    mask = _ragged_rows(6, 9, rng) if len(lead) == 2 else np.arange(9) < 6
+    arrays = [rng.normal(size=s).astype(np.float32)
+              for s in [lead + (16,), (16, 24), (24,), (24, 16), (16,), (16,), (16,)]]
+    adjoint = _adjoint(lead + (16,), layout, rng)
+
+    def run(fused):
+        x, w1, b1, w2, b2, g, be = (Tensor(v, requires_grad=True) for v in arrays)
+        drop = np.random.default_rng(9)
+        if fused:
+            out = feed_forward(x, w1, b1, w2, b2, g, be, mask, rate, drop)
+        else:
+            out = residual_norm(x, linear(x, w1, b1).gelu(), w2, b2, g, be, mask, rate, drop)
+        out.backward(adjoint)
+        return [out.data] + [t.grad for t in (x, w1, b1, w2, b2, g, be)]
+
+    _assert_same_arrays(run(True), run(False))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_masked_mean_matches_the_node_chain_bit_for_bit(layout):
+    rng = np.random.default_rng(37)
+    mask = _ragged_rows(6, 9, rng)
+    mask[3] = False   # an empty row: zeros, with count 1
+    data = rng.normal(size=(6, 9, 16)).astype(np.float32)
+    adjoint = _adjoint((6, 16), layout, rng)
+
+    def run(fused):
+        x = Tensor(data, requires_grad=True)
+        if fused:
+            out = masked_mean(x, mask, axis=1)
+        else:
+            m = mask[..., None].astype(np.float32)
+            out = (x * Tensor(m)).sum(axis=1) * Tensor(1.0 / np.maximum(m.sum(axis=1), 1.0))
+        out.backward(adjoint)
+        return [out.data, x.grad]
+
+    _assert_same_arrays(run(True), run(False))
+
+
+@pytest.mark.parametrize("b, n, width, heads", [(6, 9, 16, 4), (6, 9, 16, 1), (5, 1, 16, 4)],
+                         ids=["ragged", "heads=1", "n=1"])
+def test_rebuilt_scores_match_the_stored_scores_node_bit_for_bit(b, n, width, heads):
+    # float32 ragged key masks with one row of no valid key: outputs and the
+    # q, k and v adjoints equal the node that saved its exp scores, and the
+    # backward leaves q, k and v as the forward left them (at n = 1 the
+    # forward writes its output into q's buffer, on both sides)
+    rng = np.random.default_rng(41)
+    mask = _ragged_rows(b, n, rng)
+    mask[-1] = False
+    arrays = [rng.normal(size=(b, n, width)).astype(np.float32) for _ in range(3)]
+    adjoint = rng.normal(size=(b, n, width)).astype(np.float32)
+
+    def run(node):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = node(q, k, v, mask, heads)
+        left = [t.data.copy() for t in (q, k, v)]
+        out.backward(adjoint)
+        for t, before in zip((q, k, v), left):
+            np.testing.assert_array_equal(t.data, before)
+        return [out.data] + [t.grad for t in (q, k, v)]
+
+    _assert_same_arrays(run(masked_attention), run(oracle.stored_scores_attention))
+
+
 def _ragged_rows(b, n, rng):
     """Desk-like row masks: sizes uniform on 1..n, one row full."""
     sizes = rng.integers(1, n + 1, size=b)
@@ -194,8 +282,9 @@ def test_encoder_block_matches_composed_oracle_in_training(shape):
 def test_training_block_holds_only_the_listed_arrays():
     # after a training-mode forward with dropout on padded rows, the block's
     # graph may hold no more than the outputs and saved arrays that the
-    # nn/layers.py docstring lists for its eight nodes, plus 4 KiB per node
-    # for Python objects (tensors, closures, array headers)
+    # nn/layers.py docstring lists for its six nodes, plus 4 KiB per node
+    # for Python objects (tensors, closures, array headers): no exp scores
+    # and no gelu output, which backward rebuilds
     b, n, width, heads, f32 = 4, 32, 64, 4, 4
     rng = np.random.default_rng(31)
     blk = EncoderBlock(width, heads, rng, dropout_rate=0.1).set_training(True)
@@ -205,11 +294,11 @@ def test_training_block_holds_only_the_listed_arrays():
     blk(x, mask, np.random.default_rng(1))   # warm numpy's caches; the graph dies here
     act = b * n * width * f32                # one (b, n, width) float32 array
     rows = b * n * f32                       # one float32 value per row
-    listed = (3 * act                                              # q, k, v
-              + act + b * heads * n * n * f32 + b * heads * n * f32  # attention
-              + act                                                # up projection
-              + act                                                # gelu: output
-              + 2 * (2 * act + 2 * rows + b * n * width))          # residual_norm x 2
+    tail = 2 * act + 2 * rows + b * n * width     # output, x_hat, 1/sigma, rows, keep mask
+    listed = (3 * act                             # q, k, v
+              + act + b * heads * n * f32         # attention: output, 1/(key sum)
+              + tail                              # residual_norm
+              + act + tail)                       # feed_forward: up projection, the tail
     gc.collect()
     tracemalloc.start()
     try:
@@ -219,7 +308,7 @@ def test_training_block_holds_only_the_listed_arrays():
     finally:
         tracemalloc.stop()
     assert h.requires_grad
-    assert held <= listed + 8 * 4096, (held, listed)
+    assert held <= listed + 6 * 4096, (held, listed)
 
 
 def _summaries(net, batch, composed):

@@ -99,8 +99,8 @@ def test_backward_requires_scalar():
 
 def _block_loss(seed=3):
     """A scalar loss through a training-mode encoder block (the fused layer
-    nodes linear, masked attention and residual_norm, with dropout, plus
-    gelu) and a few tape ops, with the block and its input leaf."""
+    nodes linear, masked attention, residual_norm and feed_forward, with
+    dropout) and a few tape ops, with the block and its input leaf."""
     rng = np.random.default_rng(seed)
     block = EncoderBlock(8, 2, rng, dropout_rate=0.5)
     block.set_training(True)
@@ -129,11 +129,12 @@ def _interior_nodes(root: Tensor) -> list[Tensor]:
 def test_backward_consumes_every_interior_node():
     loss, block, x = _block_loss()
     nodes = _interior_nodes(loss)
-    # the block is 8 nodes (q, k, v, attention, residual_norm, up, gelu,
-    # residual_norm) and the loss 8 more; both sublayers end in a fused node
-    assert len(nodes) == 16
-    fused = [n for n in nodes if n._backward.__qualname__.startswith("residual_norm.")]
-    assert len(fused) == 2
+    # the block is 6 nodes (q, k, v, attention, residual_norm, feed_forward)
+    # and the loss 8 more; each sublayer ends in a fused node
+    assert len(nodes) == 14
+    fused = [n._backward.__qualname__.split(".")[0] for n in nodes]
+    assert sorted(f for f in fused if f in ("residual_norm", "feed_forward")) == [
+        "feed_forward", "residual_norm"]
     loss.backward()
     for node in nodes:
         assert node.grad is None and node._parents == ()
