@@ -282,9 +282,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gamm
     outputs and adjoints match it bit for bit."""
     up = _parts(x, w1)
     u = _project(up, w1, b1)
-    act = Tensor(0.5 * u * (1.0 + _erf(u / math.sqrt(2.0))))   # gelu(u), as Tensor.gelu has it
-    out, tail = _sublayer_tail(_project(_parts(act, w2), w2, b2), x, gamma, beta, mask, rate,
-                               rng, False)
+    # gelu(u) as Tensor.gelu has it, gone once projected: u takes its place
+    y = _project(_parts(Tensor(0.5 * u * (1.0 + _erf(u / math.sqrt(2.0)))), w2), w2, b2)
+    out, tail = _sublayer_tail(y, x, gamma, beta, mask, rate, rng, False)
 
     def backward(g):
         gy, gs = tail(g)

@@ -66,6 +66,13 @@ class TestNodeGradients:
         gradcheck(lambda q, k, v: (masked_attention(q, k, v, MASK, heads=2) * Tensor(r)).sum(),
                   [RNG.normal(size=(4, 5, 8)) for _ in range(3)])
 
+    def test_masked_attention_of_width_one(self):
+        # one head of width 1: the transposed queries are then contiguous at
+        # any n, and the forward must still leave q's data for the backward
+        r = RNG.normal(size=(4, 5, 1)) * MASK.any(axis=1)[:, None, None]
+        gradcheck(lambda q, k, v: (masked_attention(q, k, v, MASK, heads=1) * Tensor(r)).sum(),
+                  [RNG.normal(size=(4, 5, 1)) for _ in range(3)])
+
     @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no-dropout", "dropout"])
     @pytest.mark.parametrize("zero_inner", [True, False], ids=["attention", "feedforward"])
     def test_residual_norm(self, zero_inner, rate):
